@@ -8,9 +8,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-
-from sympy import Matrix
 
 from .errors import (BasisMismatch, DegreeMismatch, DimensionMismatch,
                      DimensionOdd, RankDeficient, SchemaViolation)
@@ -141,10 +138,6 @@ class ExteriorElement:
         return " + ".join(f"{c}*e{list(k)}" for k, c in sorted(self.terms.items()))
 
 
-def wedge(u, v):
-    return u.wedge(v)
-
-
 def wedge_rows(rows, n):
     """Wedge of row vectors of Z^n, in order."""
     out = ExteriorElement.single(n, {(): 1})
@@ -155,6 +148,26 @@ def wedge_rows(rows, n):
     return out
 
 
+def det(m):
+    """Determinant of a square integer matrix by Bareiss fraction-free
+    elimination: every division is exact, so all entries stay integers."""
+    a = [list(map(int, row)) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
 def plucker(rows):
     """Maximal minors of an r x m integer matrix, as a degree-r element."""
     rows = [list(map(int, r)) for r in rows]
@@ -162,8 +175,8 @@ def plucker(rows):
     m = len(rows[0]) if rows else 0
     out = {}
     for cols in itertools.combinations(range(m), r):
-        minor = Matrix([[row[c] for c in cols] for row in rows]).det()
-        out[tuple(c + 1 for c in cols)] = int(minor)
+        out[tuple(c + 1 for c in cols)] = det([[row[c] for c in cols]
+                                               for row in rows])
     elt = ExteriorElement.single(m, out)
     if not elt:
         raise RankDeficient("rows are linearly dependent")

@@ -132,13 +132,6 @@ class BorderedPartialPermutation:
         return (base + d_extra + self.t * (self.g - self.k_l - self.k_r)) % 2
 
 
-def grade_sign(flavor, bpp):
-    """sgn for the given flavor; FlavorViolation if the bpp is of another."""
-    if bpp.flavor != flavor:
-        raise FlavorViolation(f"expected flavor {flavor}, got {bpp.flavor}")
-    return bpp.sgn()
-
-
 def sum_permutations(left, right):
     """Glue along the middle boundary; None when occupancies don't complement.
 
@@ -250,10 +243,6 @@ def L2(eta1, eta2):
     """Doubled L(eta1, eta2) = m(eta2, boundary(eta1))."""
     n = len(eta1) + 1
     return sum(boundary(eta1, p) * m2(eta2, p) for p in range(1, n + 1))
-
-
-def group_multiply(x, y):
-    return x * y
 
 
 # the small grading group and refinement --------------------------------

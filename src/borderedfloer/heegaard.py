@@ -275,13 +275,6 @@ def closed_grading(gen):
     return gen.grading
 
 
-def identity_aa_bimodule(z):
-    """Graded idempotent data of the identity bimodule (one generator per
-    subset of matched classes, grading theta)."""
-    from .structures import identity_aa
-    return identity_aa(z)
-
-
 def glued_grading(left_gen, right_gen):
     """Grading of a pair of generators glued along the middle boundary.
 

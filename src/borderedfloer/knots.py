@@ -6,17 +6,13 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from math import gcd
-
-from sympy import Matrix, Poly, symbols
+from math import factorial, gcd
 
 from . import strands
-from .decat import ExteriorElement, plucker
+from .decat import ExteriorElement, det, plucker
 from .errors import (NotDecomposable, NotUnimodular, SchemaViolation,
                      SeifertConsistencyFailure, ZeroPoint)
 from .laurent import LaurentPolynomial
-
-_t = symbols("t")
 
 
 @dataclass(frozen=True)
@@ -61,46 +57,55 @@ def matrix_from_file(path):
         return matrix_from_json(json.load(fh))
 
 
-def _det_poly(m):
-    """Determinant of an integer+t matrix as a LaurentPolynomial."""
-    det = Matrix(m).det()
-    poly = Poly(det, _t)
-    return LaurentPolynomial(
-        {exp[0]: int(c) for exp, c in poly.terms()})
+def _det_poly(a, b):
+    """det(A + tB) as a LaurentPolynomial.
+
+    The determinant p has degree at most n = size, so its values at t = 0..n
+    fix it: p = sum_k (Delta^k p(0) / k!) t (t-1) ... (t-k+1) in Newton's
+    forward-difference form.  p has integer coefficients, so each division
+    by k! is exact.
+    """
+    n = len(a)
+    values = [det([[a[i][j] + x * b[i][j] for j in range(n)]
+                   for i in range(n)]) for x in range(n + 1)]
+    out, falling = LaurentPolynomial.zero(), LaurentPolynomial.monomial(0)
+    for k in range(n + 1):
+        out = out + falling * (values[0] // factorial(k))
+        values = [y1 - y0 for y0, y1 in zip(values, values[1:])]
+        falling = falling * LaurentPolynomial({1: 1, 0: -k})
+    return out
+
+
+def _symmetrized_or_raw(raw):
+    sym = raw.symmetrized()
+    return sym if sym is not None else raw
 
 
 def presentation_to_alexander(pres):
     """det(A + tB), symmetrized to a_i = a_{-i} with positive top
     coefficient when possible; the raw determinant otherwise."""
-    size = len(pres.a)
-    m = [[pres.a[i][j] + _t * pres.b[i][j] for j in range(size)]
-         for i in range(size)]
-    raw = _det_poly(m)
-    sym = raw.symmetrized()
-    return sym if sym is not None else raw
+    return _symmetrized_or_raw(_det_poly(pres.a, pres.b))
 
 
 def alexander_from_seifert(v):
     """det(V - t V^T)."""
     size = len(v)
-    m = [[v[i][j] - _t * v[j][i] for j in range(size)] for i in range(size)]
-    raw = _det_poly(m)
-    sym = raw.symmetrized()
-    return sym if sym is not None else raw
+    return _symmetrized_or_raw(_det_poly(
+        v, [[-v[j][i] for j in range(size)] for i in range(size)]))
 
 
 def recover_seifert(pres, omega):
     """V = -omega (A+B)^{-1} A, exactly over the integers."""
-    a = Matrix(pres.a)
-    b = Matrix(pres.b)
-    w = Matrix(omega)
-    s = a + b
-    det = s.det()
-    if det not in (1, -1):
-        raise NotUnimodular(f"det(A+B) = {det}, expected +-1")
-    v = -w * s.adjugate() * a * det  # inv = adjugate/det, det = +-1
-    v = tuple(tuple(int(x) for x in row) for row in v.tolist())
-    size = len(v)
+    size = len(pres.a)
+    if len(omega) != size or any(len(r) != size for r in omega):
+        raise SchemaViolation(f"omega must be {size} x {size}")
+    s = [[pres.a[i][j] + pres.b[i][j] for j in range(size)]
+         for i in range(size)]
+    d = det(s)
+    if d not in (1, -1):
+        raise NotUnimodular(f"det(A+B) = {d}, expected +-1")
+    v = _matmul(_matmul(omega, _unimodular_inverse(s)), pres.a)
+    v = tuple(tuple(-x for x in row) for row in v)
     for i in range(size):
         for j in range(size):
             if v[i][j] - v[j][i] != -omega[i][j]:
@@ -177,48 +182,32 @@ def _hnf(rows):
     return [r for r in rows[:pivot_row] if any(r)]
 
 
+def _with_identity(rows):
+    """[rows | I]: the identity block records the row operations."""
+    n = len(rows)
+    return [list(rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _unimodular_inverse(s):
+    """S^-1 for det S = +-1: S has Hermite form I, so [S | I] reduces to
+    [I | S^-1]."""
+    return [r[len(s):] for r in _hnf(_with_identity(s))]
+
+
+def _matmul(x, y):
+    return [[sum(x[i][l] * y[l][j] for l in range(len(y)))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
 def left_kernel(rows):
     """Basis of {v integer : v . rows = 0}; saturated by construction.
 
-    Runs Hermite reduction on [rows | I] and keeps the identity-side rows
-    whose rows-side reduced to zero.
+    Runs Hermite reduction on [rows | I]: it changes rows only by unimodular
+    row operations, so the identity-side rows whose rows-side reduced to zero
+    form a basis of the kernel.
     """
-    rows = [list(r) for r in rows]
-    n = len(rows)
     m = len(rows[0]) if rows else 0
-    aug = [rows[i] + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-    red = _hnf_full(aug, m)
-    return [r[m:] for r in red if not any(r[:m])]
-
-
-def _hnf_full(rows, left_cols):
-    """Hermite reduction pivoting only on the first left_cols columns,
-    keeping all rows (the tail rows have zero left part)."""
-    rows = [list(r) for r in rows]
-    pivot_row = 0
-    for col in range(left_cols):
-        best = None
-        for i in range(pivot_row, len(rows)):
-            if rows[i][col]:
-                if best is None or abs(rows[i][col]) < abs(rows[best][col]):
-                    best = i
-        if best is None:
-            continue
-        rows[pivot_row], rows[best] = rows[best], rows[pivot_row]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(pivot_row + 1, len(rows)):
-                if rows[i][col]:
-                    q = rows[i][col] // rows[pivot_row][col]
-                    rows[i] = [x - q * y for x, y in zip(rows[i], rows[pivot_row])]
-                    if rows[i][col]:
-                        rows[pivot_row], rows[i] = rows[i], rows[pivot_row]
-                        changed = True
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return rows
+    return [r[m:] for r in _hnf(_with_identity(rows)) if not any(r[:m])]
 
 
 def kernel_basis_from_plucker(p):

@@ -135,14 +135,6 @@ def validate(pmc):
     return True
 
 
-def is_valid(pmc):
-    from .errors import BorderedFloerError
-    try:
-        return validate(pmc)
-    except BorderedFloerError:
-        return False
-
-
 def reverse(pmc):
     """-Z: reverse the point order, flip every orientation, keep class labels."""
     n = pmc.n

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
-from .errors import (AlgebraMismatch, InconsistentChordSet,
+from .errors import (AlgebraMismatch, InconsistentChordSet, SchemaViolation,
                      StrandsGradingOutOfRange)
 
 # a strand diagram is a tuple of (source, target) pairs sorted by source
@@ -72,7 +72,10 @@ class StrandsBasisElement:
 
     @classmethod
     def make(cls, pmc, pairs):
-        pairs = canonicalize(pmc, tuple(sorted(tuple(p) for p in pairs)))
+        pairs = tuple(sorted(tuple(p) for p in pairs))
+        if any(not 1 <= x <= pmc.n for p in pairs for x in p):
+            raise SchemaViolation(f"strand endpoint outside 1..{pmc.n}: {pairs}")
+        pairs = canonicalize(pmc, pairs)
         if not _admissible(pmc, sources(pairs)) or not _admissible(pmc, targets(pairs)):
             raise AlgebraMismatch(f"not M-admissible: {pairs}")
         if any(t < s for s, t in pairs):
@@ -127,7 +130,6 @@ class StrandsElement:
 
 
 def element_from_json(pmc, obj):
-    from .errors import SchemaViolation
     try:
         terms = []
         for term in obj["terms"]:
@@ -160,10 +162,6 @@ def gr_pairs(pmc, pairs):
     cmap = sorted((pmc.cls(s), pmc.cls(t)) for s, t in pairs)
     total += _inv(tuple(cmap))
     return total % 2
-
-
-def gr(elt):
-    return elt.gr
 
 
 # basis enumeration ------------------------------------------------------

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import strands
-from .errors import (AlgebraMismatch, BothUnbounded, BoundaryMismatch,
-                     SchemaViolation)
+from .errors import AlgebraMismatch, BothUnbounded, SchemaViolation
 from .pmc import PointedMatchedCircle
 
 
@@ -574,6 +573,12 @@ def _single_basis(pmc, obj):
     return next(iter(terms))
 
 
+def _known(names, name):
+    if name not in names:
+        raise SchemaViolation(f"op names unknown generator {name!r}")
+    return name
+
+
 def structure_from_json(obj):
     try:
         flavor = str(obj["flavor"])
@@ -582,20 +587,23 @@ def structure_from_json(obj):
     name = obj.get("name", "")
     try:
         gens = [_gen_from_json(g) for g in obj["generators"]]
+        names = {g.name for g in gens}
         if flavor == "D":
             pmc = PointedMatchedCircle.from_json(obj["algebra"]["pmc"])
             delta = {}
             for op in obj.get("ops", ()):
                 a = _single_basis(pmc, op["output"])
-                delta.setdefault(op["source"], set()).add((a, op["target"]))
+                delta.setdefault(_known(names, op["source"]), set()).add(
+                    (a, _known(names, op["target"])))
             return TypeDStructure(pmc, gens, delta, name=name)
         if flavor == "A":
             pmc = PointedMatchedCircle.from_json(obj["algebra"]["pmc"])
             mops = {}
             for op in obj.get("ops", ()):
                 seq = tuple(_single_basis(pmc, i) for i in op["inputs"])
-                key = (op["source"], seq)
-                mops.setdefault(key, set()).update(op["targets"])
+                key = (_known(names, op["source"]), seq)
+                mops.setdefault(key, set()).update(
+                    _known(names, t) for t in op["targets"])
             return TypeAStructure(pmc, gens, mops, name=name)
         if flavor == "DA":
             pl = PointedMatchedCircle.from_json(obj["algebra_left"]["pmc"])
@@ -604,8 +612,8 @@ def structure_from_json(obj):
             for op in obj.get("ops", ()):
                 seq = tuple(_single_basis(pr, i) for i in op["inputs"])
                 b = _single_basis(pl, op["output"])
-                delta.setdefault((op["source"], seq), set()).add(
-                    (b, op["target"]))
+                delta.setdefault((_known(names, op["source"]), seq),
+                                 set()).add((b, _known(names, op["target"])))
             return TypeDAStructure(pl, pr, gens, delta, name=name)
         if flavor == "DD":
             pl = PointedMatchedCircle.from_json(obj["algebra_left"]["pmc"])

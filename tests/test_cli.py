@@ -118,6 +118,21 @@ def test_mod_validate_and_box(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("target", "nosuch"), ("source", "nosuch"),
+    ("output", {"terms": [{"map": [[2, 5]]}]})],
+    ids=["target", "source", "point"])
+def test_mod_validate_bad_op(capsys, tmp_path, field, value):
+    with open(data("module_solid_torus_d.json")) as fh:
+        module = json.load(fh)
+    module["ops"][0][field] = value
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(module))
+    code, out, err = run(capsys, "mod", "validate", str(f))
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+
+
 def test_hh_euler(capsys):
     code, payload, _ = run_json(capsys, "hh", "euler",
                                 data("module_dehn_twist_da.json"))

@@ -6,7 +6,7 @@ from sympy import Matrix
 
 from borderedfloer import pmc as pmc_mod
 from borderedfloer.decat import (ExteriorElement, GradedEndomorphism,
-                                 combine_factors, graded_trace, hodge_eta,
+                                 combine_factors, det, graded_trace, hodge_eta,
                                  k0_functional, k0_of_da, plucker, psi_K0,
                                  star_sign, tqft_compose, upsilon, wedge_rows)
 from borderedfloer.errors import (BasisMismatch, DegreeMismatch,
@@ -44,6 +44,18 @@ def test_wedge_antisymmetry_and_associativity():
         assert u.wedge(v) == -(v.wedge(u))
         assert not u.wedge(u)
         assert (u.wedge(v)).wedge(w) == u.wedge(v.wedge(w))
+
+
+@pytest.mark.parametrize("size", range(7))
+def test_det_matches_sympy(size):
+    rng = random.Random(100 + size)
+    for trial in range(30):
+        m = [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+        if trial % 3 == 1 and size:
+            m[0][0] = 0  # forces a row swap unless the column is zero
+        if trial % 3 == 2 and size > 1:
+            m[-1] = [x - 2 * y for x, y in zip(m[0], m[1])]  # singular
+        assert det(m) == Matrix(m).det()
 
 
 def test_plucker_matches_wedge_of_rows():

@@ -7,7 +7,7 @@ from borderedfloer.errors import (FlavorOrderViolation, InvalidDiagram,
                                   NotClosed, SchemaViolation)
 from borderedfloer.heegaard import (BorderedDiagram, IntersectionPoint,
                                     enumerate_generators, glued_grading, grade)
-from borderedfloer.structures import theta
+from borderedfloer.structures import identity_aa, theta
 
 from oracle_constants import TREFOIL_TABLE
 
@@ -70,7 +70,7 @@ def test_identity_aa_diagram_gradings_are_theta():
 def test_identity_aa_bimodule_matches_diagram():
     z = pmc_mod.genus1()
     diagram_gens = enumerate_generators(heegaard.identity_aa_diagram(z))
-    module = heegaard.identity_aa_bimodule(z)
+    module = identity_aa(z)
     diag = {}
     for g in diagram_gens:
         s = frozenset(a - z.num_classes

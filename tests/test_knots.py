@@ -1,7 +1,8 @@
 import random
 
 import pytest
-from sympy import Matrix
+from sympy import Matrix, Poly, symbols
+from sympy.polys.matrices import DomainMatrix
 
 from borderedfloer import pmc as pmc_mod
 from borderedfloer.decat import ExteriorElement, plucker
@@ -13,7 +14,8 @@ from borderedfloer.knots import (Presentation, alexander_from_seifert,
                                  intersection_from_pmc,
                                  kernel_basis_from_plucker, left_kernel,
                                  matrix_from_json, presentation_to_alexander,
-                                 recover_seifert, _hnf)
+                                 recover_seifert, _det_poly, _hnf,
+                                 _unimodular_inverse)
 from borderedfloer.laurent import LaurentPolynomial
 
 from oracle_constants import (TREFOIL_ALEXANDER, TREFOIL_KERNEL_ROWS,
@@ -39,6 +41,8 @@ def test_presentation_schema():
     assert matrix_from_json({"matrix": [[1, 2], [3, 4]]}) == ((1, 2), (3, 4))
     with pytest.raises(SchemaViolation):
         matrix_from_json({"rows": []})
+    with pytest.raises(SchemaViolation):  # omega of the wrong size
+        recover_seifert(trefoil_presentation(), ((0, 1, 0), (-1, 0, 0)))
 
 
 def test_recover_seifert_trefoil():
@@ -55,6 +59,40 @@ def test_recover_seifert_not_unimodular():
     pres = Presentation.make([[2, 0], [0, 2]], [[0, 0], [0, 0]])
     with pytest.raises(NotUnimodular):
         recover_seifert(pres, TREFOIL_OMEGA)
+
+
+def random_matrix(rng, size):
+    return [[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+
+
+@pytest.mark.parametrize("size", range(7))
+def test_det_poly_matches_sympy(size):
+    t = symbols("t")
+    rng = random.Random(200 + size)
+    for trial in range(6):
+        a, b = random_matrix(rng, size), random_matrix(rng, size)
+        if trial % 2 and size > 1:  # a repeated row: det(A + tB) = 0
+            a[-1], b[-1] = a[0], b[0]
+        # sympy's exact determinant over ZZ[t] (Matrix.det is ~1 s at 6x6)
+        m = DomainMatrix.from_Matrix(Matrix(a) + t * Matrix(b))
+        expect = Poly(m.domain.to_sympy(m.det()), t)
+        assert _det_poly(a, b) == LaurentPolynomial(
+            {e: int(c) for (e,), c in expect.terms()})
+
+
+@pytest.mark.parametrize("size", range(7))
+def test_unimodular_inverse_matches_sympy(size):
+    rng = random.Random(300 + size)
+    for _ in range(6):
+        s = [[int(i == j) for j in range(size)] for i in range(size)]
+        for _ in range(4 * size):  # random elementary row operations
+            i, j = rng.randrange(size), rng.randrange(size)
+            if i == j:
+                s[i] = [-x for x in s[i]]
+            else:
+                q = rng.randint(-3, 3)
+                s[i] = [x + q * y for x, y in zip(s[i], s[j])]
+        assert _unimodular_inverse(s) == Matrix(s).inv().tolist()
 
 
 def test_recover_seifert_invariant_under_row_mixes():

@@ -39,6 +39,9 @@ def test_make_rejections():
         strands.StrandsBasisElement.make(Z1, [(1, 1), (3, 3)])  # same class twice
     with pytest.raises(AlgebraMismatch):
         strands.StrandsBasisElement.make(Z1, [(3, 1)])  # downward-veering
+    for pairs in ([(0, 1)], [(-1, 2)], [(1, 5)]):  # endpoints outside 1..4
+        with pytest.raises(SchemaViolation):
+            strands.StrandsBasisElement.make(Z1, pairs)
 
 
 def test_fast_product_matches_raw_genus1():
