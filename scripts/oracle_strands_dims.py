@@ -13,6 +13,7 @@ from itertools import combinations, permutations
 
 GENUS1 = [1, 2, 1, 2]
 GENUS2_SPLIT = [1, 2, 1, 2, 3, 4, 3, 4]
+GENUS3_SPLIT = [1, 2, 1, 2, 3, 4, 3, 4, 5, 6, 5, 6]  # about ten seconds of enumeration
 
 
 def class_min(matching, c):
@@ -55,7 +56,8 @@ def dims(matching):
 
 
 def main():
-    for name, m in (("genus1", GENUS1), ("genus2_split", GENUS2_SPLIT)):
+    for name, m in (("genus1", GENUS1), ("genus2_split", GENUS2_SPLIT),
+                    ("genus3_split", GENUS3_SPLIT)):
         d = dims(m)
         print(name, d, "total", sum(d.values()))
 

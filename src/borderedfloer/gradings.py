@@ -332,7 +332,7 @@ def refinement(pmc, t):
         pairs = tuple(zip(s0_points, tgt))
         if any(b < a for a, b in pairs):
             raise AssertionError("base points are not minimal")
-        elt = strands.StrandsBasisElement(pmc, strands.canonicalize(pmc, pairs))
+        elt = strands.StrandsBasisElement.make(pmc, pairs)
         gp = g_prime(pmc, elt).power_of_central(elt.gr)
         psi[frozenset(s)] = gp
     return RefinementData(pmc, t, s0, psi)

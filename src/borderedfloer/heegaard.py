@@ -157,12 +157,12 @@ class BorderedDiagram:
             if flavor == "closed":
                 left, right = None, None
             elif flavor == "A":
-                left, right = None, pmc_mod.PointedMatchedCircle.from_json(obj["boundary"])
+                left, right = None, pmc_mod.load(obj["boundary"])
             elif flavor == "D":
-                left, right = pmc_mod.PointedMatchedCircle.from_json(obj["boundary"]), None
+                left, right = pmc_mod.load(obj["boundary"]), None
             else:
-                left = pmc_mod.PointedMatchedCircle.from_json(obj["boundary_left"])
-                right = pmc_mod.PointedMatchedCircle.from_json(obj["boundary_right"])
+                left = pmc_mod.load(obj["boundary_left"])
+                right = pmc_mod.load(obj["boundary_right"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"bad diagram JSON: {exc}") from exc
         diag = cls(flavor, genus, left, right, points, obj.get("name", ""))

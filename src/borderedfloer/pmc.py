@@ -10,7 +10,7 @@ connected 1-manifold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (BadOrientationPair, DisconnectedSurgery,
                      NonSurjectiveMatching, SchemaViolation)
@@ -18,39 +18,74 @@ from .errors import (BadOrientationPair, DisconnectedSurgery,
 NEG, POS = 1, 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointedMatchedCircle:
+    """A pointed matched circle with its lookup tables.
+
+    The tables are built once, when the circle is made, and hold whatever the
+    fields say even when the circle is invalid, so that ``validate`` can still
+    name what is wrong.  Tuples indexed by point have a ``None`` at index 0.
+    """
     matching: tuple  # point p (1-based) -> class, as matching[p-1]
     orientation: tuple  # point p -> 1 ("-") or 0 ("+")
+    n: int = field(init=False, compare=False, repr=False)
+    cls_table: tuple = field(init=False, compare=False, repr=False)
+    partner_table: tuple = field(init=False, compare=False, repr=False)
+    low_table: tuple = field(init=False, compare=False, repr=False)  # class minimum
+    _points: dict = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
+    # the strands algebra's per-circle tables, filled in by strands.py
+    algebra: object = field(default=None, init=False, compare=False, repr=False)
 
-    @property
-    def n(self):
-        return len(self.matching)
+    def __post_init__(self):
+        points = {}
+        for p, c in enumerate(self.matching, start=1):
+            points.setdefault(c, []).append(p)
+        points = {c: tuple(pts) for c, pts in points.items()}
+        set_ = object.__setattr__
+        set_(self, "n", len(self.matching))
+        set_(self, "cls_table", (None,) + tuple(self.matching))
+        set_(self, "partner_table", (None,) + tuple(
+            sum(points[c]) - p if len(points[c]) == 2 else None
+            for p, c in enumerate(self.matching, start=1)))
+        set_(self, "low_table", (None,) + tuple(points[c][0] for c in self.matching))
+        set_(self, "_points", points)
+        set_(self, "_hash", hash((self.matching, self.orientation)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def k(self):
-        return len(self.matching) // 4
+        return self.n // 4
 
     @property
     def num_classes(self):
-        return len(self.matching) // 2
+        return self.n // 2
+
+    def _outside(self, p):
+        return SchemaViolation(f"point {p} outside 1..{self.n}")
 
     def cls(self, p):
+        if not 1 <= p <= self.n:
+            raise self._outside(p)
         return self.matching[p - 1]
 
     def o(self, p):
+        if not 1 <= p <= self.n:
+            raise self._outside(p)
         return self.orientation[p - 1]
 
     def class_points(self, j):
-        pts = tuple(p for p in range(1, self.n + 1) if self.cls(p) == j)
-        return pts
+        return self._points.get(j, ())
 
     def partner(self, p):
-        a, b = self.class_points(self.cls(p))
-        return b if p == a else a
+        if not 1 <= p <= self.n:
+            raise self._outside(p)
+        return self.partner_table[p]
 
     def class_min(self, j):
-        return self.class_points(j)[0]
+        return self._points[j][0]
 
     @property
     def subordinate(self):
@@ -133,6 +168,20 @@ def validate(pmc):
     if comps != 1:
         raise DisconnectedSurgery(f"surgery yields {comps} circles")
     return True
+
+
+def load(obj):
+    """The circle in a JSON object that is part of a larger input file.
+
+    An invalid circle there is malformed input, so it raises SchemaViolation
+    with the reason ``validate`` gives.
+    """
+    z = PointedMatchedCircle.from_json(obj)
+    try:
+        validate(z)
+    except (NonSurjectiveMatching, BadOrientationPair, DisconnectedSurgery) as exc:
+        raise SchemaViolation(f"invalid pmc: {exc}") from exc
+    return z
 
 
 def reverse(pmc):

@@ -4,15 +4,24 @@ Basis elements are M-admissible upward-veering partial permutations (S, T, phi)
 of the 4k marked points, taken up to the symmetrization that sums over
 completions of fixed (horizontal) strands across their matched class.  The
 canonical representative keeps every horizontal strand at the smaller point of
-its class; products and differentials expand representatives, operate in the
-big strands algebra, and re-canonicalize.
+its class.
+
+Each circle carries one table of its algebra, built as it is used: the basis
+per strands grading, one interned ``StrandsBasisElement`` per canonical pairs
+tuple, the product of each pair of basis elements that has been multiplied and
+the differential of each basis element that has been differentiated.
+``basis``, ``multiply_basis`` and ``differential_basis(...).basis_terms()``
+return the interned instances.  The basis is generated directly, and products
+and differentials are computed on canonical representatives, all from the
+circle's per-point tables (class, partner, class minimum).
+``multiply_basis_raw`` expands every representative in the big strands algebra
+and stays as an independent cross-check of ``multiply_basis``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from dataclasses import dataclass, field
+from itertools import combinations
 
 from .errors import (AlgebraMismatch, InconsistentChordSet, SchemaViolation,
                      StrandsGradingOutOfRange)
@@ -34,23 +43,18 @@ def targets(pairs):
 
 
 def _admissible(pmc, pts):
-    classes = [pmc.cls(p) for p in pts]
+    classes = [pmc.cls_table[p] for p in pts]
     return len(set(classes)) == len(classes)
 
 
 def canonicalize(pmc, pairs):
-    out = []
-    for s, t in pairs:
-        if s == t:
-            m = pmc.class_min(pmc.cls(s))
-            out.append((m, m))
-        else:
-            out.append((s, t))
-    return tuple(sorted(out))
+    low = pmc.low_table
+    return tuple(sorted((low[s], low[s]) if s == t else (s, t) for s, t in pairs))
 
 
 def is_canonical(pmc, pairs):
-    return all(s == pmc.class_min(pmc.cls(s)) for s, t in pairs if s == t)
+    low = pmc.low_table
+    return all(s == low[s] for s, t in pairs if s == t)
 
 
 def raw_expand(pmc, pairs):
@@ -65,10 +69,39 @@ def raw_expand(pmc, pairs):
     return [tuple(sorted(r)) for r in reps]
 
 
-@dataclass(frozen=True)
+class _Algebra:
+    """The tables of one circle's algebra; they live on the circle itself."""
+
+    __slots__ = ("pmc", "elements", "bases", "products", "differentials")
+
+    def __init__(self, pmc):
+        self.pmc = pmc
+        self.elements = {}  # canonical pairs -> the interned basis element
+        self.bases = {}  # strands grading -> tuple of basis elements
+        self.products = {}  # (pairs, pairs) -> basis element, or None for 0
+        self.differentials = {}  # pairs -> frozenset of the pairs of its terms
+
+
+def _algebra(pmc):
+    alg = pmc.algebra
+    if alg is None:
+        alg = _Algebra(pmc)
+        object.__setattr__(pmc, "algebra", alg)
+    return alg
+
+
+def _intern(alg, pairs):
+    elt = alg.elements.get(pairs)
+    if elt is None:
+        elt = alg.elements[pairs] = StrandsBasisElement(alg.pmc, pairs)
+    return elt
+
+
+@dataclass(frozen=True, slots=True)
 class StrandsBasisElement:
     pmc: object
     pairs: tuple
+    _gr: int = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def make(cls, pmc, pairs):
@@ -80,7 +113,7 @@ class StrandsBasisElement:
             raise AlgebraMismatch(f"not M-admissible: {pairs}")
         if any(t < s for s, t in pairs):
             raise AlgebraMismatch(f"not upward-veering: {pairs}")
-        return cls(pmc, pairs)
+        return _intern(_algebra(pmc), pairs)
 
     @property
     def strands_grading(self):
@@ -88,7 +121,9 @@ class StrandsBasisElement:
 
     @property
     def gr(self):
-        return gr_pairs(self.pmc, self.pairs)
+        if self._gr is None:
+            object.__setattr__(self, "_gr", gr_pairs(self.pmc, self.pairs))
+        return self._gr
 
     @property
     def is_idempotent(self):
@@ -114,7 +149,8 @@ class StrandsElement:
         return cls(elt.pmc, frozenset([elt.pairs]))
 
     def basis_terms(self):
-        return [StrandsBasisElement(self.pmc, p) for p in sorted(self.terms)]
+        alg = _algebra(self.pmc)
+        return [_intern(alg, p) for p in sorted(self.terms)]
 
     def __add__(self, other):
         if self.pmc != other.pmc:
@@ -125,8 +161,7 @@ class StrandsElement:
         return bool(self.terms)
 
     def to_json(self):
-        return {"terms": [StrandsBasisElement(self.pmc, p).to_json()
-                          for p in sorted(self.terms)]}
+        return {"terms": [e.to_json() for e in self.basis_terms()]}
 
 
 def element_from_json(pmc, obj):
@@ -158,38 +193,57 @@ def element_from_json(pmc, obj):
 # gradings ---------------------------------------------------------------
 def gr_pairs(pmc, pairs):
     """Sum of orientations over S and T plus inversions of the class map."""
-    total = sum(pmc.o(s) for s, _ in pairs) + sum(pmc.o(t) for _, t in pairs)
-    cmap = sorted((pmc.cls(s), pmc.cls(t)) for s, t in pairs)
-    total += _inv(tuple(cmap))
+    o, cls = pmc.orientation, pmc.cls_table
+    total = sum(o[s - 1] + o[t - 1] for s, t in pairs)
+    total += _inv(tuple(sorted((cls[s], cls[t]) for s, t in pairs)))
     return total % 2
 
 
 # basis enumeration ------------------------------------------------------
-@lru_cache(maxsize=None)
+def _canonical_pairs(pmc, size):
+    """Every canonical pairs tuple with `size` strands, in increasing order.
+
+    Backtracks over sources in increasing order, giving each a target no lower
+    than it: the sources lie in distinct classes, so do the targets, and a
+    horizontal strand sits only at the minimum of its class.
+    """
+    n, low = pmc.n, pmc.low_table
+    bit = [0] + [1 << c for c in pmc.matching]
+    out = []
+    prefix = []
+
+    def extend(first, src_used, tgt_used):
+        left = size - len(prefix)
+        if not left:
+            out.append(tuple(prefix))
+            return
+        for s in range(first, n + 2 - left):
+            if src_used & bit[s]:
+                continue
+            for t in range(s if low[s] == s else s + 1, n + 1):
+                if tgt_used & bit[t]:
+                    continue
+                prefix.append((s, t))
+                extend(s + 1, src_used | bit[s], tgt_used | bit[t])
+                prefix.pop()
+
+    extend(1, 0, 0)
+    return out
+
+
 def basis(pmc, i):
     k = pmc.k
     if not -k <= i <= k:
         raise StrandsGradingOutOfRange(f"strands grading {i} outside [{-k},{k}]")
-    size = k + i
-    out = []
-    pts = range(1, pmc.n + 1)
-    subsets = [s for s in combinations(pts, size) if _admissible(pmc, s)]
-    for s in subsets:
-        for t in subsets:
-            for perm in permutations(t):
-                if all(b >= a for a, b in zip(s, perm)):
-                    pairs = tuple(zip(s, perm))
-                    if is_canonical(pmc, pairs):
-                        out.append(StrandsBasisElement(pmc, pairs))
-    out.sort(key=lambda e: e.pairs)
+    alg = _algebra(pmc)
+    out = alg.bases.get(i)
+    if out is None:
+        out = alg.bases[i] = tuple(_intern(alg, p) for p in _canonical_pairs(pmc, k + i))
     return out
 
 
 def all_basis(pmc):
-    out = []
-    for i in range(-pmc.k, pmc.k + 1):
-        out.extend(basis(pmc, i))
-    return out
+    return [x for i in range(-pmc.k, pmc.k + 1) for x in basis(pmc, i)]
 
 
 # idempotents ------------------------------------------------------------
@@ -221,51 +275,69 @@ def _raw_multiply(pa, pb):
     return composed
 
 
-@lru_cache(maxsize=None)
-def _multiply_pairs(pmc, a, b):
-    """Canonical-level basis product; None when zero.
+def _product_pairs(pmc, a, b):
+    """Canonical pairs of the product of basis elements a and b; None when zero.
 
-    Picks the unique compatible raw representatives directly: horizontal
-    strands are forced wherever one factor's moving endpoints need covering,
-    and free common classes sit at their class minimum on both sides.
+    Picks the one pair of raw representatives that compose: each strand x -> y
+    of a meets the strand of b leaving y.  A horizontal strand of b moves to
+    the end of a's moving strand in its class, a horizontal strand of a moves
+    to the start of b's moving strand in its class, and two horizontal
+    strands of one class both stay at its minimum, so the composite needs no
+    re-canonicalizing.  The product is zero unless every strand of b is met
+    once and no two strands cross in both factors.
     """
-    mov_a = [(s, t) for s, t in a if s != t]
-    mov_b = [(s, t) for s, t in b if s != t]
-    fix_a = {pmc.cls(s) for s, t in a if s == t}
-    fix_b = {pmc.cls(s) for s, t in b if s == t}
-    ta = {t for _, t in mov_a}
-    sb = {s for s, _ in mov_b}
-    cover_b = {}
-    for t in ta - sb:
-        c = pmc.cls(t)
-        if c not in fix_b:
+    cls, partner = pmc.cls_table, pmc.partner_table
+    leave_b = {}  # start of a moving strand of b -> its end
+    flat_b = set()  # classes of b's horizontal strands
+    for s, t in b:
+        if s == t:
+            flat_b.add(cls[s])
+        else:
+            leave_b[s] = t
+    paths = []  # (x, y, z): a runs x -> y, then b runs y -> z
+    for x, y in a:
+        if x != y:
+            z = leave_b.get(y)
+            if z is None:
+                if cls[y] not in flat_b:
+                    return None
+                z = y
+        elif x in leave_b:
+            z = leave_b[x]
+        elif partner[x] in leave_b:
+            x = y = partner[x]
+            z = leave_b[x]
+        elif cls[x] in flat_b:
+            z = x
+        else:
             return None
-        cover_b[c] = t
-    cover_a = {}
-    for s in sb - ta:
-        c = pmc.cls(s)
-        if c not in fix_a:
-            return None
-        cover_a[c] = s
-    rest_a = fix_a - set(cover_a)
-    rest_b = fix_b - set(cover_b)
-    if rest_a != rest_b:
+        paths.append((x, y, z))
+    if len(paths) != len(b):
         return None
-    free = [(pmc.class_min(c),) * 2 for c in rest_a]
-    raw_a = tuple(sorted(mov_a + [(p, p) for p in cover_a.values()] + free))
-    raw_b = tuple(sorted(mov_b + [(p, p) for p in cover_b.values()] + free))
-    composed = _raw_multiply(raw_a, raw_b)
-    if composed is None:
-        return None
-    return canonicalize(pmc, composed)
+    for i, (x1, y1, z1) in enumerate(paths):
+        for x2, y2, z2 in paths[i + 1:]:
+            if (x1 < x2) == (z1 < z2) != (y1 < y2):  # crosses in a and in b
+                return None
+    return tuple(sorted((x, z) for x, _, z in paths))
+
+
+_MISSING = object()
+
+
+def _product(alg, a, b):
+    key = (a, b)
+    out = alg.products.get(key, _MISSING)
+    if out is _MISSING:
+        p = _product_pairs(alg.pmc, a, b)
+        out = alg.products[key] = None if p is None else _intern(alg, p)
+    return out
 
 
 def multiply_basis(x, y):
     """Product of two basis elements: a basis element or None."""
-    if x.pmc != y.pmc:
+    if x.pmc is not y.pmc and x.pmc != y.pmc:
         raise AlgebraMismatch("different ambient circles")
-    p = _multiply_pairs(x.pmc, x.pairs, y.pairs)
-    return None if p is None else StrandsBasisElement(x.pmc, p)
+    return _product(_algebra(x.pmc), x.pairs, y.pairs)
 
 
 def multiply_basis_raw(x, y):
@@ -302,53 +374,70 @@ def _collect_orbits(pmc, raw_terms):
 
 def multiply(x, y):
     """Bilinear product of StrandsElements."""
-    if x.pmc != y.pmc:
+    if x.pmc is not y.pmc and x.pmc != y.pmc:
         raise AlgebraMismatch("different ambient circles")
+    alg = _algebra(x.pmc)
     acc = set()
     for pa in x.terms:
         for pb in y.terms:
-            p = _multiply_pairs(x.pmc, pa, pb)
+            p = _product(alg, pa, pb)
             if p is not None:
-                acc ^= {p}
+                acc ^= {p.pairs}
     return StrandsElement(x.pmc, frozenset(acc))
 
 
 # differential -----------------------------------------------------------
-def _raw_differential(pairs):
-    """Resolutions of single crossings in the big strands algebra."""
+def _differential_pairs(pmc, pairs):
+    """Canonical pairs of the terms of d of a basis element.
+
+    Resolves each crossing of the canonical representative: moving strands
+    (s1, t1), (s2, t2) with s1 < s2 and t1 > t2 become (s1, t2), (s2, t1); a
+    moving strand (s, t) and a horizontal class with a point h, s < h < t,
+    become (s, h), (h, t), for either point h of the class.  A resolution
+    counts only when no moving strand runs from inside the source interval
+    to inside the target interval (that would leave a double crossing); no
+    horizontal strand can, as strands only veer upwards.  This is the sum over
+    all representatives, read off one orbit at a time: every resolution gives
+    a different term, so nothing cancels.
+    """
+    partner = pmc.partner_table
+    moving = [(s, t) for s, t in pairs if s != t]
+    flat = [s for s, t in pairs if s == t]
+
+    def free(s_lo, s_hi, t_lo, t_hi):
+        return not any(s_lo < s < s_hi and t_lo < t < t_hi for s, t in moving)
+
+    def resolve(old, new):
+        return tuple(sorted([p for p in pairs if p not in old] + new))
+
     out = []
-    base_inv = _inv(pairs)
-    n = len(pairs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pairs[i][1] > pairs[j][1]:
-                swapped = list(pairs)
-                swapped[i] = (pairs[i][0], pairs[j][1])
-                swapped[j] = (pairs[j][0], pairs[i][1])
-                swapped = tuple(sorted(swapped))
-                if _inv(swapped) == base_inv - 1:
-                    out.append(swapped)
+    for i, (s1, t1) in enumerate(moving):
+        for s2, t2 in moving[i + 1:]:
+            if t2 < t1 and free(s1, s2, t2, t1):
+                out.append(resolve(((s1, t1), (s2, t2)), [(s1, t2), (s2, t1)]))
+        for m in flat:
+            for h in (m, partner[m]):
+                if s1 < h < t1 and free(s1, h, h, t1):
+                    out.append(resolve(((s1, t1), (m, m)), [(s1, h), (h, t1)]))
+    return frozenset(out)
+
+
+def _differential(alg, pairs):
+    out = alg.differentials.get(pairs)
+    if out is None:
+        out = alg.differentials[pairs] = _differential_pairs(alg.pmc, pairs)
     return out
 
 
-@lru_cache(maxsize=None)
-def _differential_pairs(pmc, pairs):
-    counts = {}
-    for rep in raw_expand(pmc, pairs):
-        for res in _raw_differential(rep):
-            counts[res] = counts.get(res, 0) + 1
-    odd = {p for p, c in counts.items() if c % 2}
-    return frozenset(_collect_orbits(pmc, odd))
-
-
 def differential_basis(x):
-    return StrandsElement(x.pmc, _differential_pairs(x.pmc, x.pairs))
+    return StrandsElement(x.pmc, _differential(_algebra(x.pmc), x.pairs))
 
 
 def differential(x):
+    alg = _algebra(x.pmc)
     acc = set()
     for p in x.terms:
-        acc ^= set(_differential_pairs(x.pmc, p))
+        acc ^= _differential(alg, p)
     return StrandsElement(x.pmc, frozenset(acc))
 
 

@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from . import strands
+from . import pmc as pmc_mod, strands
 from .errors import AlgebraMismatch, BothUnbounded, SchemaViolation
 from .pmc import PointedMatchedCircle
 
@@ -573,6 +573,13 @@ def _single_basis(pmc, obj):
     return next(iter(terms))
 
 
+def _list(op, key):
+    value = op[key]
+    if not isinstance(value, list):
+        raise SchemaViolation(f"op {key!r} must be a list, got {value!r}")
+    return value
+
+
 def _known(names, name):
     if name not in names:
         raise SchemaViolation(f"op names unknown generator {name!r}")
@@ -589,7 +596,7 @@ def structure_from_json(obj):
         gens = [_gen_from_json(g) for g in obj["generators"]]
         names = {g.name for g in gens}
         if flavor == "D":
-            pmc = PointedMatchedCircle.from_json(obj["algebra"]["pmc"])
+            pmc = pmc_mod.load(obj["algebra"]["pmc"])
             delta = {}
             for op in obj.get("ops", ()):
                 a = _single_basis(pmc, op["output"])
@@ -597,27 +604,27 @@ def structure_from_json(obj):
                     (a, _known(names, op["target"])))
             return TypeDStructure(pmc, gens, delta, name=name)
         if flavor == "A":
-            pmc = PointedMatchedCircle.from_json(obj["algebra"]["pmc"])
+            pmc = pmc_mod.load(obj["algebra"]["pmc"])
             mops = {}
             for op in obj.get("ops", ()):
-                seq = tuple(_single_basis(pmc, i) for i in op["inputs"])
+                seq = tuple(_single_basis(pmc, i) for i in _list(op, "inputs"))
                 key = (_known(names, op["source"]), seq)
                 mops.setdefault(key, set()).update(
-                    _known(names, t) for t in op["targets"])
+                    _known(names, t) for t in _list(op, "targets"))
             return TypeAStructure(pmc, gens, mops, name=name)
         if flavor == "DA":
-            pl = PointedMatchedCircle.from_json(obj["algebra_left"]["pmc"])
-            pr = PointedMatchedCircle.from_json(obj["algebra_right"]["pmc"])
+            pl = pmc_mod.load(obj["algebra_left"]["pmc"])
+            pr = pmc_mod.load(obj["algebra_right"]["pmc"])
             delta = {}
             for op in obj.get("ops", ()):
-                seq = tuple(_single_basis(pr, i) for i in op["inputs"])
+                seq = tuple(_single_basis(pr, i) for i in _list(op, "inputs"))
                 b = _single_basis(pl, op["output"])
                 delta.setdefault((_known(names, op["source"]), seq),
                                  set()).add((b, _known(names, op["target"])))
             return TypeDAStructure(pl, pr, gens, delta, name=name)
         if flavor == "DD":
-            pl = PointedMatchedCircle.from_json(obj["algebra_left"]["pmc"])
-            pr = PointedMatchedCircle.from_json(obj["algebra_right"]["pmc"])
+            pl = pmc_mod.load(obj["algebra_left"]["pmc"])
+            pr = pmc_mod.load(obj["algebra_right"]["pmc"])
             return TypeDDStructure(pl, pr, gens, name=name)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad module JSON: {exc}") from exc

@@ -16,6 +16,9 @@ SURGERY_EXAMPLES = {
 # scripts/oracle_strands_dims.py: basis dimension per strands grading
 STRANDS_DIMS_GENUS1 = {-1: 1, 0: 8, 1: 7}
 STRANDS_DIMS_GENUS2_SPLIT = {-2: 1, -1: 32, 0: 238, 1: 368, 2: 49}
+# genus2_split # genus1, the 12-point circle
+STRANDS_DIMS_GENUS3_SPLIT = {-3: 1, -2: 72, -1: 1589, 0: 12448, 1: 30451,
+                             2: 14744, 3: 343}
 
 # hand-checked trefoil data: (grading, left split idempotent, right split)
 TREFOIL_TABLE = {

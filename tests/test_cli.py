@@ -133,6 +133,25 @@ def test_mod_validate_bad_op(capsys, tmp_path, field, value):
     assert out == "" and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, file, where", [
+    ("mod validate", "module_solid_torus_d.json", ("algebra", "pmc")),
+    ("mod validate", "module_dehn_twist_da.json", ("algebra_right", "pmc")),
+    ("diagrams generators", "diagram_solid_torus_a.json", ("boundary",))],
+    ids=["d-module", "da-module", "diagram"])
+def test_invalid_circle_in_input_file(capsys, tmp_path, command, file, where):
+    with open(data(file)) as fh:
+        obj = json.load(fh)
+    circle = obj
+    for key in where:
+        circle = circle[key]
+    circle["orientation"] = ["+", "+", "-", "-"]  # positive points first
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command.split(), str(f))
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+
+
 def test_hh_euler(capsys):
     code, payload, _ = run_json(capsys, "hh", "euler",
                                 data("module_dehn_twist_da.json"))

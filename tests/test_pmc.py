@@ -80,6 +80,26 @@ def test_validate_rejections():
         pmc.validate(pmc.PointedMatchedCircle((1, 2, 1), (1, 1, 0)))
 
 
+@pytest.mark.parametrize("p", [0, -1, 5])
+def test_point_lookups_reject_points_outside_the_circle(p):
+    z = pmc.genus1()
+    for lookup in (z.cls, z.o, z.partner):
+        with pytest.raises(SchemaViolation):
+            lookup(p)
+
+
+def test_tables_agree_with_the_matching():
+    for z in (pmc.genus1(), pmc.trefoil_pmc(),
+              pmc.PointedMatchedCircle((1, 1, 1, 2), (1, 0, 1, 0))):
+        for p in range(1, z.n + 1):
+            pts = tuple(q for q in range(1, z.n + 1)
+                        if z.matching[q - 1] == z.matching[p - 1])
+            assert z.class_points(z.cls(p)) == pts
+            assert z.low_table[p] == pts[0]
+            assert z.partner(p) == (
+                (set(pts) - {p}).pop() if len(pts) == 2 else None)
+
+
 def test_reverse_involution_and_orientation():
     for z in (pmc.genus1(), pmc.genus2_split(), pmc.trefoil_pmc()):
         r = pmc.reverse(z)

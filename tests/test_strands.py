@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -8,10 +9,14 @@ from borderedfloer import strands
 from borderedfloer.errors import (AlgebraMismatch, InconsistentChordSet,
                                   SchemaViolation, StrandsGradingOutOfRange)
 
-from oracle_constants import STRANDS_DIMS_GENUS1, STRANDS_DIMS_GENUS2_SPLIT
+from oracle_constants import (STRANDS_DIMS_GENUS1, STRANDS_DIMS_GENUS2_SPLIT,
+                              STRANDS_DIMS_GENUS3_SPLIT)
 
 Z1 = pmc_mod.genus1()
 Z2 = pmc_mod.genus2_split()
+Z2_ANTIPODAL = pmc_mod.PointedMatchedCircle((1, 2, 3, 4, 1, 2, 3, 4),
+                                            (1, 1, 1, 1, 0, 0, 0, 0))
+Z3 = pmc_mod.connected_sum(pmc_mod.genus2_split(), pmc_mod.genus1())
 
 
 def test_basis_dimensions_match_oracle():
@@ -152,3 +157,121 @@ def test_element_json_roundtrip():
     assert back == ex
     with pytest.raises(SchemaViolation):
         strands.element_from_json(Z1, {"terms": [{"source": [1, 2]}]})
+
+
+def basis_by_permutation_filter(z, i):
+    """Every permutation of every admissible target set, kept if canonical."""
+    size = z.k + i
+    subsets = [s for s in itertools.combinations(range(1, z.n + 1), size)
+               if len({z.cls(p) for p in s}) == size]
+    out = []
+    for src in subsets:
+        for tgt in subsets:
+            for perm in itertools.permutations(tgt):
+                pairs = tuple(zip(src, perm))
+                if (all(t >= s for s, t in pairs)
+                        and all(s == z.class_min(z.cls(s))
+                                for s, t in pairs if s == t)):
+                    out.append(pairs)
+    return sorted(out)
+
+
+def differential_by_expansion(z, pairs):
+    """d summed over every representative in the big strands algebra."""
+    counts = collections.Counter()
+    for rep in strands.raw_expand(z, pairs):
+        base = strands._inv(rep)
+        for i, j in itertools.combinations(range(len(rep)), 2):
+            if rep[i][1] > rep[j][1]:
+                swapped = list(rep)
+                swapped[i] = (rep[i][0], rep[j][1])
+                swapped[j] = (rep[j][0], rep[i][1])
+                swapped = tuple(sorted(swapped))
+                if strands._inv(swapped) == base - 1:
+                    counts[swapped] += 1
+    return strands._collect_orbits(z, {p for p, c in counts.items() if c % 2})
+
+
+@pytest.mark.parametrize("z, top", [(Z1, 1), (Z2, 2), (Z2_ANTIPODAL, 2), (Z3, 0)],
+                         ids=["genus1", "genus2_split", "genus2_antipodal",
+                              "genus3_split"])
+def test_basis_matches_permutation_filter(z, top):
+    for i in range(-z.k, top + 1):
+        assert [x.pairs for x in strands.basis(z, i)] == \
+            basis_by_permutation_filter(z, i)
+
+
+def test_differential_matches_expansion():
+    for z in (Z1, Z2, Z2_ANTIPODAL):
+        for x in strands.all_basis(z):
+            assert strands.differential_basis(x).terms == \
+                differential_by_expansion(z, x.pairs)
+    rng = random.Random(11)
+    for i in range(-Z3.k, Z3.k + 1):
+        for x in rng.sample(strands.basis(Z3, i), min(300, len(strands.basis(Z3, i)))):
+            assert strands.differential_basis(x).terms == \
+                differential_by_expansion(Z3, x.pairs)
+
+
+def test_elements_are_interned():
+    for z in (Z1, Z2):
+        elts = strands.all_basis(z)
+        shared = {x.pairs: x for x in elts}
+        for i in range(-z.k, z.k + 1):
+            assert strands.basis(z, i) is strands.basis(z, i)
+        for x in elts:
+            assert x.gr == strands.gr_pairs(z, x.pairs)
+            assert strands.StrandsBasisElement.make(z, x.pairs) is x
+            for term in strands.differential_basis(x).basis_terms():
+                assert term is shared[term.pairs]
+        rng = random.Random(5)
+        for x, y in itertools.product(rng.sample(elts, min(60, len(elts))),
+                                      repeat=2):
+            p = strands.multiply_basis(x, y)
+            assert p is None or p is shared[p.pairs]
+    # an equal circle that is another object has its own table, and agrees
+    twin = pmc_mod.genus1()
+    x, y = (strands.StrandsBasisElement.make(twin, [(1, 2)]),
+            strands.StrandsBasisElement.make(Z1, [(2, 3)]))
+    assert x.pmc is twin and x == strands.StrandsBasisElement.make(Z1, [(1, 2)])
+    assert strands.multiply_basis(x, y).pairs == ((1, 3),)
+
+
+def test_genus3_split_gate():
+    dims = {i: len(strands.basis(Z3, i)) for i in range(-Z3.k, Z3.k + 1)}
+    assert dims == STRANDS_DIMS_GENUS3_SPLIT
+    elts = strands.all_basis(Z3)
+    assert len(elts) == 59648
+    for x in elts:
+        dx = strands.differential_basis(x)
+        assert not strands.differential(dx)
+        assert all(t.gr == (x.gr + 1) % 2 for t in dx.basis_terms())
+
+    # seeded class-composable triples: x's target classes are y's source classes
+    by_source = collections.defaultdict(list)
+    for y in elts:
+        by_source[frozenset(Z3.cls(s) for s, _ in y.pairs)].append(y)
+
+    def after(rng, x):
+        return rng.choice(by_source[frozenset(Z3.cls(t) for _, t in x.pairs)])
+
+    rng = random.Random(2015)
+    nonzero = 0
+    for _ in range(3000):
+        x = rng.choice(elts)
+        y = after(rng, x)
+        w = after(rng, y)
+        xy = strands.multiply_basis(x, y)
+        yw = strands.multiply_basis(y, w)
+        lhs = strands.multiply_basis(xy, w) if xy is not None else None
+        rhs = strands.multiply_basis(x, yw) if yw is not None else None
+        assert lhs == rhs
+        if xy is not None:
+            nonzero += 1
+            assert xy.gr == (x.gr + y.gr) % 2
+        ex = strands.StrandsElement.from_basis(x)
+        ey = strands.StrandsElement.from_basis(y)
+        assert strands.differential(strands.multiply(ex, ey)) == (
+            strands.multiply(strands.differential(ex), ey)
+            + strands.multiply(ex, strands.differential(ey)))
+    assert nonzero > 300

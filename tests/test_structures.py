@@ -197,3 +197,16 @@ def test_elementary_builders():
     assert e.generators["p"].grading == 1
     da = elementary_da(Z1, Z1, {1}, {2}, 0)
     assert da.validate()["ok"]
+
+
+@pytest.mark.parametrize("file, field, value", [
+    ("module_solid_torus_a.json", "targets", "yx"),
+    ("module_solid_torus_a.json", "targets", "y"),
+    ("module_solid_torus_a.json", "inputs", ""),
+    ("module_dehn_twist_da.json", "inputs", "")],
+    ids=["a-targets-yx", "a-targets-y", "a-inputs", "da-inputs"])
+def test_structure_from_json_rejects_non_list_op_fields(file, field, value):
+    obj = data_json(file)
+    obj["ops"][0][field] = value
+    with pytest.raises(SchemaViolation):
+        structure_from_json(obj)
