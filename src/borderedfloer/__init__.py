@@ -9,9 +9,10 @@ from .gradings import (BorderedPartialPermutation, GradingGroupElement,
                        refinement, sum_permutations,
                        verify_grading_equivalence)
 from .heegaard import BorderedDiagram, DiagramGenerator, enumerate_generators
-from .structures import (ModuleGenerator, TypeAStructure, TypeDAStructure,
-                         TypeDDStructure, TypeDStructure, box_tensor,
-                         box_tensor_bimodules, direct_sum, identity_aa, shift)
+from .structures import (ModuleGenerator, Structure, TypeAStructure,
+                         TypeDAStructure, TypeDDStructure, TypeDStructure,
+                         box_tensor, box_tensor_bimodules, direct_sum,
+                         identity_aa, shift)
 from .hochschild import (F2ChainComplex, graded_euler, hochschild_generators)
 from .decat import (ExteriorElement, GradedEndomorphism, graded_trace,
                     hodge_eta, k0_of_da, plucker, psi_K0, tqft_compose,

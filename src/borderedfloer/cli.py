@@ -241,7 +241,7 @@ def run_trefoil():
               "idem_right": sorted(g.split_idempotent(k1)[1])}
              for g in gens]
     d_struct = structures.TypeDStructure(
-        diagram.pmc_left,
+        diagram.pmc_left, None,
         [structures.ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
          for g in gens], name="trefoil")
     dd = structures.induct_dd(d_struct, k1)

@@ -340,7 +340,7 @@ def psi_K0(structure):
     for a DD structure; each generator contributes (-1)^gr on its stored
     idempotent monomial(s)."""
     if structure.flavor == "D":
-        n = structure.pmc.num_classes
+        n = structure.pmc_left.num_classes
         out = {}
         for g in structure.generators.values():
             key = tuple(sorted(g.idem_left))
@@ -363,7 +363,7 @@ def k0_functional(a_struct):
     circle carries the extra (-1)^{|s|} factor."""
     if a_struct.flavor != "A":
         raise BasisMismatch("k0_functional expects a type A structure")
-    n = a_struct.pmc.num_classes
+    n = a_struct.pmc_right.num_classes
     out = {}
     for g in a_struct.generators.values():
         key = tuple(sorted(g.idem_right))

@@ -170,6 +170,10 @@ def element_from_json(pmc, obj):
         for term in obj["terms"]:
             if "map" in term:
                 pairs = [tuple(p) for p in term["map"]]
+                if any(len(p) != 2 for p in pairs):
+                    raise SchemaViolation(
+                        f"map entries must be [source, target] pairs, "
+                        f"got {term['map']!r}")
             else:
                 src, tgt = term["source"], term["target"]
                 if len(src) != len(tgt):

@@ -1,16 +1,23 @@
 """Type D/A/DA/DD/AA structures over strands algebras, with GF(2) coefficients.
 
-Structure maps are stored sparsely at the basis-element level.  Validation
-checks idempotent compatibility, the grading-flip rule (a map with i-1 algebra
-inputs on the A side and one output flips the total grading by i), d^2 = 0,
-and boundedness of the delta-transition graph.
+One `Structure` type carries all five flavors.  A structure has a left and
+a right side, each of type "D", "A" or absent (None); an absent side has
+circle None, as in `heegaard.BorderedDiagram`.  The five flavor classes
+only name their sides.  Structure maps are one sparse `ops` map at the
+basis-element level, from a generator and a sequence of A-side inputs to
+pairs of a D-side output (or None) and a target generator.
+
+Validation checks the generators' idempotents, idempotent compatibility of
+every op, the grading-flip rule (an op with i A-side inputs flips the total
+grading by i + 1), d^2 = 0 and boundedness of the delta-transition graph
+for type D, and the A-infinity relation for type A.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import pmc as pmc_mod, strands
 from .errors import AlgebraMismatch, BothUnbounded, SchemaViolation
@@ -20,8 +27,8 @@ from .pmc import PointedMatchedCircle
 @dataclass(frozen=True)
 class ModuleGenerator:
     name: str
-    idem_left: frozenset  # classes of the D-side idempotent, or None
-    idem_right: frozenset  # classes of the A-side idempotent, or None
+    idem_left: frozenset  # classes of the left idempotent, or None
+    idem_right: frozenset  # classes of the right idempotent, or None
     grading: int  # Z/2
 
     def to_json(self):
@@ -56,49 +63,118 @@ def _is_dag(edges, nodes):
     return all(color[n] or visit(n) for n in nodes)
 
 
-class TypeDStructure:
-    """delta1: name -> frozenset of (algebra basis element, target name)."""
+def _generator_errors(pmc_left, pmc_right, generators):
+    """Each present side needs an idempotent of classes of its circle, an
+    absent side none; generator names are distinct."""
+    errors, seen = [], set()
+    for g in generators:
+        if g.name in seen:
+            errors.append(f"duplicate generator {g.name!r}")
+        seen.add(g.name)
+        for side, circle, idem in (("left", pmc_left, g.idem_left),
+                                   ("right", pmc_right, g.idem_right)):
+            if circle is None:
+                if idem is not None:
+                    errors.append(f"generator {g.name!r}: idem_{side} on an "
+                                  "absent side")
+            elif idem is None:
+                errors.append(f"generator {g.name!r}: no idem_{side}")
+            else:
+                n = circle.num_classes
+                bad = [j for j in idem if type(j) is not int or not 1 <= j <= n]
+                if bad:
+                    errors.append(f"generator {g.name!r}: idem_{side} class "
+                                  f"{bad[0]!r} is not in 1..{n}")
+    return errors
 
-    def __init__(self, pmc, generators, delta1=None, name=""):
-        self.pmc = pmc
+
+def _basis_json(a):
+    return strands.StrandsElement.from_basis(a).to_json()
+
+
+class Structure:
+    """ops: (name, tuple of A-side algebra basis elements) -> frozenset of
+    (D-side algebra basis element or None, target name).
+
+    The key (x, (a_1, ..., a_i)) records delta^1_{1+i} of a DA structure,
+    m_{i+1} of a type A structure (D-side output None; the idempotent
+    action m_2(x, I(s_x)) = x is implicit) and, with i = 0, delta^1 of a
+    type D structure.  DD and AA structures carry generator data only.
+    """
+
+    left = None  # "D", "A" or None
+    right = None
+
+    def __init_subclass__(cls):
+        cls.flavor = (cls.left or "") + (cls.right or "")
+        # an op has at most one D output, on the left, and A inputs on the right
+        cls.carries_ops = cls.left != "A" and cls.right != "D"
+
+    def __init__(self, pmc_left, pmc_right, generators, ops=None, name=""):
+        if (pmc_left is None) != (self.left is None) or \
+                (pmc_right is None) != (self.right is None):
+            raise AlgebraMismatch(
+                f"a {self.flavor} structure has a circle exactly on its sides")
+        self.pmc_left = pmc_left
+        self.pmc_right = pmc_right
         self.generators = {g.name: g for g in generators}
-        self.delta1 = {k: frozenset(v) for k, v in (delta1 or {}).items()}
+        self.ops = {(x, tuple(seq)): frozenset(v)
+                    for (x, seq), v in (ops or {}).items()}
         self.name = name
 
-    @property
-    def flavor(self):
-        return "D"
-
     def validate(self):
-        errors = []
-        for x, terms in self.delta1.items():
+        errors = _generator_errors(self.pmc_left, self.pmc_right,
+                                   self.generators.values())
+        if self.ops and not self.carries_ops:
+            errors.append(f"a {self.flavor} structure carries no ops")
+        if errors:
+            return {"ok": False, "errors": errors}
+        for (x, seq), terms in self.ops.items():
             gx = self.generators[x]
-            for a, y in terms:
+            classes = gx.idem_right
+            for a in seq:
+                if a.pmc != self.pmc_right:
+                    errors.append(f"op({x},...): input over wrong circle")
+                if _source_classes(a) != classes:
+                    errors.append(f"op({x},...): inputs not composable")
+                classes = _target_classes(a)
+            total = gx.grading + sum(a.gr for a in seq) + len(seq) + 1
+            for b, y in terms:
                 gy = self.generators[y]
-                if a.pmc != self.pmc:
-                    errors.append(f"delta({x}): algebra element over wrong circle")
+                if (b is None) == (self.left == "D"):
+                    errors.append(f"op({x},...) -> {y}: output does not match "
+                                  f"the {self.flavor} sides")
                     continue
-                if _source_classes(a) != gx.idem_left:
-                    errors.append(f"delta({x}): left idempotent mismatch")
-                if _target_classes(a) != gy.idem_left:
-                    errors.append(f"delta({x}) -> {y}: right idempotent mismatch")
-                if (a.gr + gy.grading) % 2 != (gx.grading + 1) % 2:
-                    errors.append(f"delta({x}) -> {y}: grading does not drop by 1")
-        errors.extend(self._check_d_squared())
-        edges = {x: {y for _, y in terms} for x, terms in self.delta1.items()}
-        if not _is_dag(edges, self.generators):
-            errors.append("delta-transition graph has a cycle (unbounded)")
+                if gy.idem_right != classes:
+                    errors.append(f"op({x},...) -> {y}: right idempotent mismatch")
+                if b is not None:
+                    if b.pmc != self.pmc_left:
+                        errors.append(f"op({x},...): output over wrong circle")
+                    if _source_classes(b) != gx.idem_left:
+                        errors.append(f"op({x},...): left idempotent mismatch")
+                    if _target_classes(b) != gy.idem_left:
+                        errors.append(f"op({x},...) -> {y}: left idempotent mismatch")
+                # gr(x) + sum gr(a_i) + |seq| + 1 + gr(b) + gr(y) = 0
+                if (total + (b.gr if b is not None else 0) + gy.grading) % 2:
+                    errors.append(f"op({x},...) -> {y}: grading flip violated")
+        if self.flavor == "D":
+            errors.extend(self._check_d_squared())
+            if not self.bounded:
+                errors.append("delta-transition graph has a cycle (unbounded)")
+        if self.flavor == "A":
+            errors.extend(self._check_a_infinity())
         return {"ok": not errors, "errors": errors}
 
+    # type D ---------------------------------------------------------------
     def _check_d_squared(self):
         # (mu_2 o (id (x) delta1) o delta1 + (d (x) id) o delta1)(x) = 0 over GF(2)
         acc = {}
-        for x, terms in self.delta1.items():
+        for (x, _), terms in self.ops.items():
             for a, y in terms:
                 for b in strands.differential_basis(a).basis_terms():
                     key = (x, b, y)
                     acc[key] = acc.get(key, 0) ^ 1
-                for a2, z in self.delta1.get(y, ()):
+                for a2, z in self.ops.get((y, ()), ()):
                     c = strands.multiply_basis(a, a2)
                     if c is not None:
                         key = (x, c, z)
@@ -107,7 +183,9 @@ class TypeDStructure:
 
     @property
     def bounded(self):
-        edges = {x: {y for _, y in terms} for x, terms in self.delta1.items()}
+        edges = {}
+        for (x, _), terms in self.ops.items():
+            edges.setdefault(x, set()).update(y for _, y in terms)
         return _is_dag(edges, self.generators)
 
     def delta_chains(self, x, max_length):
@@ -117,7 +195,7 @@ class TypeDStructure:
         for _ in range(max_length):
             nxt = []
             for chain, y in frontier:
-                for a, z in self.delta1.get(y, ()):
+                for a, z in self.ops.get((y, ()), ()):
                     nxt.append((chain + (a,), z))
             out.extend(nxt)
             frontier = nxt
@@ -125,77 +203,26 @@ class TypeDStructure:
                 break
         return out
 
-    def to_json(self):
-        return {"flavor": "D", "name": self.name,
-                "algebra": {"pmc": self.pmc.to_json(), "side": "left"},
-                "generators": [g.to_json() for g in self.generators.values()],
-                "ops": [{"source": x,
-                         "output": strands.StrandsElement.from_basis(a).to_json(),
-                         "target": y}
-                        for x in sorted(self.delta1)
-                        for a, y in sorted(self.delta1[x],
-                                           key=lambda t: (t[1], t[0].pairs))]}
-
-
-class TypeAStructure:
-    """m_ops: (name, tuple of algebra basis elements) -> frozenset of names.
-
-    The key (x, (a_1, ..., a_i)) records m_{i+1}(x, a_1, ..., a_i); the
-    idempotent action m_2(x, I(s_x)) = x is implicit.
-    """
-
-    def __init__(self, pmc, generators, m_ops=None, name=""):
-        self.pmc = pmc
-        self.generators = {g.name: g for g in generators}
-        self.m_ops = {(x, tuple(seq)): frozenset(v)
-                      for (x, seq), v in (m_ops or {}).items()}
-        self.name = name
-
-    @property
-    def flavor(self):
-        return "A"
-
+    # type A ---------------------------------------------------------------
     @property
     def max_arity(self):
-        return max((len(seq) + 1 for _, seq in self.m_ops), default=1)
+        return max((len(seq) + 1 for _, seq in self.ops), default=1)
 
     def m(self, x, seq):
         """m_{len(seq)+1}(x, *seq) as a set of generator names (GF(2))."""
         seq = tuple(seq)
-        out = set(self.m_ops.get((x, seq), ()))
+        out = {y for _, y in self.ops.get((x, seq), ())}
         if len(seq) == 1 and seq[0].is_idempotent and \
                 _source_classes(seq[0]) == self.generators[x].idem_right:
             out ^= {x}
         return out
 
-    def validate(self):
-        errors = []
-        for (x, seq), targets in self.m_ops.items():
-            gx = self.generators[x]
-            classes = gx.idem_right
-            for a in seq:
-                if a.pmc != self.pmc:
-                    errors.append(f"m({x},...): wrong circle")
-                if _source_classes(a) != classes:
-                    errors.append(f"m({x},...): inputs not composable")
-                classes = _target_classes(a)
-            for y in targets:
-                gy = self.generators[y]
-                if gy.idem_right != classes:
-                    errors.append(f"m({x},...) -> {y}: idempotent mismatch")
-                flip = (len(seq) + 1) % 2
-                total = (sum(a.gr for a in seq) + gx.grading) % 2
-                if gy.grading != (total + flip) % 2:
-                    errors.append(f"m({x},...) -> {y}: grading flip violated")
-        errors.extend(self._check_a_infinity())
-        return {"ok": not errors, "errors": errors}
-
     def _alphabet(self):
         """Algebra elements worth feeding to the A-infinity relation check."""
-        alpha = {a for (_, seq) in self.m_ops for a in seq}
+        alpha = {a for (_, seq) in self.ops for a in seq}
         for g in self.generators.values():
             alpha.add(next(iter(
-                strands.idempotent(self.pmc, g.idem_right).basis_terms())))
+                strands.idempotent(self.pmc_right, g.idem_right).basis_terms())))
         extra = set()
         for a in alpha:
             extra.update(strands.differential_basis(a).basis_terms())
@@ -231,122 +258,55 @@ class TypeAStructure:
                             f"A-infinity relation fails at {x}, {n} inputs")
         return errors
 
+    # JSON -----------------------------------------------------------------
     def to_json(self):
-        return {"flavor": "A", "name": self.name,
-                "algebra": {"pmc": self.pmc.to_json(), "side": "right"},
-                "generators": [g.to_json() for g in self.generators.values()],
-                "ops": [{"source": x,
-                         "inputs": [strands.StrandsElement.from_basis(a).to_json()
-                                    for a in seq],
-                         "targets": sorted(t)}
-                        for (x, seq), t in sorted(
-                            self.m_ops.items(), key=lambda kv: kv[0][0])]}
+        obj = {"flavor": self.flavor, "name": self.name}
+        sides = [(key, kind, circle) for key, kind, circle in
+                 (("algebra_left", self.left, self.pmc_left),
+                  ("algebra_right", self.right, self.pmc_right)) if kind]
+        for key, kind, circle in sides:
+            obj["algebra" if len(sides) == 1 else key] = {
+                "pmc": circle.to_json(),
+                "side": "left" if kind == "D" else "right"}
+        obj["generators"] = [g.to_json() for g in self.generators.values()]
+        if not self.carries_ops:
+            return obj
+        obj["ops"] = []
+        for (x, seq), terms in sorted(
+                self.ops.items(),
+                key=lambda kv: (kv[0][0], [a.pairs for a in kv[0][1]])):
+            op = {"source": x}
+            if self.right == "A":
+                op["inputs"] = [_basis_json(a) for a in seq]
+            if self.left != "D":
+                obj["ops"].append(dict(op, targets=sorted(y for _, y in terms)))
+                continue
+            for b, y in sorted(terms, key=lambda t: (t[1], t[0].pairs)):
+                obj["ops"].append(dict(op, output=_basis_json(b), target=y))
+        return obj
 
 
-class TypeDAStructure:
-    """delta1: (name, tuple of right algebra basis elements) ->
-    frozenset of (left algebra basis element, target name)."""
-
-    def __init__(self, pmc_left, pmc_right, generators, delta1=None, name=""):
-        self.pmc_left = pmc_left
-        self.pmc_right = pmc_right
-        self.generators = {g.name: g for g in generators}
-        self.delta1 = {(x, tuple(seq)): frozenset(v)
-                       for (x, seq), v in (delta1 or {}).items()}
-        self.name = name
-
-    @property
-    def flavor(self):
-        return "DA"
-
-    @property
-    def k_right(self):
-        return self.pmc_right.k
-
-    def strands_grading(self, x):
-        """|s| - k_R for the right idempotent."""
-        return len(self.generators[x].idem_right) - self.k_right
-
-    def validate(self):
-        errors = []
-        for (x, seq), terms in self.delta1.items():
-            gx = self.generators[x]
-            classes = gx.idem_right
-            for a in seq:
-                if a.pmc != self.pmc_right:
-                    errors.append(f"delta({x},...): right input over wrong circle")
-                if _source_classes(a) != classes:
-                    errors.append(f"delta({x},...): inputs not composable")
-                classes = _target_classes(a)
-            for b, y in terms:
-                gy = self.generators[y]
-                if b.pmc != self.pmc_left:
-                    errors.append(f"delta({x},...): left output over wrong circle")
-                if _source_classes(b) != gx.idem_left:
-                    errors.append(f"delta({x},...): left idempotent mismatch")
-                if _target_classes(b) != gy.idem_left:
-                    errors.append(f"delta({x},...) -> {y}: left idempotent mismatch")
-                if gy.idem_right != classes:
-                    errors.append(f"delta({x},...) -> {y}: right idempotent mismatch")
-                arity = len(seq) + 1
-                total = (gx.grading + sum(a.gr for a in seq)) % 2
-                if (b.gr + gy.grading) % 2 != (total + arity) % 2:
-                    errors.append(f"delta({x},...) -> {y}: grading flip violated")
-        return {"ok": not errors, "errors": errors}
-
-    def to_json(self):
-        return {"flavor": "DA", "name": self.name,
-                "algebra_left": {"pmc": self.pmc_left.to_json(), "side": "left"},
-                "algebra_right": {"pmc": self.pmc_right.to_json(), "side": "right"},
-                "generators": [g.to_json() for g in self.generators.values()],
-                "ops": [{"source": x,
-                         "inputs": [strands.StrandsElement.from_basis(a).to_json()
-                                    for a in seq],
-                         "output": strands.StrandsElement.from_basis(b).to_json(),
-                         "target": y}
-                        for (x, seq), terms in sorted(
-                            self.delta1.items(), key=lambda kv: kv[0][0])
-                        for b, y in sorted(terms, key=lambda t: t[1])]}
+class TypeDStructure(Structure):
+    left = "D"
 
 
-class TypeDDStructure:
-    """Generator/idempotent/grading data only; both sides are D-type."""
-
-    def __init__(self, pmc_left, pmc_right, generators, name=""):
-        self.pmc_left = pmc_left
-        self.pmc_right = pmc_right
-        self.generators = {g.name: g for g in generators}
-        self.name = name
-
-    @property
-    def flavor(self):
-        return "DD"
-
-    def validate(self):
-        return {"ok": True, "errors": []}
-
-    def to_json(self):
-        return {"flavor": "DD", "name": self.name,
-                "algebra_left": {"pmc": self.pmc_left.to_json(), "side": "left"},
-                "algebra_right": {"pmc": self.pmc_right.to_json(), "side": "left"},
-                "generators": [g.to_json() for g in self.generators.values()]}
+class TypeAStructure(Structure):
+    right = "A"
 
 
-class TypeAAStructure:
-    """Generator/idempotent/grading data only; both sides are A-type."""
+class TypeDAStructure(Structure):
+    left, right = "D", "A"
 
-    def __init__(self, pmc_left, pmc_right, generators, name=""):
-        self.pmc_left = pmc_left
-        self.pmc_right = pmc_right
-        self.generators = {g.name: g for g in generators}
-        self.name = name
 
-    @property
-    def flavor(self):
-        return "AA"
+class TypeDDStructure(Structure):
+    left, right = "D", "D"
 
-    def validate(self):
-        return {"ok": True, "errors": []}
+
+class TypeAAStructure(Structure):
+    left, right = "A", "A"
+
+
+_CLASSES = {cls.flavor: cls for cls in Structure.__subclasses__()}
 
 
 def induct_dd(d, k1):
@@ -354,7 +314,7 @@ def induct_dd(d, k1):
 
     Classes <= 2*k1 belong to the left factor; the rest shift down.
     """
-    pmc = d.pmc
+    pmc = d.pmc_left
     left = PointedMatchedCircle(pmc.matching[:4 * k1], pmc.orientation[:4 * k1])
     right = PointedMatchedCircle(
         tuple(c - 2 * k1 for c in pmc.matching[4 * k1:]),
@@ -370,12 +330,12 @@ def induct_dd(d, k1):
 # elementary modules and formal operations --------------------------------
 def elementary_d(pmc, idem, grading, name="e"):
     return TypeDStructure(
-        pmc, [ModuleGenerator(name, frozenset(idem), None, grading % 2)])
+        pmc, None, [ModuleGenerator(name, frozenset(idem), None, grading % 2)])
 
 
 def elementary_a(pmc, idem, grading, name="e"):
     return TypeAStructure(
-        pmc, [ModuleGenerator(name, None, frozenset(idem), grading % 2)])
+        None, pmc, [ModuleGenerator(name, None, frozenset(idem), grading % 2)])
 
 
 def elementary_da(pmc_left, pmc_right, idem_left, idem_right, grading, name="e"):
@@ -385,73 +345,39 @@ def elementary_da(pmc_left, pmc_right, idem_left, idem_right, grading, name="e")
                          grading % 2)])
 
 
-def shift(structure):
+def shift(s):
     """Grading flip on every generator."""
-    flipped = [ModuleGenerator(g.name, g.idem_left, g.idem_right,
-                               (g.grading + 1) % 2)
-               for g in structure.generators.values()]
-    cls = type(structure)
-    if isinstance(structure, (TypeDAStructure, TypeDDStructure, TypeAAStructure)):
-        out = cls(structure.pmc_left, structure.pmc_right, flipped,
-                  name=structure.name)
-        if isinstance(structure, TypeDAStructure):
-            out.delta1 = structure.delta1
-        return out
-    out = cls(structure.pmc, flipped, name=structure.name)
-    if isinstance(structure, TypeDStructure):
-        out.delta1 = structure.delta1
-    else:
-        out.m_ops = structure.m_ops
-    return out
+    flipped = [replace(g, grading=(g.grading + 1) % 2)
+               for g in s.generators.values()]
+    return type(s)(s.pmc_left, s.pmc_right, flipped, s.ops, name=s.name)
 
 
 def direct_sum(a, b):
-    if type(a) is not type(b):
+    if a.flavor != b.flavor:
         raise AlgebraMismatch("cannot sum structures of different flavors")
-    seen = {g.name for g in a.generators.values()}
+    if (a.pmc_left, a.pmc_right) != (b.pmc_left, b.pmc_right):
+        raise AlgebraMismatch("different boundary circles")
+    seen = set(a.generators)
     rename = {}
-    for g in b.generators.values():
-        new = g.name
+    for x in b.generators:
+        new = x
         while new in seen:
             new = new + "'"
-        rename[g.name] = new
+        rename[x] = new
         seen.add(new)
-    bgens = [ModuleGenerator(rename[g.name], g.idem_left, g.idem_right,
-                             g.grading) for g in b.generators.values()]
-    gens = list(a.generators.values()) + bgens
-    if isinstance(a, TypeDAStructure):
-        if (a.pmc_left, a.pmc_right) != (b.pmc_left, b.pmc_right):
-            raise AlgebraMismatch("different boundary circles")
-        out = TypeDAStructure(a.pmc_left, a.pmc_right, gens)
-        out.delta1 = dict(a.delta1)
-        for (x, seq), terms in b.delta1.items():
-            out.delta1[(rename[x], seq)] = frozenset(
-                (c, rename[y]) for c, y in terms)
-        return out
-    if isinstance(a, (TypeDDStructure, TypeAAStructure)):
-        if (a.pmc_left, a.pmc_right) != (b.pmc_left, b.pmc_right):
-            raise AlgebraMismatch("different boundary circles")
-        return type(a)(a.pmc_left, a.pmc_right, gens)
-    if a.pmc != b.pmc:
-        raise AlgebraMismatch("different boundary circles")
-    if isinstance(a, TypeDStructure):
-        out = TypeDStructure(a.pmc, gens)
-        out.delta1 = dict(a.delta1)
-        for x, terms in b.delta1.items():
-            out.delta1[rename[x]] = frozenset((c, rename[y]) for c, y in terms)
-        return out
-    out = TypeAStructure(a.pmc, gens)
-    out.m_ops = dict(a.m_ops)
-    for (x, seq), targets in b.m_ops.items():
-        out.m_ops[(rename[x], seq)] = frozenset(rename[y] for y in targets)
-    return out
+    gens = list(a.generators.values()) + [
+        replace(g, name=rename[g.name]) for g in b.generators.values()]
+    ops = dict(a.ops)
+    for (x, seq), terms in b.ops.items():
+        ops[(rename[x], seq)] = frozenset((c, rename[y]) for c, y in terms)
+    return type(a)(a.pmc_left, a.pmc_right, gens, ops)
 
 
 # box tensor products ------------------------------------------------------
 def box_tensor(a_struct, d_struct):
     """A (x) D along a common boundary circle; returns an F2ChainComplex."""
     from .hochschild import F2ChainComplex
-    if a_struct.pmc != d_struct.pmc:
+    if a_struct.pmc_right != d_struct.pmc_left:
         raise AlgebraMismatch("boundary circles differ")
     if not d_struct.bounded and a_struct.max_arity >= 2:
         raise BothUnbounded("type D side is unbounded")
@@ -475,60 +401,47 @@ def box_tensor(a_struct, d_struct):
     return F2ChainComplex(gens, grading, diff)
 
 
+_PRODUCTS = {("DA", "D"): TypeDStructure, ("AA", "D"): TypeAStructure,
+             ("AA", "DD"): TypeDAStructure}
+
+
+def _onto_sides(cls, outer_left, outer_right):
+    """The outer values that are not None, on the sides cls has, in order."""
+    values = iter([v for v in (outer_left, outer_right) if v is not None])
+    return tuple(next(values) if side else None for side in (cls.left, cls.right))
+
+
 def box_tensor_bimodules(left, right):
-    """DA (x) D -> D with structure maps; AA (x) DD -> DA and elementary
-    DA (x) elementary D at the generator/idempotent/grading level."""
-    if isinstance(left, TypeDAStructure) and isinstance(right, TypeDStructure):
-        if left.pmc_right != right.pmc:
-            raise AlgebraMismatch("middle circles differ")
-        if not right.bounded:
-            raise BothUnbounded("type D side is unbounded")
-        gens = []
-        for x in left.generators.values():
-            for y in right.generators.values():
-                if x.idem_right == y.idem_left:
-                    gens.append(ModuleGenerator(
-                        f"{x.name}*{y.name}", x.idem_left, None,
-                        (x.grading + y.grading) % 2))
-        names = {g.name for g in gens}
-        max_inputs = max((len(seq) for _, seq in left.delta1), default=0)
-        delta = {}
-        for x in left.generators.values():
-            for y in right.generators.values():
-                src = f"{x.name}*{y.name}"
-                if src not in names:
-                    continue
-                terms = set()
-                for chain, zn in right.delta_chains(y.name, max_inputs):
-                    for b, wn in left.delta1.get((x.name, chain), ()):
-                        tgt = f"{wn}*{zn}"
-                        if tgt in names:
-                            terms ^= {(b, tgt)}
-                if terms:
-                    delta[src] = frozenset(terms)
-        return TypeDStructure(left.pmc_left, gens, delta)
-    if isinstance(left, TypeAAStructure) and isinstance(right, TypeDStructure):
-        if left.pmc_right != right.pmc:
-            raise AlgebraMismatch("middle circles differ")
-        gens = [ModuleGenerator(f"{x.name}*{y.name}", None, x.idem_left,
-                                (x.grading + y.grading) % 2)
-                for x in left.generators.values()
-                for y in right.generators.values()
-                if x.idem_right == y.idem_left]
-        return TypeAStructure(left.pmc_left, gens)
-    if isinstance(left, TypeAAStructure) and isinstance(right, TypeDDStructure):
-        if left.pmc_right != right.pmc_left:
-            raise AlgebraMismatch("middle circles differ")
-        gens = []
-        for x in left.generators.values():
-            for y in right.generators.values():
-                if x.idem_right == y.idem_left:
-                    gens.append(ModuleGenerator(
-                        f"{x.name}*{y.name}", x.idem_left, y.idem_right,
-                        (x.grading + y.grading) % 2))
-        return TypeDAStructure(left.pmc_left, right.pmc_right, gens)
-    raise AlgebraMismatch(
-        f"unsupported pairing {type(left).__name__} (x) {type(right).__name__}")
+    """left (x) right along left's right circle and right's left circle:
+    DA (x) D -> D with structure maps; AA (x) D -> A and AA (x) DD -> DA at
+    the generator/idempotent/grading level.  The outer sides fill the
+    result's sides in order, so AA (x) D keeps its left idempotent in
+    idem_right."""
+    cls = _PRODUCTS.get((left.flavor, right.flavor))
+    if cls is None:
+        raise AlgebraMismatch(
+            f"unsupported pairing {left.flavor} (x) {right.flavor}")
+    if left.pmc_right != right.pmc_left:
+        raise AlgebraMismatch("middle circles differ")
+    if left.left == "D" and not right.bounded:
+        raise BothUnbounded("type D side is unbounded")
+    pairs = [(x, y) for x in left.generators.values()
+             for y in right.generators.values() if x.idem_right == y.idem_left]
+    gens = [ModuleGenerator(f"{x.name}*{y.name}",
+                            *_onto_sides(cls, x.idem_left, y.idem_right),
+                            (x.grading + y.grading) % 2) for x, y in pairs]
+    names = {g.name for g in gens}
+    max_inputs = max((len(seq) for _, seq in left.ops), default=0)
+    ops = {}
+    for x, y in pairs:
+        terms = set()
+        for chain, zn in right.delta_chains(y.name, max_inputs):
+            for b, wn in left.ops.get((x.name, chain), ()):
+                if f"{wn}*{zn}" in names:
+                    terms ^= {(b, f"{wn}*{zn}")}
+        if terms:
+            ops[(f"{x.name}*{y.name}", ())] = terms
+    return cls(*_onto_sides(cls, left.pmc_left, right.pmc_right), gens, ops)
 
 
 def identity_aa(pmc):
@@ -591,44 +504,37 @@ def structure_from_json(obj):
         flavor = str(obj["flavor"])
     except (KeyError, TypeError) as exc:
         raise SchemaViolation(f"bad module JSON: {exc}") from exc
-    name = obj.get("name", "")
+    if flavor not in _CLASSES:
+        raise SchemaViolation(f"unknown flavor {flavor}")
+    cls = _CLASSES[flavor]
     try:
+        if cls.left and cls.right:
+            pl = pmc_mod.load(obj["algebra_left"]["pmc"])
+            pr = pmc_mod.load(obj["algebra_right"]["pmc"])
+        else:
+            pl, pr = _onto_sides(cls, pmc_mod.load(obj["algebra"]["pmc"]), None)
         gens = [_gen_from_json(g) for g in obj["generators"]]
+        errors = _generator_errors(pl, pr, gens)
+        if errors:
+            raise SchemaViolation(errors[0])
         names = {g.name for g in gens}
-        if flavor == "D":
-            pmc = pmc_mod.load(obj["algebra"]["pmc"])
-            delta = {}
-            for op in obj.get("ops", ()):
-                a = _single_basis(pmc, op["output"])
-                delta.setdefault(_known(names, op["source"]), set()).add(
-                    (a, _known(names, op["target"])))
-            return TypeDStructure(pmc, gens, delta, name=name)
-        if flavor == "A":
-            pmc = pmc_mod.load(obj["algebra"]["pmc"])
-            mops = {}
-            for op in obj.get("ops", ()):
-                seq = tuple(_single_basis(pmc, i) for i in _list(op, "inputs"))
-                key = (_known(names, op["source"]), seq)
-                mops.setdefault(key, set()).update(
-                    _known(names, t) for t in _list(op, "targets"))
-            return TypeAStructure(pmc, gens, mops, name=name)
-        if flavor == "DA":
-            pl = pmc_mod.load(obj["algebra_left"]["pmc"])
-            pr = pmc_mod.load(obj["algebra_right"]["pmc"])
-            delta = {}
-            for op in obj.get("ops", ()):
-                seq = tuple(_single_basis(pr, i) for i in _list(op, "inputs"))
-                b = _single_basis(pl, op["output"])
-                delta.setdefault((_known(names, op["source"]), seq),
-                                 set()).add((b, _known(names, op["target"])))
-            return TypeDAStructure(pl, pr, gens, delta, name=name)
-        if flavor == "DD":
-            pl = pmc_mod.load(obj["algebra_left"]["pmc"])
-            pr = pmc_mod.load(obj["algebra_right"]["pmc"])
-            return TypeDDStructure(pl, pr, gens, name=name)
+        raw_ops = obj.get("ops", ())
+        if raw_ops and not cls.carries_ops:
+            raise SchemaViolation(f"a {flavor} structure carries no ops")
+        ops = {}
+        for op in raw_ops:
+            seq = tuple(_single_basis(pr, i) for i in _list(op, "inputs")) \
+                if cls.right == "A" else ()
+            terms = ops.setdefault((_known(names, op["source"]), seq), set())
+            if cls.left == "D":
+                terms.add((_single_basis(pl, op["output"]),
+                           _known(names, op["target"])))
+            else:
+                terms.update((None, _known(names, t))
+                             for t in _list(op, "targets"))
+        return cls(pl, pr, gens, ops, name=obj.get("name", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad module JSON: {exc}") from exc
-    raise SchemaViolation(f"unknown flavor {flavor}")
 
 
 def structure_from_file(path):

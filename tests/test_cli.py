@@ -152,6 +152,56 @@ def test_invalid_circle_in_input_file(capsys, tmp_path, command, file, where):
     assert out == "" and len(err.splitlines()) == 1
 
 
+def dd_genus1():
+    with open(data("pmc_genus1.json")) as fh:
+        circle = json.load(fh)
+    return {"flavor": "DD", "name": "dd",
+            "algebra_left": {"pmc": circle, "side": "left"},
+            "algebra_right": {"pmc": circle, "side": "left"},
+            "generators": [{"name": "m", "idem_left": [1], "idem_right": [2],
+                            "grading": 0}]}
+
+
+def _append_copy(gens):
+    gens.append(dict(gens[0]))
+
+
+@pytest.mark.parametrize("command, file, mutate", [
+    ("mod validate", "module_solid_torus_d.json",
+     lambda m: m["generators"].append({"name": "c", "idem_left": [7],
+                                       "grading": 0})),
+    ("decat psi", "module_solid_torus_d.json",
+     lambda m: m["generators"].append({"name": "c", "idem_left": [7],
+                                       "grading": 0})),
+    ("decat psi", "dd", lambda m: m["generators"][0].pop("idem_right")),
+    ("hh euler", "module_dehn_twist_da.json",
+     lambda m: m["generators"][1].pop("idem_right")),
+    ("mod validate", "module_solid_torus_d.json",
+     lambda m: m["generators"][1].update(idem_left=["2"])),
+    ("decat psi", "module_solid_torus_d.json",
+     lambda m: _append_copy(m["generators"])),
+    ("decat psi", "dd",
+     lambda m: m.update(ops=[{"source": "m", "target": "m",
+                              "output": {"terms": [{"map": [[2, 3]]}]}}])),
+    ("mod validate", "module_solid_torus_d.json",
+     lambda m: m["generators"][0].update(idem_right=[1]))],
+    ids=["class-out-of-range-validate", "class-out-of-range-psi",
+         "dd-no-idem-right", "da-no-idem-right", "string-class",
+         "duplicate-name", "dd-ops", "absent-side-idem"])
+def test_bad_generators_in_module_file(capsys, tmp_path, command, file, mutate):
+    if file == "dd":
+        module = dd_genus1()
+    else:
+        with open(data(file)) as fh:
+            module = json.load(fh)
+    mutate(module)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(module))
+    code, out, err = run(capsys, *command.split(), str(f))
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+
+
 def test_hh_euler(capsys):
     code, payload, _ = run_json(capsys, "hh", "euler",
                                 data("module_dehn_twist_da.json"))

@@ -152,7 +152,7 @@ def test_psi_k0_additive_and_shift():
 
 def test_psi_k0_of_induced_dd_splits_monomials():
     zt = pmc_mod.trefoil_pmc()
-    d = TypeDStructure(zt, [
+    d = TypeDStructure(zt, None, [
         ModuleGenerator("m", frozenset({1, 3}), None, 0),
         ModuleGenerator("n", frozenset({2, 4}), None, 1)])
     two = psi_K0(induct_dd(d, 1))

@@ -49,6 +49,12 @@ def test_make_rejections():
             strands.StrandsBasisElement.make(Z1, pairs)
 
 
+@pytest.mark.parametrize("entry", [[1, 2, 3], [1]], ids=["triple", "single"])
+def test_element_from_json_rejects_map_entries_that_are_not_pairs(entry):
+    with pytest.raises(SchemaViolation):
+        strands.element_from_json(Z1, {"terms": [{"map": [entry]}]})
+
+
 def test_fast_product_matches_raw_genus1():
     elts = strands.all_basis(Z1)
     for x in elts:

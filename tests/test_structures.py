@@ -5,8 +5,9 @@ import pytest
 from borderedfloer import pmc as pmc_mod, strands, structures
 from borderedfloer.errors import (AlgebraMismatch, BothUnbounded,
                                   SchemaViolation)
-from borderedfloer.structures import (ModuleGenerator, TypeAStructure,
-                                      TypeDAStructure, TypeDStructure,
+from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
+                                      TypeAStructure, TypeDAStructure,
+                                      TypeDDStructure, TypeDStructure,
                                       box_tensor, box_tensor_bimodules,
                                       direct_sum, elementary_d, elementary_da,
                                       identity_aa, induct_dd, shift,
@@ -46,8 +47,8 @@ def test_d_structure_validation_catches_errors():
     rho2 = strands.StrandsBasisElement.make(Z1, [(2, 3)])
     # break the grading: both generators have grading 1, rho2 has gr 1, so
     # sending b back to a via rho2's reverse-composable chord fails to drop
-    bad = TypeDStructure(Z1, list(d.generators.values()),
-                         {"a": {(rho2, "a")}})
+    bad = TypeDStructure(Z1, None, list(d.generators.values()),
+                         {("a", ()): {(rho2, "a")}})
     report = bad.validate()
     assert not report["ok"]
     assert any("idempotent" in e or "grading" in e for e in report["errors"])
@@ -62,7 +63,8 @@ def test_d_squared_detection():
     gens = [ModuleGenerator("a", frozenset({1}), None, 0),
             ModuleGenerator("b", frozenset({2}), None, 1),
             ModuleGenerator("c", frozenset({1}), None, 0)]
-    bad = TypeDStructure(Z1, gens, {"a": {(r12, "b")}, "b": {(r23, "c")}})
+    bad = TypeDStructure(Z1, None, gens, {("a", ()): {(r12, "b")},
+                                          ("b", ()): {(r23, "c")}})
     report = bad.validate()
     assert any("d^2" in e for e in report["errors"])
 
@@ -76,7 +78,7 @@ def test_boundedness_and_chains():
     rho2 = strands.StrandsBasisElement.make(Z1, [(2, 3)])
     gens = [ModuleGenerator("a", frozenset({2}), None, 0),
             ModuleGenerator("b", frozenset({1}), None, 1)]
-    loop = TypeDStructure(Z1, gens, {"a": {(rho2, "a")}})
+    loop = TypeDStructure(Z1, None, gens, {("a", ()): {(rho2, "a")}})
     assert not loop.bounded
     report = loop.validate()
     assert any("cycle" in e or "unbounded" in e for e in report["errors"])
@@ -87,8 +89,8 @@ def test_a_infinity_check_rejects_broken_action():
     # dropping the module action breaks associativity against the implicit
     # idempotent action only if an op is replaced inconsistently
     rho2 = strands.StrandsBasisElement.make(Z1, [(2, 3)])
-    bad = TypeAStructure(Z1, list(a.generators.values()),
-                         {("x", (rho2,)): frozenset({"x"})})
+    bad = TypeAStructure(None, Z1, list(a.generators.values()),
+                         {("x", (rho2,)): frozenset({(None, "x")})})
     report = bad.validate()
     assert not report["ok"]
 
@@ -106,7 +108,7 @@ def test_box_tensor_requires_bounded_side():
     rho2 = strands.StrandsBasisElement.make(Z1, [(2, 3)])
     gens = [ModuleGenerator("a", frozenset({2}), None, 0),
             ModuleGenerator("b", frozenset({1}), None, 1)]
-    loop = TypeDStructure(Z1, gens, {"a": {(rho2, "a")}})
+    loop = TypeDStructure(Z1, None, gens, {("a", ()): {(rho2, "a")}})
     with pytest.raises(BothUnbounded):
         box_tensor(solid_torus_a(), loop)
 
@@ -121,7 +123,7 @@ def test_box_tensor_bimodules_da_d():
 def test_box_tensor_bimodules_aa_dd_shapes():
     ident = identity_aa(Z1)
     dd = induct_dd(TypeDStructure(
-        pmc_mod.trefoil_pmc(),
+        pmc_mod.trefoil_pmc(), None,
         [ModuleGenerator("m", frozenset({1, 3}), None, 0)]), 1)
     da = box_tensor_bimodules(ident, dd)
     assert da.flavor == "DA"
@@ -148,7 +150,8 @@ def test_identity_aa_theta():
 
 def test_induct_dd_splits_idempotents():
     zt = pmc_mod.trefoil_pmc()
-    d = TypeDStructure(zt, [ModuleGenerator("m", frozenset({2, 3}), None, 1)])
+    d = TypeDStructure(zt, None,
+                       [ModuleGenerator("m", frozenset({2, 3}), None, 1)])
     dd = induct_dd(d, 1)
     g = dd.generators["m"]
     assert g.idem_left == frozenset({2})
@@ -162,7 +165,7 @@ def test_shift_flips_gradings():
     s = shift(d)
     for name, g in d.generators.items():
         assert s.generators[name].grading == (g.grading + 1) % 2
-    assert s.delta1 == d.delta1
+    assert s.ops == d.ops
     report = s.validate()
     assert report["ok"], report["errors"]
 
@@ -181,10 +184,7 @@ def test_json_roundtrip():
     for m in (solid_torus_d(), solid_torus_a(), dehn_twist_da()):
         back = structure_from_json(m.to_json())
         assert set(back.generators) == set(m.generators)
-        if hasattr(m, "delta1"):
-            assert back.delta1 == m.delta1
-        else:
-            assert back.m_ops == m.m_ops
+        assert back.ops == m.ops
     with pytest.raises(SchemaViolation):
         structure_from_json({"flavor": "Q", "generators": []})
     with pytest.raises(SchemaViolation):
@@ -210,3 +210,70 @@ def test_structure_from_json_rejects_non_list_op_fields(file, field, value):
     obj["ops"][0][field] = value
     with pytest.raises(SchemaViolation):
         structure_from_json(obj)
+
+
+def trefoil_dd():
+    return induct_dd(TypeDStructure(
+        pmc_mod.trefoil_pmc(), None,
+        [ModuleGenerator("m", frozenset({1, 3}), None, 0),
+         ModuleGenerator("n", frozenset({2, 4}), None, 1)]), 1)
+
+
+FLAVORS = {"D": solid_torus_d, "A": solid_torus_a, "DA": dehn_twist_da,
+           "DD": trefoil_dd, "AA": lambda: identity_aa(Z1)}
+
+
+@pytest.mark.parametrize("flavor", ["D", "A", "DA", "DD"])
+def test_json_round_trip_keeps_sides(flavor):
+    import json
+    m = FLAVORS[flavor]()
+    back = structure_from_json(json.loads(json.dumps(m.to_json())))
+    assert type(back) is type(m) and back.flavor == flavor
+    assert (back.pmc_left, back.pmc_right) == (m.pmc_left, m.pmc_right)
+    assert back.generators == m.generators
+    assert back.ops == m.ops
+
+
+@pytest.mark.parametrize("flavor", ["D", "A", "DA", "DD", "AA"])
+def test_shift_and_direct_sum_every_flavor(flavor):
+    m = FLAVORS[flavor]()
+    s = shift(m)
+    assert type(s) is type(m) and s.ops == m.ops
+    assert (s.pmc_left, s.pmc_right) == (m.pmc_left, m.pmc_right)
+    for name, g in m.generators.items():
+        assert s.generators[name] == ModuleGenerator(
+            name, g.idem_left, g.idem_right, 1 - g.grading)
+    total = direct_sum(m, s)
+    assert type(total) is type(m)
+    assert len(total.generators) == 2 * len(m.generators)
+    assert len(total.ops) == 2 * len(m.ops)
+    for structure in (s, total):
+        report = structure.validate()
+        assert report["ok"], report["errors"]
+    if m.pmc_left is not None and m.pmc_right is not None:
+        swapped = type(m)(m.pmc_right, m.pmc_left, [])
+        with pytest.raises(AlgebraMismatch):
+            direct_sum(m, swapped)
+
+
+def test_two_sided_validate_checks_generators():
+    dd = trefoil_dd()
+    bad = TypeDDStructure(dd.pmc_left, dd.pmc_right, [
+        ModuleGenerator("m", frozenset({1}), frozenset({3}), 0)])
+    assert not bad.validate()["ok"]
+    rho = strands.StrandsBasisElement.make(dd.pmc_left, [(2, 3)])
+    with_ops = TypeDDStructure(dd.pmc_left, dd.pmc_right,
+                               list(dd.generators.values()),
+                               {("m", ()): {(rho, "n")}})
+    assert "a DD structure carries no ops" in with_ops.validate()["errors"]
+    aa = identity_aa(Z1)
+    bad = TypeAAStructure(aa.pmc_left, aa.pmc_right, [
+        ModuleGenerator("s", None, frozenset({1}), 0)])
+    assert not bad.validate()["ok"]
+
+
+def test_constructor_rejects_circles_off_the_sides():
+    with pytest.raises(AlgebraMismatch):
+        TypeDStructure(Z1, Z1, [])
+    with pytest.raises(AlgebraMismatch):
+        TypeAStructure(Z1, None, [])
