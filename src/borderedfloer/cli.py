@@ -235,16 +235,15 @@ def run_trefoil():
     start = time.monotonic()
     diagram = heegaard.trefoil_diagram()
     gens = sorted(heegaard.enumerate_generators(diagram), key=lambda g: g.name)
-    k1 = diagram.pmc_left.k // 2
-    table = [{"name": g.name, "grading": g.grading,
-              "idem_left": sorted(g.split_idempotent(k1)[0]),
-              "idem_right": sorted(g.split_idempotent(k1)[1])}
-             for g in gens]
     d_struct = structures.TypeDStructure(
         diagram.pmc_left, None,
         [structures.ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
          for g in gens], name="trefoil")
-    dd = structures.induct_dd(d_struct, k1)
+    dd = structures.induct_dd(d_struct, diagram.pmc_left.k // 2)
+    table = [{"name": g.name, "grading": g.grading,
+              "idem_left": sorted(g.idem_left),
+              "idem_right": sorted(g.idem_right)}
+             for g in dd.generators.values()]
     gamma = decat.psi_K0(dd)
     matrix = decat.upsilon(gamma)
     delta_trace = decat.graded_trace(matrix).symmetrized()

@@ -7,7 +7,6 @@ All signs depend on this order; it is fixed here and used everywhere.
 from __future__ import annotations
 
 import itertools
-import json
 
 from .errors import (BasisMismatch, DegreeMismatch, DimensionMismatch,
                      DimensionOdd, RankDeficient, SchemaViolation)
@@ -265,11 +264,6 @@ class GradedEndomorphism:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"bad endomorphism JSON: {exc}") from exc
         return cls(n, blocks)
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _subset_index(n, j):

@@ -61,10 +61,6 @@ class FlavorOrderViolation(BorderedFloerError):
     pass
 
 
-class NotClosed(BorderedFloerError):
-    pass
-
-
 # structures
 class BoundaryMismatch(BorderedFloerError):
     pass

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from . import strands
 from .errors import (FlavorViolation, NotInRefinedSubgroup, NotSubordinate,
@@ -22,93 +23,70 @@ def inv_seq(seq):
 
 @dataclass(frozen=True)
 class BorderedPartialPermutation:
-    """(g, k, B, sigma) in one of the flavors A, D, DA (or 'closed').
+    """(g, k_l, k_r, sigma): an injection sigma = (sigma(1), ..., sigma(g))
+    into [g + k_l + k_r].
 
-    sigma is the tuple (sigma(1), ..., sigma(g)), an injection into
-    [g + k] (flavors A, D) or [g + k_l + k_r] (flavor DA); 'closed' means an
-    honest permutation of [g].
+    k_l is the genus of the D (left) boundary and k_r that of the A (right)
+    boundary, None for an absent side; the flavor ("A", "D", "DA", or
+    "closed" for an honest permutation of [g]) only names the sides.  The
+    D block is [1, 2k_l], the A block the last 2k_r positions, and every
+    position outside both blocks is hit.
     """
-    flavor: str
     g: int
-    k_l: int
-    k_r: int
+    k_l: int | None
+    k_r: int | None
     sigma: tuple
 
-    # constructors --------------------------------------------------------
-    @classmethod
-    def type_a(cls, g, k, sigma):
-        self = cls("A", g, 0, k, tuple(sigma))
-        self._check()
-        return self
-
-    @classmethod
-    def type_d(cls, g, k, sigma):
-        self = cls("D", g, k, 0, tuple(sigma))
-        self._check()
-        return self
-
-    @classmethod
-    def type_da(cls, g, k_l, k_r, sigma):
-        self = cls("DA", g, k_l, k_r, tuple(sigma))
-        self._check()
-        return self
-
-    @classmethod
-    def closed(cls, g, sigma):
-        self = cls("closed", g, 0, 0, tuple(sigma))
-        self._check()
-        return self
-
-    # block layout --------------------------------------------------------
-    @property
-    def n(self):
-        if self.flavor == "A":
-            return self.g + self.k_r
-        if self.flavor == "D":
-            return self.g + self.k_l
-        if self.flavor == "DA":
-            return self.g + self.k_l + self.k_r
-        return self.g
-
-    @property
-    def d_block(self):
-        """The D block as a range of positions, or empty."""
-        if self.flavor == "D":
-            return range(1, 2 * self.k_l + 1)
-        if self.flavor == "DA":
-            return range(1, 2 * self.k_l + 1)
-        return range(0)
-
-    @property
-    def a_block(self):
-        if self.flavor == "A":
-            return range(self.g - self.k_r + 1, self.g + self.k_r + 1)
-        if self.flavor == "DA":
-            return range(self.g + self.k_l - self.k_r + 1,
-                         self.g + self.k_l + self.k_r + 1)
-        return range(0)
-
-    def _check(self):
+    def __post_init__(self):
         g, sig = self.g, self.sigma
         if len(sig) != g or len(set(sig)) != g:
             raise FlavorViolation("sigma must be an injection defined on [g]")
         if any(not 1 <= x <= self.n for x in sig):
             raise FlavorViolation("sigma image out of range")
-        if self.flavor in ("A", "D") and self.g < max(self.k_l, self.k_r):
-            raise FlavorViolation("need g >= k")
-        if self.flavor == "DA" and self.g < self.k_l + self.k_r:
+        if g < (self.k_l or 0) + (self.k_r or 0):
             raise FlavorViolation("D and A blocks overlap (need g >= k_l + k_r)")
-        if self.flavor == "closed":
-            if sorted(sig) != list(range(1, g + 1)):
-                raise FlavorViolation("closed flavor needs a permutation of [g]")
-            return
-        im = set(sig)
-        blocks = set(self.d_block) | set(self.a_block)
-        missing = [x for x in range(1, self.n + 1)
-                   if x not in blocks and x not in im]
+        blocks = set(self.d_block) | set(self.a_block) | set(sig)
+        missing = [x for x in range(1, self.n + 1) if x not in blocks]
         if missing:
             raise FlavorViolation(
                 f"positions outside the boundary blocks must be hit: {missing}")
+
+    # constructors --------------------------------------------------------
+    @classmethod
+    def type_a(cls, g, k, sigma):
+        return cls(g, None, k, tuple(sigma))
+
+    @classmethod
+    def type_d(cls, g, k, sigma):
+        return cls(g, k, None, tuple(sigma))
+
+    @classmethod
+    def type_da(cls, g, k_l, k_r, sigma):
+        return cls(g, k_l, k_r, tuple(sigma))
+
+    @classmethod
+    def closed(cls, g, sigma):
+        return cls(g, None, None, tuple(sigma))
+
+    @property
+    def flavor(self):
+        return ("D" if self.k_l is not None else "") + \
+            ("A" if self.k_r is not None else "") or "closed"
+
+    # block layout --------------------------------------------------------
+    @property
+    def n(self):
+        return self.g + (self.k_l or 0) + (self.k_r or 0)
+
+    @property
+    def d_block(self):
+        """The D block as a range of positions, or empty."""
+        return range(1, 2 * (self.k_l or 0) + 1)
+
+    @property
+    def a_block(self):
+        kr = self.k_r or 0
+        return range(self.n - 2 * kr + 1, self.n + 1)
 
     # signs ---------------------------------------------------------------
     @property
@@ -117,52 +95,41 @@ class BorderedPartialPermutation:
         return sum(1 for x in self.sigma if x in self.a_block)
 
     def sgn(self):
+        """inv(sigma), plus the unhit D positions above each image point,
+        plus t(g - k_l - k_r) when both sides are present."""
         im = set(self.sigma)
-        base = inv_seq(self.sigma)
-        if self.flavor in ("closed", "A"):
-            return base % 2
-        d_extra = sum(1 for i in im
-                      for j in range(i + 1, self.n + 1)
-                      if j not in im and (self.flavor == "D" or j in self.d_block))
-        if self.flavor == "D":
-            return (base + d_extra) % 2
-        # DA
         d_extra = sum(1 for i in im for j in self.d_block
                       if j > i and j not in im)
-        return (base + d_extra + self.t * (self.g - self.k_l - self.k_r)) % 2
+        both = self.k_l is not None and self.k_r is not None
+        shape = self.t * (self.g - self.k_l - self.k_r) if both else 0
+        return (inv_seq(self.sigma) + d_extra + shape) % 2
 
 
 def sum_permutations(left, right):
     """Glue along the middle boundary; None when occupancies don't complement.
 
-    Composable shapes: A+D (-> closed), A+DA (-> A), DA+D (-> D), DA+DA (-> DA).
+    left needs an A side and right a D side; the glued permutation keeps
+    left's D side and right's A side (A+D -> closed, A+DA -> A, DA+D -> D,
+    DA+DA -> DA).
     """
-    if left.flavor not in ("A", "DA") or right.flavor not in ("D", "DA"):
+    if left.k_r is None or right.k_l is None:
         raise FlavorViolation(f"cannot glue {left.flavor}+{right.flavor}")
-    k_mid_left = left.k_r
-    k_mid_right = right.k_l
-    if k_mid_left != k_mid_right:
+    if left.k_r != right.k_l:
         raise FlavorViolation("middle genus mismatch")
-    k_mid = k_mid_left
-    shift = left.g + (left.k_l if left.flavor == "DA" else 0) - k_mid
+    k_mid = left.k_r
+    shift = left.n - 2 * k_mid
     occ_left = {i - shift for i in left.sigma if i in left.a_block}
     occ_right = {i for i in right.sigma if i in right.d_block}
     if occ_left & occ_right or occ_left | occ_right != set(range(1, 2 * k_mid + 1)):
         return None
     glued = tuple(left.sigma) + tuple(x + shift for x in right.sigma)
-    g = left.g + right.g
-    if left.flavor == "A" and right.flavor == "D":
-        return BorderedPartialPermutation.closed(g, glued)
-    if left.flavor == "A":
-        return BorderedPartialPermutation.type_a(g, right.k_r, glued)
-    if right.flavor == "D":
-        return BorderedPartialPermutation.type_d(g, left.k_l, glued)
-    return BorderedPartialPermutation.type_da(g, left.k_l, right.k_r, glued)
+    return BorderedPartialPermutation(left.g + right.g, left.k_l, right.k_r,
+                                      glued)
 
 
 def hochschild_closable(bpp):
     """Whether the DA permutation closes up (left/right occupancies complement)."""
-    if bpp.flavor != "DA" or bpp.k_l != bpp.k_r:
+    if bpp.k_l is None or bpp.k_l != bpp.k_r:
         raise FlavorViolation("Hochschild closure needs a DA shape with k_l = k_r")
     k = bpp.k_l
     folded = {x - bpp.g for x in bpp.sigma if x in bpp.a_block}
@@ -307,6 +274,20 @@ def chord_decomposition(pmc, eta):
     return hvec
 
 
+@lru_cache(maxsize=None)
+def chord_linking(pmc):
+    """The nonzero doubled chord linkings L2(chord a, chord b), a < b, as
+    0-based (a, b, l2) triples; built once per circle."""
+    etas = [chord_eta(pmc, j) for j in range(1, pmc.num_classes + 1)]
+    out = []
+    for a, b in combinations(range(len(etas)), 2):
+        l2 = L2(etas[a], etas[b])
+        assert l2 % 2 == 0, "chord linking must be integral"
+        if l2:
+            out.append((a, b, l2))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class RefinementData:
     pmc: object
@@ -326,7 +307,6 @@ def refinement(pmc, t):
     s0_points = tuple(sorted(mins)[:size])
     s0 = tuple(sorted(pmc.cls(p) for p in s0_points))
     psi = {}
-    from itertools import combinations
     for s in combinations(range(1, pmc.num_classes + 1), size):
         tgt = tuple(sorted(pmc.class_min(j) for j in s))
         pairs = tuple(zip(s0_points, tgt))
@@ -356,12 +336,7 @@ def f(pmc, t, x):
     f2 = x.j2
     for j, hj in enumerate(h, start=1):
         f2 += -hj if j in s0 else hj
-    nclasses = pmc.num_classes
-    for a in range(1, nclasses + 1):
-        for b in range(a + 1, nclasses + 1):
-            l2 = L2(chord_eta(pmc, a), chord_eta(pmc, b))
-            assert l2 % 2 == 0, "chord linking must be integral"
-            f2 += h[a - 1] * h[b - 1] * l2
+    f2 += sum(h[a] * h[b] * l2 for a, b, l2 in chord_linking(pmc))
     assert f2 % 2 == 0, "refined grading must be integral"
     return (f2 // 2) % 2
 

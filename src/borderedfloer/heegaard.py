@@ -1,22 +1,28 @@
 """Bordered Heegaard diagram combinatorics.
 
-A diagram is recorded by its intersection points: each point sits on one beta
-circle and one alpha (a circle, or an arc labelled by the matched class of its
-boundary endpoints), and carries a local sign in {0, 1}.  Generators pick one
-point per beta with distinct alphas; the induced injection, read in the
-flavor's alpha ordering, is a bordered partial permutation and its sign plus
-the local signs give the Z/2 grading.
+A diagram has a left (type D) boundary circle, a right (type A) one, both or
+neither; its flavor ("D", "A", "DA" or "closed") only names these sides.  It
+is recorded by its intersection points: each point sits on one beta circle
+and one alpha (a circle, or an arc labelled by the matched class of its
+boundary endpoints: kind "arc" on a one-sided diagram, "arc_left" or
+"arc_right" on a two-sided one), and carries a local sign in {0, 1}.
+
+One slot table per diagram orders the alphas: left arcs from slot 0, circles
+from 2k_l, right arcs from g + k_l - k_r (Lipshitz-Ozsvath-Thurston,
+arXiv:0810.0687).  Generators pick one point per beta with distinct alphas;
+the induced injection into the slots is a bordered partial permutation, and
+its sign plus the local signs give the Z/2 grading.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import pmc as pmc_mod
 from .errors import (FlavorOrderViolation, FlavorViolation, InvalidDiagram,
-                     NotClosed, SchemaViolation)
+                     SchemaViolation)
 from .gradings import BorderedPartialPermutation, sum_permutations
 
 
@@ -36,100 +42,99 @@ class IntersectionPoint:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls(str(obj["name"]), int(obj["beta"]),
-                       str(obj["alpha"]["kind"]), int(obj["alpha"]["index"]),
-                       int(obj["sign"]))
-        except (KeyError, TypeError, ValueError) as exc:
+            return cls(str(obj["name"]), _int(obj["beta"], "beta"),
+                       str(obj["alpha"]["kind"]),
+                       _int(obj["alpha"]["index"], "alpha index"),
+                       _int(obj["sign"], "sign"))
+        except (KeyError, TypeError) as exc:
             raise SchemaViolation(f"bad intersection point: {exc}") from exc
 
 
-_KINDS = {"A": ("circle", "arc"),
-          "D": ("circle", "arc"),
-          "DA": ("circle", "arc_left", "arc_right"),
-          "closed": ("circle",)}
+def _int(value, what):
+    if type(value) is not int:
+        raise SchemaViolation(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+# flavor -> (has a left (D) boundary, has a right (A) boundary)
+_SIDES = {"A": (False, True), "D": (True, False), "DA": (True, True),
+          "closed": (False, False)}
+
+
+def _sided(base, two_sided):
+    """The left and right names of a per-side key: "arc" -> "arc_left" and
+    "arc_right" on a two-sided diagram, "arc" for the one side otherwise."""
+    return (base + "_left", base + "_right") if two_sided else (base, base)
 
 
 @dataclass(frozen=True)
 class BorderedDiagram:
-    flavor: str  # "A", "D", "DA"
+    flavor: str  # "A", "D", "DA" or "closed"; names the sides
     genus: int
-    pmc_left: object  # None for flavor A
-    pmc_right: object  # None for flavor D
+    pmc_left: object  # the D boundary, None when absent
+    pmc_right: object  # the A boundary, None when absent
     points: tuple
     name: str = ""
 
     @property
     def k_l(self):
-        return self.pmc_left.k if self.pmc_left is not None else 0
+        """Genus of the left boundary, None when absent."""
+        return self.pmc_left.k if self.pmc_left is not None else None
 
     @property
     def k_r(self):
-        return self.pmc_right.k if self.pmc_right is not None else 0
+        return self.pmc_right.k if self.pmc_right is not None else None
 
     @property
-    def num_circles(self):
-        return self.genus - self.k_l - self.k_r
+    def two_sided(self):
+        return self.pmc_left is not None and self.pmc_right is not None
 
     @property
-    def boundary(self):
-        """The single boundary circle of an A or D diagram."""
-        return self.pmc_right if self.flavor == "A" else self.pmc_left
+    def arc_kinds(self):
+        """The alpha kinds of the left and right arcs."""
+        return _sided("arc", self.two_sided)
+
+    @cached_property
+    def slots(self):
+        """alpha kind -> (slot offset, count) in the flavor's alpha order:
+        left arcs from slot 0, circles from 2k_l, right arcs from
+        g + k_l - k_r."""
+        g, kl, kr = self.genus, self.k_l or 0, self.k_r or 0
+        left, right = self.arc_kinds
+        table = {"circle": (2 * kl, g - kl - kr)}
+        if self.pmc_left is not None:
+            table[left] = (0, 2 * kl)
+        if self.pmc_right is not None:
+            table[right] = (g + kl - kr, 2 * kr)
+        return table
 
     def validate(self):
-        if self.flavor not in _KINDS:
-            raise InvalidDiagram(f"unknown flavor {self.flavor}")
-        if self.flavor == "A" and (self.pmc_right is None or self.pmc_left is not None):
-            raise InvalidDiagram("flavor A has exactly a right boundary")
-        if self.flavor == "D" and (self.pmc_left is None or self.pmc_right is not None):
-            raise InvalidDiagram("flavor D has exactly a left boundary")
-        if self.flavor == "DA" and (self.pmc_left is None or self.pmc_right is None):
-            raise InvalidDiagram("flavor DA has two boundaries")
-        if self.flavor == "closed" and (self.pmc_left is not None
-                                        or self.pmc_right is not None):
-            raise InvalidDiagram("a closed diagram has no boundary")
-        if self.num_circles < 0:
+        if self.flavor not in _SIDES:
+            raise InvalidDiagram(f"unknown flavor {self.flavor!r}")
+        if _SIDES[self.flavor] != (self.pmc_left is not None,
+                                   self.pmc_right is not None):
+            raise InvalidDiagram(f"flavor {self.flavor!r} does not match the "
+                                 "boundary circles")
+        if self.slots["circle"][1] < 0:
             raise InvalidDiagram("genus too small for the boundary circles")
         names = [p.name for p in self.points]
         if len(set(names)) != len(names):
             raise InvalidDiagram("duplicate point names")
         for p in self.points:
             if p.sign not in (0, 1):
-                raise InvalidDiagram(f"point {p.name}: bad sign")
+                raise InvalidDiagram(f"point {p.name!r}: bad sign")
             if not 1 <= p.beta <= self.genus:
-                raise InvalidDiagram(f"point {p.name}: beta out of range")
-            kinds = _KINDS[self.flavor]
-            kind = p.alpha_kind
-            if self.flavor in ("A", "D") and kind not in ("circle", "arc"):
+                raise InvalidDiagram(f"point {p.name!r}: beta out of range")
+            if p.alpha_kind not in self.slots:
                 raise FlavorOrderViolation(
-                    f"point {p.name}: kind {kind} needs a two-sided diagram")
-            if kind not in kinds:
-                raise FlavorOrderViolation(f"point {p.name}: bad kind {kind}")
-            limit = {"circle": self.num_circles,
-                     "arc": 2 * max(self.k_l, self.k_r),
-                     "arc_left": 2 * self.k_l,
-                     "arc_right": 2 * self.k_r}[kind]
-            if not 1 <= p.alpha <= limit:
-                raise InvalidDiagram(f"point {p.name}: alpha index out of range")
+                    f"point {p.name!r}: no {p.alpha_kind!r} alphas on a "
+                    f"{self.flavor} diagram")
+            if not 1 <= p.alpha <= self.slots[p.alpha_kind][1]:
+                raise InvalidDiagram(f"point {p.name!r}: alpha index out of range")
         return True
 
-    # flavor-ordered alpha slots -----------------------------------------
     def alpha_slot(self, point):
-        g, kl, kr = self.genus, self.k_l, self.k_r
-        if self.flavor == "closed":
-            return point.alpha
-        if self.flavor == "A":
-            k = kr
-            return point.alpha if point.alpha_kind == "circle" \
-                else (g - k) + point.alpha
-        if self.flavor == "D":
-            k = kl
-            return point.alpha if point.alpha_kind == "arc" \
-                else 2 * k + point.alpha
-        if point.alpha_kind == "arc_left":
-            return point.alpha
-        if point.alpha_kind == "circle":
-            return 2 * kl + point.alpha
-        return (g + kl - kr) + point.alpha
+        return self.slots[point.alpha_kind][0] + point.alpha
 
     # JSON ----------------------------------------------------------------
     def to_json(self):
@@ -137,42 +142,40 @@ class BorderedDiagram:
                "points": [p.to_json() for p in self.points]}
         if self.name:
             obj["name"] = self.name
-        if self.flavor == "closed":
-            pass
-        elif self.flavor == "A":
-            obj["boundary"] = self.pmc_right.to_json()
-        elif self.flavor == "D":
-            obj["boundary"] = self.pmc_left.to_json()
-        else:
-            obj["boundary_left"] = self.pmc_left.to_json()
-            obj["boundary_right"] = self.pmc_right.to_json()
+        keys = _sided("boundary", self.two_sided)
+        for key, circle in zip(keys, (self.pmc_left, self.pmc_right)):
+            if circle is not None:
+                obj[key] = circle.to_json()
         return obj
 
     @classmethod
     def from_json(cls, obj):
+        """A diagram read from JSON; any malformed or invalid diagram raises
+        SchemaViolation."""
         try:
             flavor = str(obj["flavor"])
-            genus = int(obj["genus"])
-            points = tuple(IntersectionPoint.from_json(p) for p in obj["points"])
-            if flavor == "closed":
-                left, right = None, None
-            elif flavor == "A":
-                left, right = None, pmc_mod.load(obj["boundary"])
-            elif flavor == "D":
-                left, right = pmc_mod.load(obj["boundary"]), None
-            else:
-                left = pmc_mod.load(obj["boundary_left"])
-                right = pmc_mod.load(obj["boundary_right"])
+            if flavor not in _SIDES:
+                raise SchemaViolation(f"unknown diagram flavor {flavor!r}")
+            sides = _SIDES[flavor]
+            keys = _sided("boundary", all(sides))
+            used = {k for k, side in zip(keys, sides) if side}
+            extra = [k for k in ("boundary", "boundary_left", "boundary_right")
+                     if k in obj and k not in used]
+            if extra:
+                raise SchemaViolation(f"a {flavor} diagram has no {extra[0]}")
+            left, right = (pmc_mod.load(obj[k]) if side else None
+                           for k, side in zip(keys, sides))
+            diag = cls(flavor, _int(obj["genus"], "genus"), left, right,
+                       tuple(IntersectionPoint.from_json(p)
+                             for p in obj["points"]),
+                       obj.get("name", ""))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"bad diagram JSON: {exc}") from exc
-        diag = cls(flavor, genus, left, right, points, obj.get("name", ""))
-        diag.validate()
+        try:
+            diag.validate()
+        except (InvalidDiagram, FlavorOrderViolation) as exc:
+            raise SchemaViolation(f"invalid diagram: {exc}") from exc
         return diag
-
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -187,14 +190,8 @@ class DiagramGenerator:
     @property
     def sigma(self):
         d = self.diagram
-        slots = tuple(d.alpha_slot(p) for p in self.points)
-        if d.flavor == "closed":
-            return BorderedPartialPermutation.closed(d.genus, slots)
-        if d.flavor == "A":
-            return BorderedPartialPermutation.type_a(d.genus, d.k_r, slots)
-        if d.flavor == "D":
-            return BorderedPartialPermutation.type_d(d.genus, d.k_l, slots)
-        return BorderedPartialPermutation.type_da(d.genus, d.k_l, d.k_r, slots)
+        return BorderedPartialPermutation(
+            d.genus, d.k_l, d.k_r, tuple(d.alpha_slot(p) for p in self.points))
 
     @property
     def grading(self):
@@ -207,31 +204,18 @@ class DiagramGenerator:
     def idempotent_left(self):
         """D side: the classes of the unoccupied left arcs."""
         d = self.diagram
-        if d.flavor == "A":
+        if d.pmc_left is None:
             return None
-        kind = "arc" if d.flavor == "D" else "arc_left"
-        occ = self.occupied_arcs(kind)
-        return frozenset(range(1, 2 * d.k_l + 1)) - occ
+        return frozenset(range(1, 2 * d.k_l + 1)) - \
+            self.occupied_arcs(d.arc_kinds[0])
 
     @property
     def idempotent_right(self):
         """A side: the classes of the occupied right arcs."""
         d = self.diagram
-        if d.flavor == "D":
+        if d.pmc_right is None:
             return None
-        kind = "arc" if d.flavor == "A" else "arc_right"
-        return self.occupied_arcs(kind)
-
-    def split_idempotent(self, k1):
-        """Split a one-sided idempotent over a connected-sum boundary.
-
-        Returns (classes <= 2*k1, higher classes shifted down by 2*k1).
-        """
-        idem = self.idempotent_left if self.diagram.flavor == "D" \
-            else self.idempotent_right
-        lo = frozenset(j for j in idem if j <= 2 * k1)
-        hi = frozenset(j - 2 * k1 for j in idem if j > 2 * k1)
-        return lo, hi
+        return self.occupied_arcs(d.arc_kinds[1])
 
     def to_json(self):
         return {"name": self.name,
@@ -248,31 +232,13 @@ def enumerate_generators(diagram):
         per_beta[p.beta - 1].append(p)
     out = []
     for combo in itertools.product(*per_beta):
-        slots = [diagram.alpha_slot(p) for p in combo]
-        if len(set(slots)) != len(slots):
-            continue
         gen = DiagramGenerator(diagram, tuple(combo))
         try:
-            gen.sigma
+            gen.sigma  # an injection that hits every circle
         except FlavorViolation:
             continue
         out.append(gen)
     return out
-
-
-def grade(flavor, gen):
-    """The diagram-level grading, refusing a flavor the diagram does not
-    declare (the alpha ordering differs per flavor)."""
-    if gen.diagram.flavor != flavor:
-        raise FlavorOrderViolation(
-            f"diagram is {gen.diagram.flavor}-ordered, not {flavor}")
-    return gen.grading
-
-
-def closed_grading(gen):
-    if gen.diagram.flavor != "closed":
-        raise NotClosed("generator does not live on a closed diagram")
-    return gen.grading
 
 
 def glued_grading(left_gen, right_gen):

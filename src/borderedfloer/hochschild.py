@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import BoundaryMismatch, NotAComplex, SchemaViolation
@@ -150,8 +149,3 @@ def complex_from_json(obj):
     if unknown:
         raise SchemaViolation(f"differential mentions unknown generators {sorted(unknown)}")
     return F2ChainComplex(gens, grading, diff)
-
-
-def complex_from_file(path):
-    with open(path) as fh:
-        return complex_from_json(json.load(fh))

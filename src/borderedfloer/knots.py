@@ -4,7 +4,6 @@ and kernel-basis reconstruction from Plucker points."""
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from math import factorial, gcd
 
@@ -39,22 +38,12 @@ class Presentation:
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaViolation(f"bad presentation JSON: {exc}") from exc
 
-    @classmethod
-    def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 def matrix_from_json(obj):
     try:
         return tuple(tuple(int(x) for x in row) for row in obj["matrix"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad matrix JSON: {exc}") from exc
-
-
-def matrix_from_file(path):
-    with open(path) as fh:
-        return matrix_from_json(json.load(fh))
 
 
 def _det_poly(a, b):

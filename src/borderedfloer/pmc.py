@@ -93,10 +93,6 @@ class PointedMatchedCircle:
         minus = [self.class_points(j)[0] for j in range(1, self.num_classes + 1)]
         return minus == sorted(minus)
 
-    def homology_basis(self):
-        """Ordered intervals [a_j^-, a_j^+] in point indices, one per class."""
-        return [self.class_points(j) for j in range(1, self.num_classes + 1)]
-
     # serialization -------------------------------------------------------
     def to_json(self):
         return {"points": self.n,

@@ -16,7 +16,6 @@ for type D, and the A-infinity relation for type A.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, replace
 
 from . import pmc as pmc_mod, strands
@@ -469,11 +468,15 @@ def theta(s, pmc):
 # JSON ---------------------------------------------------------------------
 def _gen_from_json(obj):
     try:
+        grading = obj["grading"]
+        if type(grading) is not int or grading not in (0, 1):
+            raise SchemaViolation(f"generator grading must be 0 or 1, "
+                                  f"got {grading!r}")
         return ModuleGenerator(
             str(obj["name"]),
             frozenset(obj["idem_left"]) if "idem_left" in obj else None,
             frozenset(obj["idem_right"]) if "idem_right" in obj else None,
-            int(obj["grading"]) % 2)
+            grading)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad generator: {exc}") from exc
 
@@ -505,7 +508,7 @@ def structure_from_json(obj):
     except (KeyError, TypeError) as exc:
         raise SchemaViolation(f"bad module JSON: {exc}") from exc
     if flavor not in _CLASSES:
-        raise SchemaViolation(f"unknown flavor {flavor}")
+        raise SchemaViolation(f"unknown flavor {flavor!r}")
     cls = _CLASSES[flavor]
     try:
         if cls.left and cls.right:
@@ -521,8 +524,15 @@ def structure_from_json(obj):
         raw_ops = obj.get("ops", ())
         if raw_ops and not cls.carries_ops:
             raise SchemaViolation(f"a {flavor} structure carries no ops")
+        # op fields of the other shape would be silently ignored
+        unread = {"targets"} if cls.left == "D" else {"output", "target"}
+        if cls.right != "A":
+            unread.add("inputs")
         ops = {}
         for op in raw_ops:
+            stray = unread.intersection(op)
+            if stray:
+                raise SchemaViolation(f"a {flavor} op has no {min(stray)!r}")
             seq = tuple(_single_basis(pr, i) for i in _list(op, "inputs")) \
                 if cls.right == "A" else ()
             terms = ops.setdefault((_known(names, op["source"]), seq), set())
@@ -535,8 +545,3 @@ def structure_from_json(obj):
         return cls(pl, pr, gens, ops, name=obj.get("name", ""))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"bad module JSON: {exc}") from exc
-
-
-def structure_from_file(path):
-    with open(path) as fh:
-        return structure_from_json(json.load(fh))

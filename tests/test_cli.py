@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from borderedfloer import cli
+from borderedfloer import cli, heegaard, structures
 from borderedfloer.laurent import LaurentPolynomial
 
 from oracle_constants import (STRANDS_DIMS_GENUS1, TREFOIL_ALEXANDER,
@@ -118,12 +119,22 @@ def test_mod_validate_and_box(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("field, value", [
-    ("target", "nosuch"), ("source", "nosuch"),
-    ("output", {"terms": [{"map": [[2, 5]]}]})],
-    ids=["target", "source", "point"])
-def test_mod_validate_bad_op(capsys, tmp_path, field, value):
-    with open(data("module_solid_torus_d.json")) as fh:
+CHORD = {"terms": [{"map": [[2, 3]]}]}
+
+
+@pytest.mark.parametrize("file, field, value", [
+    ("module_solid_torus_d.json", "target", "nosuch"),
+    ("module_solid_torus_d.json", "source", "nosuch"),
+    ("module_solid_torus_d.json", "output", {"terms": [{"map": [[2, 5]]}]}),
+    ("module_solid_torus_d.json", "inputs", [CHORD]),
+    ("module_solid_torus_d.json", "targets", ["a"]),
+    ("module_dehn_twist_da.json", "targets", ["x"]),
+    ("module_solid_torus_a.json", "output", CHORD),
+    ("module_solid_torus_a.json", "target", "x")],
+    ids=["target", "source", "point", "d-inputs", "d-targets", "da-targets",
+         "a-output", "a-target"])
+def test_mod_validate_bad_op(capsys, tmp_path, file, field, value):
+    with open(data(file)) as fh:
         module = json.load(fh)
     module["ops"][0][field] = value
     f = tmp_path / "bad.json"
@@ -184,10 +195,19 @@ def _append_copy(gens):
      lambda m: m.update(ops=[{"source": "m", "target": "m",
                               "output": {"terms": [{"map": [[2, 3]]}]}}])),
     ("mod validate", "module_solid_torus_d.json",
-     lambda m: m["generators"][0].update(idem_right=[1]))],
+     lambda m: m["generators"][0].update(idem_right=[1])),
+    ("mod validate", "module_solid_torus_d.json",
+     lambda m: m["generators"][0].update(grading=1.7)),
+    ("mod validate", "module_solid_torus_d.json",
+     lambda m: m["generators"][0].update(grading="1")),
+    ("decat psi", "module_solid_torus_d.json",
+     lambda m: m["generators"][0].update(grading=3)),
+    ("decat psi", "module_solid_torus_d.json",
+     lambda m: m["generators"][0].update(grading=True))],
     ids=["class-out-of-range-validate", "class-out-of-range-psi",
          "dd-no-idem-right", "da-no-idem-right", "string-class",
-         "duplicate-name", "dd-ops", "absent-side-idem"])
+         "duplicate-name", "dd-ops", "absent-side-idem", "grading-float",
+         "grading-string", "grading-3", "grading-bool"])
 def test_bad_generators_in_module_file(capsys, tmp_path, command, file, mutate):
     if file == "dd":
         module = dd_genus1()
@@ -198,6 +218,43 @@ def test_bad_generators_in_module_file(capsys, tmp_path, command, file, mutate):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(module))
     code, out, err = run(capsys, *command.split(), str(f))
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+
+
+def _two_sided(d):
+    d["flavor"] = "DD"
+    d["boundary_left"] = d["boundary_right"] = d.pop("boundary")
+
+
+def _closed_with_boundary(d):
+    d.update(flavor="closed", genus=1, points=[
+        {"name": "c", "beta": 1, "alpha": {"kind": "circle", "index": 1},
+         "sign": 0}])
+
+
+@pytest.mark.parametrize("file, mutate", [
+    ("diagram_solid_torus_a.json", lambda d: d["points"][0].update(sign=2)),
+    ("diagram_solid_torus_d.json",
+     lambda d: d["points"][0]["alpha"].update(kind="arc_left")),
+    ("diagram_solid_torus_a.json", lambda d: d.update(flavor="closed")),
+    ("diagram_solid_torus_a.json", _closed_with_boundary),
+    ("diagram_solid_torus_d.json", _two_sided),
+    ("diagram_solid_torus_a.json", lambda d: d.update(genus=0)),
+    ("diagram_solid_torus_a.json", lambda d: d["points"][0].update(beta=1.9)),
+    ("diagram_solid_torus_d.json",
+     lambda d: d["points"][1]["alpha"].update(index=2.0)),
+    ("diagram_trefoil.json", lambda d: d["points"][0].update(sign="1"))],
+    ids=["sign-2", "arc-left-in-d", "closed-with-arcs", "closed-with-boundary",
+         "unknown-flavor", "genus-0", "float-beta", "float-index",
+         "string-sign"])
+def test_bad_diagram_file(capsys, tmp_path, file, mutate):
+    with open(data(file)) as fh:
+        diagram = json.load(fh)
+    mutate(diagram)
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(diagram))
+    code, out, err = run(capsys, "diagrams", "generators", str(f))
     assert code == 2
     assert out == "" and len(err.splitlines()) == 1
 
@@ -268,3 +325,61 @@ def test_trefoil_end_to_end(capsys):
     code, out, _ = run(capsys, "knot", "trefoil")
     assert code == 0
     assert "all values match the golden file" in out
+
+
+@pytest.mark.parametrize("loader, pattern", [
+    (lambda obj: heegaard.BorderedDiagram.from_json(obj), "diagram_*.json"),
+    (structures.structure_from_json, "module_*.json")],
+    ids=["diagram", "module"])
+def test_bundled_files_round_trip(loader, pattern):
+    files = sorted(cli.data_path("").glob(pattern))
+    assert files
+    for path in files:
+        obj = json.loads(path.read_text())
+        assert loader(obj).to_json() == obj, path.name
+
+
+DELETE = object()
+MUTANTS = st.one_of(st.just(DELETE), st.none(), st.booleans(),
+                    st.integers(-2, 9), st.floats(-3, 9), st.text(max_size=3),
+                    st.lists(st.integers(-1, 9), max_size=4), st.just({}))
+
+
+def _slots(obj):
+    """Every (container, key) pair of a JSON tree."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield obj, key
+        yield from _slots(value)
+
+
+@pytest.mark.parametrize("command, file", [
+    ("pmc validate", "pmc_genus1.json"),
+    ("diagrams generators", "diagram_solid_torus_a.json"),
+    ("diagrams generators", "diagram_trefoil.json"),
+    ("diagrams generators", "diagram_identity_aa_genus1.json"),
+    ("mod validate", "module_solid_torus_a.json"),
+    ("mod validate", "module_dehn_twist_da.json"),
+    ("decat psi", "module_solid_torus_d.json"),
+    ("hh euler", "module_dehn_twist_da.json")],
+    ids=lambda v: v.split(".")[0].replace(" ", "-"))
+@settings(derandomize=True, max_examples=25, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(draw=st.data())
+def test_mutated_bundled_file_keeps_the_exit_contract(capsys, tmp_path, command,
+                                                      file, draw):
+    with open(data(file)) as fh:
+        obj = json.load(fh)
+    container, key = draw.draw(st.sampled_from(list(_slots(obj))))
+    value = draw.draw(MUTANTS)
+    if value is DELETE:
+        del container[key]
+    else:
+        container[key] = value
+    f = tmp_path / "mutant.json"
+    f.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command.split(), str(f))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1

@@ -55,6 +55,13 @@ def test_constructor_validity():
         BPP.closed(2, (1, 3))
 
 
+def test_flavor_only_names_the_sides():
+    assert BPP.type_a(1, 1, (2,)) == BPP(1, None, 1, (2,))
+    shapes = [(None, None), (None, 0), (0, None), (0, 0)]
+    assert [BPP(1, kl, kr, (1,)).flavor for kl, kr in shapes] == \
+        ["closed", "A", "D", "DA"]
+
+
 def test_sign_glue_a_plus_d():
     # inv of the glued closed permutation = sgn_A + sgn_D mod 2
     checked = 0
@@ -327,3 +334,14 @@ def test_grading_determined_by_seed_sets():
     for x in elts:
         assert x.pairs in known, f"grading not determined at {x.pairs}"
         assert known[x.pairs] == x.gr
+
+
+def test_chord_linking_table_matches_pairwise_linking():
+    antipodal = pmc_mod.PointedMatchedCircle((1, 2, 3, 4, 1, 2, 3, 4),
+                                             (1, 1, 1, 1, 0, 0, 0, 0))
+    for pmc in (Z1, Z2, antipodal):
+        table = {(a, b): l2 for a, b, l2 in gr_mod.chord_linking(pmc)}
+        assert table
+        for a, b in itertools.combinations(range(pmc.num_classes), 2):
+            l2 = gr_mod.L2(chord_eta(pmc, a + 1), chord_eta(pmc, b + 1))
+            assert table.get((a, b), 0) == l2

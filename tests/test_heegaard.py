@@ -4,10 +4,11 @@ import pytest
 
 from borderedfloer import heegaard, pmc as pmc_mod
 from borderedfloer.errors import (FlavorOrderViolation, InvalidDiagram,
-                                  NotClosed, SchemaViolation)
+                                  SchemaViolation)
 from borderedfloer.heegaard import (BorderedDiagram, IntersectionPoint,
-                                    enumerate_generators, glued_grading, grade)
-from borderedfloer.structures import identity_aa, theta
+                                    enumerate_generators, glued_grading)
+from borderedfloer.structures import (ModuleGenerator, TypeDStructure,
+                                      identity_aa, induct_dd, theta)
 
 from oracle_constants import TREFOIL_TABLE
 
@@ -48,12 +49,18 @@ def test_glued_solid_tori_gradings():
 
 
 def test_trefoil_generator_table():
-    gens = by_name(heegaard.trefoil_diagram())
+    diagram = heegaard.trefoil_diagram()
+    gens = by_name(diagram)
     assert set(gens) == set(TREFOIL_TABLE)
+    dd = induct_dd(TypeDStructure(
+        diagram.pmc_left, None,
+        [ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
+         for g in gens.values()]), 1)
     for name, (grading, lo, hi) in TREFOIL_TABLE.items():
-        g = gens[name]
-        assert g.grading == grading, name
-        assert g.split_idempotent(1) == (frozenset(lo), frozenset(hi)), name
+        assert gens[name].grading == grading, name
+        split = dd.generators[name]
+        assert (split.idem_left, split.idem_right) == \
+            (frozenset(lo), frozenset(hi)), name
 
 
 def test_identity_aa_diagram_gradings_are_theta():
@@ -86,15 +93,6 @@ def test_empty_beta_yields_no_generators():
     d = BorderedDiagram("A", 2, None, z, pts)  # beta 2 meets nothing
     d.validate()
     assert enumerate_generators(d) == []
-
-
-def test_grade_refuses_wrong_flavor():
-    gens = enumerate_generators(heegaard.solid_torus_a_diagram())
-    assert grade("A", gens[0]) in (0, 1)
-    with pytest.raises(FlavorOrderViolation):
-        grade("D", gens[0])
-    with pytest.raises(NotClosed):
-        heegaard.closed_grading(gens[0])
 
 
 def test_validate_rejections():
