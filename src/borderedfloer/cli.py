@@ -35,8 +35,9 @@ def load_json(path):
                               f"column {exc.colno}") from exc
 
 
-def emit(args, payload, text):
-    if getattr(args, "json", False):
+def emit(args, payload, text=None):
+    """Print payload as JSON under --json or when there is no text form."""
+    if text is None or getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text)
@@ -56,8 +57,7 @@ def cmd_pmc_validate(args):
 def cmd_pmc_reverse(args):
     z = pmc.PointedMatchedCircle.from_json(load_json(args.file))
     pmc.validate(z)
-    out = pmc.reverse(z).to_json()
-    print(json.dumps(out, indent=2, sort_keys=True))
+    emit(args, pmc.reverse(z).to_json())
     return 0
 
 
@@ -66,8 +66,7 @@ def cmd_pmc_consum(args):
     z2 = pmc.PointedMatchedCircle.from_json(load_json(args.file2))
     pmc.validate(z1)
     pmc.validate(z2)
-    print(json.dumps(pmc.connected_sum(z1, z2).to_json(),
-                     indent=2, sort_keys=True))
+    emit(args, pmc.connected_sum(z1, z2).to_json())
     return 0
 
 
@@ -76,22 +75,13 @@ def cmd_alg_basis(args):
     z = pmc.PointedMatchedCircle.from_json(load_json(args.pmc))
     pmc.validate(z)
     elts = strands.basis(z, args.strands)
-    rows = []
-    for e in elts:
-        row = e.to_json()
-        if args.grading:
-            row["gr"] = e.gr
-        rows.append(row)
-    if args.json:
-        print(json.dumps({"strands": args.strands, "count": len(elts),
-                          "basis": rows}, indent=2, sort_keys=True))
-    else:
-        for row in rows:
-            line = " ".join(f"{s}->{t}" for s, t in row["map"]) or "(empty)"
-            if args.grading:
-                line += f"  gr={row['gr']}"
-            print(line)
-        print(f"{len(elts)} basis elements at strands grading {args.strands}")
+    rows = [dict(e.to_json(), gr=e.gr) if args.grading else e.to_json()
+            for e in elts]
+    lines = [(" ".join(f"{s}->{t}" for s, t in row["map"]) or "(empty)")
+             + (f"  gr={row['gr']}" if args.grading else "") for row in rows]
+    emit(args, {"strands": args.strands, "count": len(elts), "basis": rows},
+         "\n".join(lines + [f"{len(elts)} basis elements at strands grading "
+                            f"{args.strands}"]))
     return 0
 
 
@@ -119,14 +109,9 @@ def cmd_diagrams_generators(args):
         raise SchemaViolation(
             f"diagram is {d.flavor}-ordered, not {args.flavor}")
     gens = heegaard.enumerate_generators(d)
-    rows = [g.to_json() for g in gens]
-    if args.json:
-        print(json.dumps({"count": len(rows), "generators": rows},
-                         indent=2, sort_keys=True))
-    else:
-        for g in gens:
-            print(f"{g.name}  gr={g.grading}")
-        print(f"{len(gens)} generators")
+    emit(args, {"count": len(gens), "generators": [g.to_json() for g in gens]},
+         "\n".join([f"{g.name}  gr={g.grading}" for g in gens]
+                   + [f"{len(gens)} generators"]))
     return 0
 
 
@@ -148,12 +133,9 @@ def cmd_mod_box(args):
     payload = complex_.to_json()
     payload["homology"] = {str(k): v
                            for k, v in complex_.homology_dimensions().items()}
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for g in complex_.generators:
-            print(f"{'*'.join(g)}  gr={complex_.grading[g]}")
-        print("homology:", payload["homology"])
+    emit(args, payload, "\n".join(
+        [f"{'*'.join(g)}  gr={complex_.grading[g]}" for g in complex_.generators]
+        + [f"homology: {payload['homology']}"]))
     return 0
 
 
@@ -178,14 +160,13 @@ def cmd_hh_homology(args):
 # decat --------------------------------------------------------------------
 def cmd_decat_psi(args):
     st = structures.structure_from_json(load_json(args.file))
-    elt = decat.psi_K0(st)
-    print(json.dumps(elt.to_json(), indent=2, sort_keys=True))
+    emit(args, decat.psi_K0(st).to_json())
     return 0
 
 
 def cmd_decat_upsilon(args):
     elt = decat.ExteriorElement.from_json(load_json(args.file))
-    print(json.dumps(decat.upsilon(elt).to_json(), indent=2, sort_keys=True))
+    emit(args, decat.upsilon(elt).to_json())
     return 0
 
 
@@ -272,26 +253,19 @@ def run_trefoil():
     return report, golden, mismatches
 
 
-def _elements_equal_up_to_sign(a, b):
-    ea = decat.ExteriorElement.from_json(a)
-    eb = decat.ExteriorElement.from_json(b)
-    return ea == eb or ea == -eb
-
-
-def _matrices_equal_up_to_sign(a, b):
-    ea = decat.GradedEndomorphism.from_json(a)
-    eb = decat.GradedEndomorphism.from_json(b)
-    return ea == eb or ea == -eb
+def _equal_up_to_sign(cls, a, b):
+    a, b = cls.from_json(a), cls.from_json(b)
+    return a == b or a == -b
 
 
 def _diff_golden(report, golden):
     mism = []
     if report["table"] != golden["table"]:
         mism.append("table")
-    if not _elements_equal_up_to_sign(report["plucker"], golden["plucker"]):
-        mism.append("plucker")
-    if not _matrices_equal_up_to_sign(report["matrix"], golden["matrix"]):
-        mism.append("matrix")
+    for key, cls in (("plucker", decat.ExteriorElement),
+                     ("matrix", decat.GradedEndomorphism)):
+        if not _equal_up_to_sign(cls, report[key], golden[key]):
+            mism.append(key)
     for key in ("alexander", "alexander_from_presentation", "omega",
                 "seifert", "kernel_content"):
         if report[key] != golden[key]:

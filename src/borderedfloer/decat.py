@@ -7,9 +7,11 @@ All signs depend on this order; it is fixed here and used everywhere.
 from __future__ import annotations
 
 import itertools
+from math import comb
 
-from .errors import (BasisMismatch, DegreeMismatch, DimensionMismatch,
-                     DimensionOdd, RankDeficient, SchemaViolation)
+from .errors import (NATURAL, BasisMismatch, DegreeMismatch, DimensionMismatch,
+                     DimensionOdd, RankDeficient, SchemaViolation, check, show,
+                     unique)
 from .laurent import LaurentPolynomial
 
 
@@ -39,7 +41,7 @@ class ExteriorElement:
 
     def __init__(self, dims, terms=None, factors=1):
         self.factors = factors
-        self.dims = tuple(dims) if factors == 2 else (int(dims),)
+        self.dims = tuple(dims) if factors == 2 else (dims,)
         self.terms = {}
         for key, c in (terms or {}).items():
             if not c:
@@ -48,7 +50,7 @@ class ExteriorElement:
                 key = tuple(sorted(key))
             else:
                 key = (tuple(sorted(key[0])), tuple(sorted(key[1])))
-            self.terms[key] = self.terms.get(key, 0) + int(c)
+            self.terms[key] = self.terms.get(key, 0) + c
         self.terms = {k: c for k, c in self.terms.items() if c}
 
     @classmethod
@@ -119,17 +121,25 @@ class ExteriorElement:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            if "dimension" in obj:
-                return cls.single(int(obj["dimension"]),
-                                  {tuple(t["indices"]): int(t["coeff"])
-                                   for t in obj["terms"]})
-            n0, n1 = obj["dimensions"]
-            return cls.two(int(n0), int(n1),
-                           {(tuple(t["left"]), tuple(t["right"])): int(t["coeff"])
-                            for t in obj["terms"]})
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"bad exterior element JSON: {exc}") from exc
+        """Each term names a basis monomial once, by increasing indices in
+        1..dimension (per factor: "left" and "right")."""
+        two = type(obj) is dict and "dimensions" in obj
+        check(obj, {"dimensions": [NATURAL, NATURAL], "terms": list} if two
+              else {"dimension": NATURAL, "terms": list})
+        keys, dims = (("left", "right"), obj["dimensions"]) if two \
+            else (("indices",), [obj["dimension"]])
+        check(obj["terms"], [{"coeff": int, **{k: [range(1, n + 1)] for k, n
+                                               in zip(keys, dims)}}], "terms")
+        monomials = [tuple(tuple(t[k]) for k in keys) for t in obj["terms"]]
+        for i, m in enumerate(monomials):
+            for k, indices in zip(keys, m):
+                if list(indices) != sorted(set(indices)):
+                    raise SchemaViolation("expected increasing indices, got "
+                                          f"{show(indices)}", f"terms[{i}].{k}")
+        unique(monomials, "terms")
+        return cls(dims if two else dims[0],
+                   {m if two else m[0]: t["coeff"]
+                    for m, t in zip(monomials, obj["terms"])}, len(dims))
 
     def __repr__(self):
         if not self.terms:
@@ -222,11 +232,8 @@ class GradedEndomorphism:
         self.n = n
         self.blocks = {}
         for j in range(n + 1):
-            size = len(list(itertools.combinations(range(n), j)))
-            block = blocks.get(j)
-            if block is None:
-                block = [[0] * size for _ in range(size)]
-            self.blocks[j] = [list(map(int, row)) for row in block]
+            size = comb(n, j)
+            self.blocks[j] = [list(row) for row in blocks.get(j, [[0] * size] * size)]
             if len(self.blocks[j]) != size or \
                     any(len(r) != size for r in self.blocks[j]):
                 raise DimensionMismatch(f"degree-{j} block has the wrong shape")
@@ -258,12 +265,15 @@ class GradedEndomorphism:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            n = int(obj["dimension"])
-            blocks = {int(j): b for j, b in obj["blocks"].items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"bad endomorphism JSON: {exc}") from exc
-        return cls(n, blocks)
+        """Blocks are keyed "0".."n"; a missing block is zero."""
+        n = check(obj, {"dimension": NATURAL, "blocks": dict})["dimension"]
+        sizes = {str(j): comb(n, j) for j in range(n + 1)}
+        blocks = check(obj["blocks"], {f"{j}?": [[int]] for j in sizes}, "blocks")
+        for j, block in blocks.items():
+            if {len(block), *map(len, block)} != {sizes[j]}:
+                raise SchemaViolation(f"expected {sizes[j]} rows of {sizes[j]}",
+                                      f"blocks.{j}")
+        return cls(n, {j: blocks[str(j)] for j in range(n + 1) if str(j) in blocks})
 
 
 def _subset_index(n, j):

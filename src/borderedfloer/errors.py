@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one JSON input check."""
+
+import json
 
 
 class BorderedFloerError(Exception):
@@ -6,7 +8,77 @@ class BorderedFloerError(Exception):
 
 
 class SchemaViolation(BorderedFloerError):
-    """Malformed input data (JSON field missing, wrong shape, ...)."""
+    """Malformed input data; path, when given, is the JSON path at fault,
+    built as f"{path}.{key}" and f"{path}[{index}]" from "" at the top."""
+
+    def __init__(self, message, path=""):
+        path = path.lstrip(".")
+        super().__init__(f"{path}: {message}" if path else message)
+
+
+def show(value):
+    """A short JSON rendering of an input value, for error messages."""
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+NATURAL = range(1 << 63)  # a spec: a count or dimension
+
+
+def _describe(spec):
+    if isinstance(spec, range):
+        return "a natural number" if spec == NATURAL else \
+            f"an integer in {spec.start}..{spec.stop - 1}"
+    if isinstance(spec, tuple):
+        return "one of " + show(list(spec))
+    if isinstance(spec, list) and len(spec) > 1:
+        return f"a list of {len(spec)}"
+    return {int: "an integer", str: "a string", list: "a list"}.get(
+        type(spec) if isinstance(spec, (list, dict)) else spec, "an object")
+
+
+def check(value, spec, path=""):
+    """Return value after checking it against spec, without coercing it.
+
+    A spec is a type (matched exactly: a bool is no int, 1.0 is no 1), a
+    tuple of allowed values of one type or a range, [spec] for a list, a
+    list of several specs for a list of that many values, or {key: spec}
+    for an object, where a key ending in "?" is optional and an unlisted
+    key is rejected.  A mismatch raises SchemaViolation naming its path.
+    """
+    kind = type(spec) if isinstance(spec, (dict, list)) else spec
+    if isinstance(kind, type):
+        ok = type(value) is kind and (not isinstance(spec, list)
+                                      or len(spec) in (1, len(value)))
+    else:  # values of one type: the type test keeps "in" from scanning a range
+        ok = type(value) in {type(v) for v in spec[:1]} and value in spec
+    if not ok:
+        raise SchemaViolation(f"expected {_describe(spec)}, got {show(value)}", path)
+    if isinstance(spec, list):
+        for i, item in enumerate(value):
+            check(item, spec[0] if len(spec) == 1 else spec[i], f"{path}[{i}]")
+    elif isinstance(spec, dict):
+        for key, sub in spec.items():
+            name = key.rstrip("?")
+            if name in value:
+                check(value[name], sub, f"{path}.{name}")
+            elif name == key:
+                raise SchemaViolation("missing", f"{path}.{name}")
+        names = {key.rstrip("?") for key in spec}
+        for key in value:
+            if key not in names:
+                raise SchemaViolation("unknown key", f"{path}.{key}" if
+                                      key.isidentifier() else f"{path}[{show(key)}]")
+    return value
+
+
+def unique(values, path):
+    """Reject values, read from the list at path, when one repeats."""
+    seen = set()
+    for i, value in enumerate(values):
+        if value in seen:
+            raise SchemaViolation(f"repeats {show(value)}", f"{path}[{i}]")
+        seen.add(value)
 
 
 # pointed matched circles

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from . import pmc as pmc_mod
 from .errors import (FlavorOrderViolation, FlavorViolation, InvalidDiagram,
-                     SchemaViolation)
+                     SchemaViolation, check)
 from .gradings import BorderedPartialPermutation, sum_permutations
 
 
@@ -40,20 +40,11 @@ class IntersectionPoint:
                 "sign": self.sign}
 
     @classmethod
-    def from_json(cls, obj):
-        try:
-            return cls(str(obj["name"]), _int(obj["beta"], "beta"),
-                       str(obj["alpha"]["kind"]),
-                       _int(obj["alpha"]["index"], "alpha index"),
-                       _int(obj["sign"], "sign"))
-        except (KeyError, TypeError) as exc:
-            raise SchemaViolation(f"bad intersection point: {exc}") from exc
-
-
-def _int(value, what):
-    if type(value) is not int:
-        raise SchemaViolation(f"{what} must be an integer, got {value!r}")
-    return value
+    def from_json(cls, obj, path=""):
+        check(obj, {"name": str, "beta": int,
+                    "alpha": {"kind": str, "index": int}, "sign": (0, 1)}, path)
+        return cls(obj["name"], obj["beta"], obj["alpha"]["kind"],
+                   obj["alpha"]["index"], obj["sign"])
 
 
 # flavor -> (has a left (D) boundary, has a right (A) boundary)
@@ -65,6 +56,13 @@ def _sided(base, two_sided):
     """The left and right names of a per-side key: "arc" -> "arc_left" and
     "arc_right" on a two-sided diagram, "arc" for the one side otherwise."""
     return (base + "_left", base + "_right") if two_sided else (base, base)
+
+
+# the diagram file of each flavor; points are checked one by one
+_SPECS = {flavor: {"flavor": str, "genus": int, "name?": str, "points": [dict],
+                   **{key: dict for key, side in
+                      zip(_sided("boundary", all(sides)), sides) if side}}
+          for flavor, sides in _SIDES.items()}
 
 
 @dataclass(frozen=True)
@@ -116,21 +114,21 @@ class BorderedDiagram:
             raise InvalidDiagram(f"flavor {self.flavor!r} does not match the "
                                  "boundary circles")
         if self.slots["circle"][1] < 0:
-            raise InvalidDiagram("genus too small for the boundary circles")
+            raise InvalidDiagram("genus: too small for the boundary circles")
         names = [p.name for p in self.points]
         if len(set(names)) != len(names):
-            raise InvalidDiagram("duplicate point names")
-        for p in self.points:
+            raise InvalidDiagram("points: two points share a name")
+        for i, p in enumerate(self.points):
             if p.sign not in (0, 1):
-                raise InvalidDiagram(f"point {p.name!r}: bad sign")
+                raise InvalidDiagram(f"points[{i}].sign: not 0 or 1")
             if not 1 <= p.beta <= self.genus:
-                raise InvalidDiagram(f"point {p.name!r}: beta out of range")
+                raise InvalidDiagram(f"points[{i}].beta: out of range")
             if p.alpha_kind not in self.slots:
                 raise FlavorOrderViolation(
-                    f"point {p.name!r}: no {p.alpha_kind!r} alphas on a "
+                    f"points[{i}].alpha.kind: no {p.alpha_kind!r} alphas on a "
                     f"{self.flavor} diagram")
             if not 1 <= p.alpha <= self.slots[p.alpha_kind][1]:
-                raise InvalidDiagram(f"point {p.name!r}: alpha index out of range")
+                raise InvalidDiagram(f"points[{i}].alpha.index: out of range")
         return True
 
     def alpha_slot(self, point):
@@ -152,29 +150,18 @@ class BorderedDiagram:
     def from_json(cls, obj):
         """A diagram read from JSON; any malformed or invalid diagram raises
         SchemaViolation."""
-        try:
-            flavor = str(obj["flavor"])
-            if flavor not in _SIDES:
-                raise SchemaViolation(f"unknown diagram flavor {flavor!r}")
-            sides = _SIDES[flavor]
-            keys = _sided("boundary", all(sides))
-            used = {k for k, side in zip(keys, sides) if side}
-            extra = [k for k in ("boundary", "boundary_left", "boundary_right")
-                     if k in obj and k not in used]
-            if extra:
-                raise SchemaViolation(f"a {flavor} diagram has no {extra[0]}")
-            left, right = (pmc_mod.load(obj[k]) if side else None
-                           for k, side in zip(keys, sides))
-            diag = cls(flavor, _int(obj["genus"], "genus"), left, right,
-                       tuple(IntersectionPoint.from_json(p)
-                             for p in obj["points"]),
-                       obj.get("name", ""))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"bad diagram JSON: {exc}") from exc
+        flavor = check(check(obj, dict).get("flavor"), tuple(_SPECS), "flavor")
+        check(obj, _SPECS[flavor])
+        sides = _SIDES[flavor]
+        left, right = (pmc_mod.load(obj[key], key) if side else None
+                       for key, side in zip(_sided("boundary", all(sides)), sides))
+        points = tuple(IntersectionPoint.from_json(p, f"points[{i}]")
+                       for i, p in enumerate(obj["points"]))
+        diag = cls(flavor, obj["genus"], left, right, points, obj.get("name", ""))
         try:
             diag.validate()
         except (InvalidDiagram, FlavorOrderViolation) as exc:
-            raise SchemaViolation(f"invalid diagram: {exc}") from exc
+            raise SchemaViolation(str(exc)) from exc
         return diag
 
 

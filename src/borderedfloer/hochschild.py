@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundaryMismatch, NotAComplex, SchemaViolation
+from .errors import BoundaryMismatch, NotAComplex, check, unique
 from .laurent import LaurentPolynomial
 from .pmc import reverse
 
@@ -137,15 +137,16 @@ def _f2_rank(rows):
 
 
 def complex_from_json(obj):
-    try:
-        gens = [g["name"] for g in obj["generators"]]
-        grading = {g["name"]: int(g["grading"]) % 2 for g in obj["generators"]}
-        diff = {d["source"]: frozenset(d["targets"])
-                for d in obj.get("differential", ())}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"bad complex JSON: {exc}") from exc
-    unknown = set(diff) - set(gens)
-    unknown |= {y for t in diff.values() for y in t} - set(gens)
-    if unknown:
-        raise SchemaViolation(f"differential mentions unknown generators {sorted(unknown)}")
-    return F2ChainComplex(gens, grading, diff)
+    """A complex in the JSON form of ``F2ChainComplex.to_json``; the
+    homology that ``mod box --json`` adds is allowed and not read."""
+    check(obj, {"generators": [{"name": str, "grading": (0, 1)}],
+                "differential?": list, "homology?": {"0": int, "1": int}})
+    names = tuple(g["name"] for g in obj["generators"])
+    unique(names, "generators")
+    diff = check(obj.get("differential", []),
+                 [{"source": names, "targets": [names]}], "differential")
+    unique([d["source"] for d in diff], "differential")
+    for i, d in enumerate(diff):
+        unique(d["targets"], f"differential[{i}].targets")
+    return F2ChainComplex(names, {g["name"]: g["grading"] for g in obj["generators"]},
+                          {d["source"]: frozenset(d["targets"]) for d in diff})

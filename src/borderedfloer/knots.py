@@ -10,7 +10,7 @@ from math import factorial, gcd
 from . import strands
 from .decat import ExteriorElement, det, plucker
 from .errors import (NotDecomposable, NotUnimodular, SchemaViolation,
-                     SeifertConsistencyFailure, ZeroPoint)
+                     SeifertConsistencyFailure, ZeroPoint, check)
 from .laurent import LaurentPolynomial
 
 
@@ -22,10 +22,9 @@ class Presentation:
 
     @classmethod
     def make(cls, a, b):
-        a = tuple(tuple(int(x) for x in row) for row in a)
-        b = tuple(tuple(int(x) for x in row) for row in b)
+        a, b = tuple(map(tuple, a)), tuple(map(tuple, b))
         if len(a) != len(b) or any(len(r) != len(a) for r in a + b):
-            raise SchemaViolation("presentation matrices must be square, same size")
+            raise SchemaViolation("A, B: expected square matrices of one size")
         return cls(a, b)
 
     def to_json(self):
@@ -33,17 +32,12 @@ class Presentation:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            return cls.make(obj["A"], obj["B"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"bad presentation JSON: {exc}") from exc
+        check(obj, {"A": [[int]], "B": [[int]]})
+        return cls.make(obj["A"], obj["B"])
 
 
 def matrix_from_json(obj):
-    try:
-        return tuple(tuple(int(x) for x in row) for row in obj["matrix"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"bad matrix JSON: {exc}") from exc
+    return tuple(map(tuple, check(obj, {"matrix": [[int]]})["matrix"]))
 
 
 def _det_poly(a, b):
@@ -87,7 +81,7 @@ def recover_seifert(pres, omega):
     """V = -omega (A+B)^{-1} A, exactly over the integers."""
     size = len(pres.a)
     if len(omega) != size or any(len(r) != size for r in omega):
-        raise SchemaViolation(f"omega must be {size} x {size}")
+        raise SchemaViolation(f"omega must be {size} x {size}", "matrix")
     s = [[pres.a[i][j] + pres.b[i][j] for j in range(size)]
          for i in range(size)]
     d = det(s)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import (BadOrientationPair, DisconnectedSurgery,
-                     NonSurjectiveMatching, SchemaViolation)
+                     NonSurjectiveMatching, SchemaViolation, check)
 
 NEG, POS = 1, 0
 
@@ -100,17 +100,14 @@ class PointedMatchedCircle:
                 "orientation": ["-" if x == NEG else "+" for x in self.orientation]}
 
     @classmethod
-    def from_json(cls, obj):
-        try:
-            n = int(obj["points"])
-            matching = tuple(int(x) for x in obj["matching"])
-            orientation = tuple(
-                {"-": NEG, "+": POS}[x] for x in obj["orientation"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaViolation(f"bad pmc JSON: {exc}") from exc
-        if len(matching) != n or len(orientation) != n:
-            raise SchemaViolation("pmc field lengths disagree with 'points'")
-        return cls(matching, orientation)
+    def from_json(cls, obj, path=""):
+        n = check(obj, {"points": int, "matching": [int],
+                        "orientation": [("-", "+")]}, path)["points"]
+        for key in ("matching", "orientation"):
+            if len(obj[key]) != n:
+                raise SchemaViolation(f"expected {n} entries", f"{path}.{key}")
+        return cls(tuple(obj["matching"]),
+                   tuple(NEG if x == "-" else POS for x in obj["orientation"]))
 
     @classmethod
     def from_file(cls, path):
@@ -166,17 +163,14 @@ def validate(pmc):
     return True
 
 
-def load(obj):
-    """The circle in a JSON object that is part of a larger input file.
-
-    An invalid circle there is malformed input, so it raises SchemaViolation
-    with the reason ``validate`` gives.
-    """
-    z = PointedMatchedCircle.from_json(obj)
+def load(obj, path=""):
+    """The circle at JSON path ``path`` of a larger input file, where an
+    invalid circle is malformed input: SchemaViolation with its reason."""
+    z = PointedMatchedCircle.from_json(obj, path)
     try:
         validate(z)
     except (NonSurjectiveMatching, BadOrientationPair, DisconnectedSurgery) as exc:
-        raise SchemaViolation(f"invalid pmc: {exc}") from exc
+        raise SchemaViolation(f"invalid pmc: {exc}", path) from exc
     return z
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import (AlgebraMismatch, InconsistentChordSet, SchemaViolation,
-                     StrandsGradingOutOfRange)
+                     StrandsGradingOutOfRange, check)
 
 # a strand diagram is a tuple of (source, target) pairs sorted by source
 
@@ -164,33 +164,27 @@ class StrandsElement:
         return {"terms": [e.to_json() for e in self.basis_terms()]}
 
 
-def element_from_json(pmc, obj):
-    try:
-        terms = []
-        for term in obj["terms"]:
-            if "map" in term:
-                pairs = [tuple(p) for p in term["map"]]
-                if any(len(p) != 2 for p in pairs):
-                    raise SchemaViolation(
-                        f"map entries must be [source, target] pairs, "
-                        f"got {term['map']!r}")
-            else:
-                src, tgt = term["source"], term["target"]
-                if len(src) != len(tgt):
-                    raise SchemaViolation("source/target length mismatch")
-                if len(src) == 1 or sorted(src) == sorted(tgt):
-                    # single strand, or an idempotent: the map is forced
-                    pairs = (list(zip(sorted(src), sorted(tgt)))
-                             if sorted(src) != sorted(tgt)
-                             else [(s, s) for s in sorted(src)])
-                else:
-                    raise SchemaViolation("ambiguous element term needs 'map'")
-            terms.append(StrandsBasisElement.make(pmc, pairs).pairs)
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolation(f"bad element JSON: {exc}") from exc
+def element_from_json(pmc, obj, path=""):
+    """The element a JSON object at ``path`` names.  A term gives its map,
+    or its source and target where they force it (one strand, or an
+    idempotent); a source or target next to a map must match the map."""
+    point = range(1, pmc.n + 1)
+    check(obj, {"terms": [{"source?": [point], "target?": [point],
+                           "map?": [[point, point]]}]}, path)
     out = StrandsElement.zero(pmc)
-    for t in terms:
-        out = out + StrandsElement(pmc, frozenset([t]))
+    for i, term in enumerate(obj["terms"]):
+        src, tgt = (sorted(term[k]) if k in term else None
+                    for k in ("source", "target"))
+        pairs = term.get("map")
+        if pairs is None and None not in (src, tgt) and \
+                (len(src) == len(tgt) == 1 or src == tgt):
+            pairs = list(zip(src, tgt))
+        if pairs is None or any(ends not in (None, sorted(p[k] for p in pairs))
+                                for k, ends in enumerate((src, tgt))):
+            raise SchemaViolation("expected a map, or a source and a target that "
+                                  "force it and match it", f"{path}.terms[{i}]")
+        out = out + StrandsElement(
+            pmc, frozenset([StrandsBasisElement.make(pmc, pairs).pairs]))
     return out
 
 

@@ -19,7 +19,8 @@ import itertools
 from dataclasses import dataclass, replace
 
 from . import pmc as pmc_mod, strands
-from .errors import AlgebraMismatch, BothUnbounded, SchemaViolation
+from .errors import (AlgebraMismatch, BothUnbounded, SchemaViolation, check,
+                     unique)
 from .pmc import PointedMatchedCircle
 
 
@@ -260,13 +261,9 @@ class Structure:
     # JSON -----------------------------------------------------------------
     def to_json(self):
         obj = {"flavor": self.flavor, "name": self.name}
-        sides = [(key, kind, circle) for key, kind, circle in
-                 (("algebra_left", self.left, self.pmc_left),
-                  ("algebra_right", self.right, self.pmc_right)) if kind]
-        for key, kind, circle in sides:
-            obj["algebra" if len(sides) == 1 else key] = {
-                "pmc": circle.to_json(),
-                "side": "left" if kind == "D" else "right"}
+        circles = (self.pmc_left, self.pmc_right)
+        for key, side, i in _algebra_keys(type(self)):
+            obj[key] = {"pmc": circles[i].to_json(), "side": side}
         obj["generators"] = [g.to_json() for g in self.generators.values()]
         if not self.carries_ops:
             return obj
@@ -466,82 +463,59 @@ def theta(s, pmc):
 
 
 # JSON ---------------------------------------------------------------------
-def _gen_from_json(obj):
-    try:
-        grading = obj["grading"]
-        if type(grading) is not int or grading not in (0, 1):
-            raise SchemaViolation(f"generator grading must be 0 or 1, "
-                                  f"got {grading!r}")
-        return ModuleGenerator(
-            str(obj["name"]),
-            frozenset(obj["idem_left"]) if "idem_left" in obj else None,
-            frozenset(obj["idem_right"]) if "idem_right" in obj else None,
-            grading)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"bad generator: {exc}") from exc
+def _algebra_keys(cls):
+    """(JSON key, side name, side index) of each side a flavor has; a
+    one-sided structure names its one side "algebra"."""
+    kinds = (cls.left, cls.right)
+    return [("algebra" if None in kinds else key,
+             "left" if kind == "D" else "right", i)
+            for i, (key, kind) in enumerate(zip(("algebra_left", "algebra_right"),
+                                                kinds)) if kind]
 
 
-def _single_basis(pmc, obj):
-    elt = strands.element_from_json(pmc, obj)
-    terms = elt.basis_terms()
+# the module file of each flavor; generators and ops are checked one by one
+_SPECS = {flavor: {"flavor": str, "name?": str, "generators": [dict],
+                   **({"ops?": [dict]} if cls.carries_ops else {}),
+                   **{key: {"pmc": dict, "side": (side,)}
+                      for key, side, _ in _algebra_keys(cls)}}
+          for flavor, cls in _CLASSES.items()}
+
+
+def _single_basis(pmc, obj, path):
+    terms = strands.element_from_json(pmc, obj, path).basis_terms()
     if len(terms) != 1:
-        raise SchemaViolation("structure coefficients must be basis elements")
-    return next(iter(terms))
-
-
-def _list(op, key):
-    value = op[key]
-    if not isinstance(value, list):
-        raise SchemaViolation(f"op {key!r} must be a list, got {value!r}")
-    return value
-
-
-def _known(names, name):
-    if name not in names:
-        raise SchemaViolation(f"op names unknown generator {name!r}")
-    return name
+        raise SchemaViolation("expected one basis element", path)
+    return terms[0]
 
 
 def structure_from_json(obj):
-    try:
-        flavor = str(obj["flavor"])
-    except (KeyError, TypeError) as exc:
-        raise SchemaViolation(f"bad module JSON: {exc}") from exc
-    if flavor not in _CLASSES:
-        raise SchemaViolation(f"unknown flavor {flavor!r}")
+    flavor = check(check(obj, dict).get("flavor"), tuple(_SPECS), "flavor")
     cls = _CLASSES[flavor]
-    try:
-        if cls.left and cls.right:
-            pl = pmc_mod.load(obj["algebra_left"]["pmc"])
-            pr = pmc_mod.load(obj["algebra_right"]["pmc"])
+    check(obj, _SPECS[flavor])
+    circles = {i: pmc_mod.load(obj[key]["pmc"], f"{key}.pmc")
+               for key, _, i in _algebra_keys(cls)}
+    pl, pr = circles.get(0), circles.get(1)
+    check(obj["generators"], [{"name": str, "grading": (0, 1), **{
+        ("idem_left", "idem_right")[i]: [range(1, circle.num_classes + 1)]
+        for i, circle in circles.items()}}], "generators")
+    unique([g["name"] for g in obj["generators"]], "generators")
+    gens = [ModuleGenerator(g["name"], *(frozenset(g[k]) if k in g else None
+                                         for k in ("idem_left", "idem_right")),
+                            g["grading"]) for g in obj["generators"]]
+    names = tuple(g.name for g in gens)
+    op = {"source": names, **({"inputs": [dict]} if cls.right == "A" else {}),
+          **({"output": dict, "target": names} if cls.left == "D"
+             else {"targets": [names]})}
+    ops = {}
+    for i, raw in enumerate(obj.get("ops", ())):
+        where = f"ops[{i}]"
+        check(raw, op, where)
+        seq = tuple(_single_basis(pr, a, f"{where}.inputs[{j}]")
+                    for j, a in enumerate(raw.get("inputs", ())))
+        terms = ops.setdefault((raw["source"], seq), set())
+        if cls.left == "D":
+            terms.add((_single_basis(pl, raw["output"], f"{where}.output"),
+                       raw["target"]))
         else:
-            pl, pr = _onto_sides(cls, pmc_mod.load(obj["algebra"]["pmc"]), None)
-        gens = [_gen_from_json(g) for g in obj["generators"]]
-        errors = _generator_errors(pl, pr, gens)
-        if errors:
-            raise SchemaViolation(errors[0])
-        names = {g.name for g in gens}
-        raw_ops = obj.get("ops", ())
-        if raw_ops and not cls.carries_ops:
-            raise SchemaViolation(f"a {flavor} structure carries no ops")
-        # op fields of the other shape would be silently ignored
-        unread = {"targets"} if cls.left == "D" else {"output", "target"}
-        if cls.right != "A":
-            unread.add("inputs")
-        ops = {}
-        for op in raw_ops:
-            stray = unread.intersection(op)
-            if stray:
-                raise SchemaViolation(f"a {flavor} op has no {min(stray)!r}")
-            seq = tuple(_single_basis(pr, i) for i in _list(op, "inputs")) \
-                if cls.right == "A" else ()
-            terms = ops.setdefault((_known(names, op["source"]), seq), set())
-            if cls.left == "D":
-                terms.add((_single_basis(pl, op["output"]),
-                           _known(names, op["target"])))
-            else:
-                terms.update((None, _known(names, t))
-                             for t in _list(op, "targets"))
-        return cls(pl, pr, gens, ops, name=obj.get("name", ""))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"bad module JSON: {exc}") from exc
+            terms.update((None, t) for t in raw["targets"])
+    return cls(pl, pr, gens, ops, name=obj.get("name", ""))

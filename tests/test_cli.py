@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from borderedfloer import cli, heegaard, structures
+from borderedfloer import cli, heegaard, pmc, structures
+from borderedfloer.decat import ExteriorElement, combine_factors
 from borderedfloer.laurent import LaurentPolynomial
 
 from oracle_constants import (STRANDS_DIMS_GENUS1, TREFOIL_ALEXANDER,
@@ -276,7 +279,6 @@ def test_decat_and_knot_pipeline(capsys, tmp_path):
     golden = json.loads(cli.data_path("golden_trefoil.json").read_text())
     pfile = tmp_path / "plucker.json"
     pfile.write_text(json.dumps(golden["plucker"]))
-    from borderedfloer.decat import ExteriorElement, combine_factors
     joint = combine_factors(ExteriorElement.from_json(golden["plucker"]))
     jfile = tmp_path / "point.json"
     jfile.write_text(json.dumps(joint.to_json()))
@@ -329,14 +331,67 @@ def test_trefoil_end_to_end(capsys):
 
 @pytest.mark.parametrize("loader, pattern", [
     (lambda obj: heegaard.BorderedDiagram.from_json(obj), "diagram_*.json"),
-    (structures.structure_from_json, "module_*.json")],
-    ids=["diagram", "module"])
+    (structures.structure_from_json, "module_*.json"),
+    (pmc.PointedMatchedCircle.from_json, "pmc_*.json")],
+    ids=["diagram", "module", "pmc"])
 def test_bundled_files_round_trip(loader, pattern):
     files = sorted(cli.data_path("").glob(pattern))
     assert files
     for path in files:
         obj = json.loads(path.read_text())
         assert loader(obj).to_json() == obj, path.name
+
+
+def golden():
+    return json.loads(cli.data_path("golden_trefoil.json").read_text())
+
+
+def presentation():
+    """The trefoil presentation: the golden kernel rows split in half."""
+    rows = golden()["kernel_rows_reference"]
+    return {"A": [r[:2] for r in rows], "B": [r[2:] for r in rows]}
+
+
+def box_complex():
+    """The `mod box --json` output of the bundled A and D modules."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["--json", "mod", "box", data("module_solid_torus_a.json"),
+                         data("module_solid_torus_d.json")]) == 0
+    return json.loads(out.getvalue())
+
+
+SOURCES = {
+    "plucker": lambda: golden()["plucker"],
+    "point": lambda: combine_factors(
+        ExteriorElement.from_json(golden()["plucker"])).to_json(),
+    "matrix": lambda: golden()["matrix"],
+    "presentation": presentation,
+    "omega": lambda: {"matrix": golden()["omega"]},
+    "complex": box_complex,
+    "dd": dd_genus1,
+}
+
+
+def source(name):
+    """A bundled data file by file name, or a named input built from one."""
+    if name in SOURCES:
+        return SOURCES[name]()
+    with open(data(name)) as fh:
+        return json.load(fh)
+
+
+def run_on(capsys, tmp_path, command, obj):
+    """Run a command with obj as its last argument; a word "@name" in the
+    command stands for the file of source(name)."""
+    argv = []
+    for word in command.split() + ["@"]:
+        if word.startswith("@"):
+            f = tmp_path / f"{word[1:] or 'input'}.json"
+            f.write_text(json.dumps(source(word[1:]) if word[1:] else obj))
+            word = str(f)
+        argv.append(word)
+    return run(capsys, *argv)
 
 
 DELETE = object()
@@ -354,32 +409,135 @@ def _slots(obj):
         yield from _slots(value)
 
 
+def mutate(draw, obj):
+    """Replace or delete one value, insert a key or rename one."""
+    action = draw.draw(st.sampled_from(("value", "insert", "rename")))
+    if action == "value":
+        container, key = draw.draw(st.sampled_from(list(_slots(obj))))
+        value = draw.draw(MUTANTS)
+        if value is DELETE:
+            del container[key]
+        else:
+            container[key] = value
+        return
+    objects = [obj] + [c[k] for c, k in _slots(obj) if isinstance(c[k], dict)]
+    target = draw.draw(st.sampled_from(objects))
+    name = draw.draw(st.text(max_size=6))
+    if action == "insert":
+        target[name] = draw.draw(MUTANTS.filter(lambda v: v is not DELETE))
+    elif target:
+        target[name] = target.pop(draw.draw(st.sampled_from(sorted(target))))
+
+
 @pytest.mark.parametrize("command, file", [
     ("pmc validate", "pmc_genus1.json"),
+    ("pmc consum @pmc_genus1.json", "pmc_genus2_split.json"),
     ("diagrams generators", "diagram_solid_torus_a.json"),
     ("diagrams generators", "diagram_trefoil.json"),
     ("diagrams generators", "diagram_identity_aa_genus1.json"),
     ("mod validate", "module_solid_torus_a.json"),
     ("mod validate", "module_dehn_twist_da.json"),
     ("decat psi", "module_solid_torus_d.json"),
-    ("hh euler", "module_dehn_twist_da.json")],
-    ids=lambda v: v.split(".")[0].replace(" ", "-"))
+    ("hh euler", "module_dehn_twist_da.json"),
+    ("hh homology", "complex"),
+    ("decat upsilon", "plucker"),
+    ("decat trace", "matrix"),
+    ("knot alexander --presentation", "presentation"),
+    ("knot seifert --omega @omega --presentation", "presentation"),
+    ("knot seifert --presentation @presentation --omega", "omega")],
+    ids=lambda v: "-".join(v.split(".")[0].split()[:2]))
 @settings(derandomize=True, max_examples=25, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(draw=st.data())
 def test_mutated_bundled_file_keeps_the_exit_contract(capsys, tmp_path, command,
                                                       file, draw):
-    with open(data(file)) as fh:
-        obj = json.load(fh)
-    container, key = draw.draw(st.sampled_from(list(_slots(obj))))
-    value = draw.draw(MUTANTS)
-    if value is DELETE:
-        del container[key]
-    else:
-        container[key] = value
-    f = tmp_path / "mutant.json"
-    f.write_text(json.dumps(obj))
-    code, out, err = run(capsys, *command.split(), str(f))
+    obj = source(file)
+    mutate(draw, obj)
+    code, out, err = run_on(capsys, tmp_path, command, obj)
     assert code in (0, 1, 2)
     if code == 2:
         assert out == "" and len(err.splitlines()) == 1
+
+
+def _set(path, value):
+    """A mutation that sets obj[k1][k2]... for path = (k1, k2, ...)."""
+    def apply(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    return apply
+
+
+def _append(key, item):
+    return lambda obj: obj[key].append(item(obj))
+
+
+@pytest.mark.parametrize("command, file, mutate_input, path", [
+    ("knot alexander --presentation", "presentation", _set(("A", 0, 1), -1.5),
+     "A[0][1]"),
+    ("knot seifert --presentation @presentation --omega", "omega",
+     _set(("matrix", 0, 1), 1.9), "matrix[0][1]"),
+    ("pmc validate", "pmc_genus1.json", _set(("points",), "4"), "points"),
+    ("diagrams generators", "diagram_solid_torus_a.json",
+     _set(("points", 0, "name"), 5), "points[0].name"),
+    ("decat psi", "dd", _set(("generators", 0, "name"), 5),
+     "generators[0].name"),
+    ("hh homology", "complex",
+     _append("differential", lambda c: {"source": "x*a", "targets": []}),
+     "differential[1]"),
+    ("hh homology", "complex",
+     _append("generators", lambda c: {"name": "x*a", "grading": 0}),
+     "generators[2]"),
+    ("decat upsilon", "plucker",
+     _append("terms", lambda p: dict(p["terms"][0], coeff=5)), "terms[5]"),
+    ("decat upsilon", "plucker", _set(("terms", 0, "right"), [1, 3]),
+     "terms[0].right[1]"),
+    ("decat upsilon", "plucker", _set(("terms", 1, "left"), [0]),
+     "terms[1].left[0]"),
+    ("decat upsilon", "plucker", _set(("terms", 0, "right"), [1, 1]),
+     "terms[0].right"),
+    ("knot from-plucker --omega @omega", "point",
+     _set(("terms", 0, "indices"), [1, 5]), "terms[0].indices[1]"),
+    ("knot from-plucker --omega @omega", "point",
+     _set(("terms", 0, "indices"), [0, 2]), "terms[0].indices[0]"),
+    ("knot from-plucker --omega @omega", "point",
+     _set(("terms", 0, "indices"), [2, 2]), "terms[0].indices"),
+    ("decat trace", "matrix", lambda m: m.update(dimension=1, blocks={"0": [5]}),
+     "blocks.0[0]"),
+    ("decat trace", "matrix", _set(("blocks", "1"), [[0, -1]]), "blocks.1"),
+    ("decat trace", "matrix", _set(("blocks", "3"), [[1]]), 'blocks["3"]'),
+    ("decat trace", "matrix", _set(("blocks", "0"), [[1.5]]), "blocks.0[0][0]"),
+    ("mod validate", "module_solid_torus_d.json",
+     lambda m: m["ops"][0]["output"]["terms"][0].update(source=[1], target=[4]),
+     "ops[0].output.terms[0]"),
+    ("mod validate", "module_solid_torus_d.json",
+     _set(("algebra", "side"), "right"), "algebra.side"),
+    ("mod validate", "module_solid_torus_d.json", _set(("extra",), 1), "extra"),
+    ("mod validate", "module_solid_torus_a.json",
+     lambda m: m.update(title=m.pop("name")), "title"),
+    ("diagrams generators", "diagram_trefoil.json", _set(("dd_split",), 1),
+     "dd_split")],
+    ids=["presentation-float", "omega-float", "pmc-points-string",
+         "point-name-int", "generator-name-int", "complex-repeated-source",
+         "complex-repeated-generator", "exterior-repeated-term",
+         "upsilon-index-outside", "upsilon-index-zero", "upsilon-index-twice",
+         "from-plucker-index-outside", "from-plucker-index-zero",
+         "from-plucker-index-twice", "endomorphism-int-row",
+         "endomorphism-block-shape", "endomorphism-block-key",
+         "endomorphism-float", "term-source-target", "d-side-right",
+         "module-unknown-key", "module-renamed-key", "diagram-unknown-key"])
+def test_malformed_input_names_its_path(capsys, tmp_path, command, file,
+                                        mutate_input, path):
+    obj = source(file)
+    mutate_input(obj)
+    code, out, err = run_on(capsys, tmp_path, command, obj)
+    assert code == 2
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith(f"input error: {path}: ")
+
+
+def test_mod_box_output_loads_in_hh_homology(capsys, tmp_path):
+    complex_ = box_complex()
+    code, out, _ = run_on(capsys, tmp_path, "--json hh homology", complex_)
+    assert code == 0
+    assert json.loads(out)["dimensions"] == complex_["homology"]

@@ -1,0 +1,52 @@
+import pytest
+
+from borderedfloer.errors import NATURAL, SchemaViolation, check, unique
+
+
+def message(value, spec):
+    with pytest.raises(SchemaViolation) as info:
+        check(value, spec, "top")
+    return str(info.value)
+
+
+@pytest.mark.parametrize("value, spec", [
+    (True, int), (1.0, int), ("1", int), (1, str), ([], dict), ({}, list),
+    (True, (0, 1)), (1.0, (0, 1)), (2, (0, 1)), ("0", (0, 1)),
+    (0, range(1, 3)), (3, range(1, 3)), (-1, NATURAL), ("a", NATURAL),
+    ([1, 2, 3], [int, int]), ([1], [int, int])],
+    ids=["bool-int", "float-int", "str-int", "int-str", "list-object",
+         "object-list", "bool-value", "float-value", "other-value",
+         "str-value", "below-range", "above-range", "negative-count",
+         "str-count", "triple-pair", "single-pair"])
+def test_check_never_coerces(value, spec):
+    assert message(value, spec).startswith("top: expected ")
+
+
+def test_check_accepts_and_returns_the_value():
+    obj = {"a": [1, 2], "c": {"d": "x"}, "pair": [0, 1]}
+    spec = {"a": [int], "b?": str, "c": {"d": ("x", "y")}, "pair": [(0, 1), (0, 1)]}
+    assert check(obj, spec) is obj
+    assert check(5, NATURAL) == 5
+
+
+def test_check_names_the_path():
+    spec = {"ops": [{"inputs": [{"map": [[int, int]]}]}]}
+    bad = {"ops": [{"inputs": [{"map": [[1, 2, 3]]}]}]}
+    assert message(bad, spec) == \
+        "top.ops[0].inputs[0].map[0]: expected a list of 2, got [1, 2, 3]"
+    assert message({}, {"x": int}) == "top.x: missing"
+    assert message({"x": 1, "y": 2}, {"x": int}) == "top.y: unknown key"
+    assert message({"x": 1, "a\nb": 2}, {"x": int}) == \
+        'top["a\\nb"]: unknown key'
+    assert message({"x?": 1}, {"x?": int}) == 'top["x?"]: unknown key'
+
+
+def test_top_level_errors_have_no_path():
+    with pytest.raises(SchemaViolation, match="^expected an object, got 3$"):
+        check(3, {"x": int})
+
+
+def test_unique_names_the_repeat():
+    unique(["a", "b"], "names")
+    with pytest.raises(SchemaViolation, match=r'^names\[2\]: repeats "a"$'):
+        unique(["a", "b", "a"], "names")
