@@ -13,7 +13,7 @@ import time
 from importlib import resources
 
 from . import decat, gradings, heegaard, hochschild, knots, pmc, strands, structures
-from .errors import BorderedFloerError, SchemaViolation
+from .errors import BorderedFloerError, SchemaViolation, show
 from .laurent import LaurentPolynomial
 
 BUILTIN_DIAGRAMS = ("solid_torus_a", "solid_torus_d", "trefoil",
@@ -25,9 +25,17 @@ def data_path(name):
 
 
 def load_json(path):
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SchemaViolation(f"{path}: repeated key {show(key)}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise SchemaViolation(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

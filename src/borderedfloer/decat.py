@@ -9,10 +9,16 @@ from __future__ import annotations
 import itertools
 from math import comb
 
-from .errors import (NATURAL, BasisMismatch, DegreeMismatch, DimensionMismatch,
+from .errors import (BasisMismatch, DegreeMismatch, DimensionMismatch,
                      DimensionOdd, RankDeficient, SchemaViolation, check, show,
                      unique)
 from .laurent import LaurentPolynomial
+
+# a spec: the dimension n of an exterior algebra read from a file.  The dense
+# blocks of a graded endomorphism (also the output of upsilon) hold C(2n, n)
+# entries in all, 2.7 M at n = 12, and a genus-g circle gives n = 2g; a larger
+# n would exhaust memory before any other check could run.
+DIMENSION = range(13)
 
 
 def _merge_sign(u, v):
@@ -124,8 +130,8 @@ class ExteriorElement:
         """Each term names a basis monomial once, by increasing indices in
         1..dimension (per factor: "left" and "right")."""
         two = type(obj) is dict and "dimensions" in obj
-        check(obj, {"dimensions": [NATURAL, NATURAL], "terms": list} if two
-              else {"dimension": NATURAL, "terms": list})
+        check(obj, {"dimensions": [DIMENSION, DIMENSION], "terms": list} if two
+              else {"dimension": DIMENSION, "terms": list})
         keys, dims = (("left", "right"), obj["dimensions"]) if two \
             else (("indices",), [obj["dimension"]])
         check(obj["terms"], [{"coeff": int, **{k: [range(1, n + 1)] for k, n
@@ -266,7 +272,7 @@ class GradedEndomorphism:
     @classmethod
     def from_json(cls, obj):
         """Blocks are keyed "0".."n"; a missing block is zero."""
-        n = check(obj, {"dimension": NATURAL, "blocks": dict})["dimension"]
+        n = check(obj, {"dimension": DIMENSION, "blocks": dict})["dimension"]
         sizes = {str(j): comb(n, j) for j in range(n + 1)}
         blocks = check(obj["blocks"], {f"{j}?": [[int]] for j in sizes}, "blocks")
         for j, block in blocks.items():

@@ -9,8 +9,10 @@ pairs of a D-side output (or None) and a target generator.
 
 Validation checks the generators' idempotents, idempotent compatibility of
 every op, the grading-flip rule (an op with i A-side inputs flips the total
-grading by i + 1), d^2 = 0 and boundedness of the delta-transition graph
-for type D, and the A-infinity relation for type A.
+grading by i + 1), that no input is an idempotent (the unit is implicit),
+the one DA structure relation, whose degenerate cases are d^2 = 0 for type
+D and the A-infinity relation for type A, and boundedness of the
+delta-transition graph for type D.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ def _source_classes(a):
 
 def _target_classes(a):
     return frozenset(a.pmc.cls(t) for _, t in a.pairs)
+
+
+def _idempotent(pmc, classes):
+    return strands.idempotent(pmc, classes).basis_terms()[0]
 
 
 def _is_dag(edges, nodes):
@@ -97,9 +103,10 @@ class Structure:
     (D-side algebra basis element or None, target name).
 
     The key (x, (a_1, ..., a_i)) records delta^1_{1+i} of a DA structure,
-    m_{i+1} of a type A structure (D-side output None; the idempotent
-    action m_2(x, I(s_x)) = x is implicit) and, with i = 0, delta^1 of a
-    type D structure.  DD and AA structures carry generator data only.
+    m_{i+1} of a type A structure (D-side output None) and, with i = 0,
+    delta^1 of a type D structure.  The unit delta^1(x, I) = I (x) x is
+    implicit; `delta` adds it.  DD and AA structures carry generator data
+    only.
     """
 
     left = None  # "D", "A" or None
@@ -135,6 +142,9 @@ class Structure:
             for a in seq:
                 if a.pmc != self.pmc_right:
                     errors.append(f"op({x},...): input over wrong circle")
+                if a.is_idempotent:
+                    errors.append(f"op({x},...): idempotent input (the unit "
+                                  "is implicit)")
                 if _source_classes(a) != classes:
                     errors.append(f"op({x},...): inputs not composable")
                 classes = _target_classes(a)
@@ -157,29 +167,70 @@ class Structure:
                 # gr(x) + sum gr(a_i) + |seq| + 1 + gr(b) + gr(y) = 0
                 if (total + (b.gr if b is not None else 0) + gy.grading) % 2:
                     errors.append(f"op({x},...) -> {y}: grading flip violated")
-        if self.flavor == "D":
-            errors.extend(self._check_d_squared())
-            if not self.bounded:
-                errors.append("delta-transition graph has a cycle (unbounded)")
-        if self.flavor == "A":
-            errors.extend(self._check_a_infinity())
+        errors.extend(self._check_relation())
+        if self.left == "D" and self.right is None and not self.bounded:
+            errors.append("delta-transition graph has a cycle (unbounded)")
         return {"ok": not errors, "errors": errors}
 
-    # type D ---------------------------------------------------------------
-    def _check_d_squared(self):
-        # (mu_2 o (id (x) delta1) o delta1 + (d (x) id) o delta1)(x) = 0 over GF(2)
-        acc = {}
-        for (x, _), terms in self.ops.items():
-            for a, y in terms:
-                for b in strands.differential_basis(a).basis_terms():
-                    key = (x, b, y)
-                    acc[key] = acc.get(key, 0) ^ 1
-                for a2, z in self.ops.get((y, ()), ()):
-                    c = strands.multiply_basis(a, a2)
-                    if c is not None:
-                        key = (x, c, z)
-                        acc[key] = acc.get(key, 0) ^ 1
-        return [f"d^2 != 0 at {k[0]} -> {k[2]}" for k, v in acc.items() if v]
+    def delta(self, x, seq):
+        """delta^1(x, *seq) over GF(2) as a set of (D-side output or None,
+        target): the ops plus the strict unit delta^1(x, I) = I (x) x."""
+        seq = tuple(seq)
+        out = set(self.ops.get((x, seq), ()))
+        g = self.generators[x]
+        if len(seq) == 1 and seq[0].is_idempotent and \
+                _source_classes(seq[0]) == g.idem_right:
+            out ^= {(_idempotent(self.pmc_left, g.idem_left)
+                     if self.left == "D" else None, x)}
+        return out
+
+    def _alphabet(self):
+        """Algebra elements worth feeding to the structure relation check."""
+        alpha = {a for (_, seq) in self.ops for a in seq}
+        alpha.update(_idempotent(self.pmc_right, g.idem_right)
+                     for g in self.generators.values())
+        products = {strands.multiply_basis(a, b) for a in alpha for b in alpha}
+        differentials = {c for a in alpha
+                         for c in strands.differential_basis(a).basis_terms()}
+        return sorted((alpha | products | differentials) - {None},
+                      key=lambda e: e.pairs)
+
+    def _check_relation(self):
+        """The DA structure relation (Lipshitz-Ozsvath-Thurston,
+        arXiv:1003.0598, 2.2) at each generator and word of at most 3 A-side
+        inputs, over GF(2).  With no A side the one word is empty and this is
+        d^2 = 0 of type D; with no D-side output it is the A-infinity
+        relation of type A."""
+        errors = []
+        alpha = self._alphabet() if self.right == "A" else []
+        for x in self.generators:
+            for n in range(min(self.max_arity, 3) + 1):
+                for seq in itertools.product(alpha, repeat=n):
+                    acc = set()
+                    # two delta^1 composed, mu_2 on their D-side outputs
+                    for i in range(n + 1):
+                        for b, y in self.delta(x, seq[:i]):
+                            for c, z in self.delta(y, seq[i:]):
+                                if b is None:  # no D side
+                                    acc ^= {(None, z)}
+                                elif (bc := strands.multiply_basis(b, c)) is not None:
+                                    acc ^= {(bc, z)}
+                    # d of the D-side output
+                    for b, y in self.delta(x, seq):
+                        if b is not None:
+                            acc ^= {(c, y) for c in
+                                    strands.differential_basis(b).basis_terms()}
+                    for i in range(n):  # d of one input
+                        for c in strands.differential_basis(seq[i]).basis_terms():
+                            acc ^= self.delta(x, seq[:i] + (c,) + seq[i + 1:])
+                    for i in range(n - 1):  # two adjacent inputs multiplied
+                        c = strands.multiply_basis(seq[i], seq[i + 1])
+                        if c is not None:
+                            acc ^= self.delta(x, seq[:i] + (c,) + seq[i + 2:])
+                    if acc:
+                        errors.append(f"structure relation (d^2 = 0) fails at "
+                                      f"{x}, {n} inputs")
+        return errors
 
     @property
     def bounded(self):
@@ -190,73 +241,17 @@ class Structure:
 
     def delta_chains(self, x, max_length):
         """All (a_1, ..., a_j, y) with j <= max_length reachable from x."""
-        out = [((), x)]
         frontier = [((), x)]
+        out = list(frontier)
         for _ in range(max_length):
-            nxt = []
-            for chain, y in frontier:
-                for a, z in self.ops.get((y, ()), ()):
-                    nxt.append((chain + (a,), z))
-            out.extend(nxt)
-            frontier = nxt
-            if not frontier:
-                break
+            frontier = [(chain + (a,), z) for chain, y in frontier
+                        for a, z in self.ops.get((y, ()), ())]
+            out += frontier
         return out
 
-    # type A ---------------------------------------------------------------
     @property
     def max_arity(self):
         return max((len(seq) + 1 for _, seq in self.ops), default=1)
-
-    def m(self, x, seq):
-        """m_{len(seq)+1}(x, *seq) as a set of generator names (GF(2))."""
-        seq = tuple(seq)
-        out = {y for _, y in self.ops.get((x, seq), ())}
-        if len(seq) == 1 and seq[0].is_idempotent and \
-                _source_classes(seq[0]) == self.generators[x].idem_right:
-            out ^= {x}
-        return out
-
-    def _alphabet(self):
-        """Algebra elements worth feeding to the A-infinity relation check."""
-        alpha = {a for (_, seq) in self.ops for a in seq}
-        for g in self.generators.values():
-            alpha.add(next(iter(
-                strands.idempotent(self.pmc_right, g.idem_right).basis_terms())))
-        extra = set()
-        for a in alpha:
-            extra.update(strands.differential_basis(a).basis_terms())
-            for b in alpha:
-                c = strands.multiply_basis(a, b)
-                if c is not None:
-                    extra.add(c)
-        return sorted(alpha | extra, key=lambda e: e.pairs)
-
-    def _check_a_infinity(self):
-        errors = []
-        alpha = self._alphabet()
-        max_len = min(self.max_arity, 3)
-        for x in self.generators:
-            for n in range(max_len + 1):
-                for seq in itertools.product(alpha, repeat=n):
-                    acc = set()
-                    # m(m(x, a_1..a_i), a_{i+1}..a_n)
-                    for i in range(n + 1):
-                        for y in self.m(x, seq[:i]):
-                            acc ^= self.m(y, seq[i:])
-                    # m(x, ..., a_i a_{i+1}, ...)
-                    for i in range(n - 1):
-                        c = strands.multiply_basis(seq[i], seq[i + 1])
-                        if c is not None:
-                            acc ^= self.m(x, seq[:i] + (c,) + seq[i + 2:])
-                    # m(x, ..., d(a_i), ...)
-                    for i in range(n):
-                        for c in strands.differential_basis(seq[i]).basis_terms():
-                            acc ^= self.m(x, seq[:i] + (c,) + seq[i + 1:])
-                    if acc:
-                        errors.append(
-                            f"A-infinity relation fails at {x}, {n} inputs")
-        return errors
 
     # JSON -----------------------------------------------------------------
     def to_json(self):
@@ -377,19 +372,16 @@ def box_tensor(a_struct, d_struct):
         raise AlgebraMismatch("boundary circles differ")
     if not d_struct.bounded and a_struct.max_arity >= 2:
         raise BothUnbounded("type D side is unbounded")
-    gens = []
-    grading = {}
-    for x in a_struct.generators.values():
-        for y in d_struct.generators.values():
-            if x.idem_right == y.idem_left:
-                gens.append((x.name, y.name))
-                grading[(x.name, y.name)] = (x.grading + y.grading) % 2
+    grading = {(x.name, y.name): (x.grading + y.grading) % 2
+               for x in a_struct.generators.values()
+               for y in d_struct.generators.values() if x.idem_right == y.idem_left}
+    gens = list(grading)
     diff = {}
     depth = max(a_struct.max_arity - 1, 0)
     for (xn, yn) in gens:
         targets = set()
         for chain, zn in d_struct.delta_chains(yn, depth):
-            for wn in a_struct.m(xn, chain):
+            for _, wn in a_struct.delta(xn, chain):
                 if (wn, zn) in grading:
                     targets ^= {(wn, zn)}
         if targets:
@@ -410,7 +402,8 @@ def _onto_sides(cls, outer_left, outer_right):
 def box_tensor_bimodules(left, right):
     """left (x) right along left's right circle and right's left circle:
     DA (x) D -> D with structure maps; AA (x) D -> A and AA (x) DD -> DA at
-    the generator/idempotent/grading level.  The outer sides fill the
+    the generator/idempotent/grading level (an AA structure carries no ops,
+    so only the unit of `delta` contributes).  The outer sides fill the
     result's sides in order, so AA (x) D keeps its left idempotent in
     idem_right."""
     cls = _PRODUCTS.get((left.flavor, right.flavor))
@@ -432,7 +425,7 @@ def box_tensor_bimodules(left, right):
     for x, y in pairs:
         terms = set()
         for chain, zn in right.delta_chains(y.name, max_inputs):
-            for b, wn in left.ops.get((x.name, chain), ()):
+            for b, wn in left.delta(x.name, chain):
                 if f"{wn}*{zn}" in names:
                     terms ^= {(b, f"{wn}*{zn}")}
         if terms:
@@ -452,13 +445,11 @@ def identity_aa(pmc):
             comp = frozenset(classes) - sset
             gens.append(ModuleGenerator(
                 "s" + "".join(str(j) for j in s), comp, sset, theta(sset, pmc)))
-    from .pmc import reverse
-    return TypeAAStructure(reverse(pmc), pmc, gens, name="identity_aa")
+    return TypeAAStructure(pmc_mod.reverse(pmc), pmc, gens, name="identity_aa")
 
 
 def theta(s, pmc):
-    n2k = pmc.num_classes
-    comp = [j for j in range(1, n2k + 1) if j not in s]
+    comp = [j for j in range(1, pmc.num_classes + 1) if j not in s]
     return (len(s) + sum(1 for jp in comp for j in s if j < jp)) % 2
 
 
@@ -499,6 +490,9 @@ def structure_from_json(obj):
         ("idem_left", "idem_right")[i]: [range(1, circle.num_classes + 1)]
         for i, circle in circles.items()}}], "generators")
     unique([g["name"] for g in obj["generators"]], "generators")
+    for i, g in enumerate(obj["generators"]):
+        for k in ("idem_left", "idem_right"):
+            unique(g.get(k, ()), f"generators[{i}].{k}")
     gens = [ModuleGenerator(g["name"], *(frozenset(g[k]) if k in g else None
                                          for k in ("idem_left", "idem_right")),
                             g["grading"]) for g in obj["generators"]]
@@ -506,16 +500,20 @@ def structure_from_json(obj):
     op = {"source": names, **({"inputs": [dict]} if cls.right == "A" else {}),
           **({"output": dict, "target": names} if cls.left == "D"
              else {"targets": [names]})}
-    ops = {}
+    ops, keys = {}, []  # an op file entry is listed once
     for i, raw in enumerate(obj.get("ops", ())):
         where = f"ops[{i}]"
         check(raw, op, where)
         seq = tuple(_single_basis(pr, a, f"{where}.inputs[{j}]")
                     for j, a in enumerate(raw.get("inputs", ())))
-        terms = ops.setdefault((raw["source"], seq), set())
+        key = (raw["source"], tuple(a.pairs for a in seq))
         if cls.left == "D":
-            terms.add((_single_basis(pl, raw["output"], f"{where}.output"),
-                       raw["target"]))
+            b = _single_basis(pl, raw["output"], f"{where}.output")
+            key += (b.pairs, raw["target"])
+            ops.setdefault((raw["source"], seq), set()).add((b, raw["target"]))
         else:
-            terms.update((None, t) for t in raw["targets"])
+            unique(raw["targets"], f"{where}.targets")
+            ops[(raw["source"], seq)] = {(None, t) for t in raw["targets"]}
+        keys.append(key)
+    unique(keys, "ops")
     return cls(pl, pr, gens, ops, name=obj.get("name", ""))

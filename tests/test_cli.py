@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from borderedfloer import cli, heegaard, pmc, structures
+from borderedfloer import cli, heegaard, pmc, strands, structures
 from borderedfloer.decat import ExteriorElement, combine_factors
 from borderedfloer.laurent import LaurentPolynomial
 
@@ -516,7 +516,23 @@ def _append(key, item):
     ("mod validate", "module_solid_torus_a.json",
      lambda m: m.update(title=m.pop("name")), "title"),
     ("diagrams generators", "diagram_trefoil.json", _set(("dd_split",), 1),
-     "dd_split")],
+     "dd_split"),
+    ("mod validate", "module_solid_torus_a.json",
+     _append("ops", lambda m: m["ops"][0]), "ops[1]"),
+    ("mod validate", "module_solid_torus_a.json",
+     _set(("ops", 0, "targets"), ["y", "y"]), "ops[0].targets[1]"),
+    ("mod validate", "module_dehn_twist_da.json",
+     _append("ops", lambda m: m["ops"][0]), "ops[1]"),
+    ("mod validate", "module_solid_torus_d.json",
+     _append("ops", lambda m: m["ops"][0]), "ops[1]"),
+    ("decat psi", "module_solid_torus_d.json",
+     _set(("generators", 0, "idem_left"), [2, 2]), "generators[0].idem_left[1]"),
+    ("mod validate", "module_dehn_twist_da.json",
+     _set(("generators", 1, "idem_right"), [1, 1]), "generators[1].idem_right[1]"),
+    ("decat trace", "matrix", lambda m: m.update(dimension=24, blocks={}),
+     "dimension"),
+    ("decat upsilon", "plucker", lambda p: p.update(dimensions=[24, 24], terms=[]),
+     "dimensions[0]")],
     ids=["presentation-float", "omega-float", "pmc-points-string",
          "point-name-int", "generator-name-int", "complex-repeated-source",
          "complex-repeated-generator", "exterior-repeated-term",
@@ -525,7 +541,10 @@ def _append(key, item):
          "from-plucker-index-twice", "endomorphism-int-row",
          "endomorphism-block-shape", "endomorphism-block-key",
          "endomorphism-float", "term-source-target", "d-side-right",
-         "module-unknown-key", "module-renamed-key", "diagram-unknown-key"])
+         "module-unknown-key", "module-renamed-key", "diagram-unknown-key",
+         "a-op-twice", "a-target-twice", "da-op-twice", "d-op-twice",
+         "idem-left-class-twice", "idem-right-class-twice",
+         "endomorphism-dimension-24", "upsilon-dimension-24"])
 def test_malformed_input_names_its_path(capsys, tmp_path, command, file,
                                         mutate_input, path):
     obj = source(file)
@@ -534,6 +553,30 @@ def test_malformed_input_names_its_path(capsys, tmp_path, command, file,
     assert code == 2
     assert out == "" and len(err.splitlines()) == 1
     assert err.startswith(f"input error: {path}: ")
+
+
+def test_repeated_json_key_is_an_input_error(capsys, tmp_path):
+    text = cli.data_path("module_solid_torus_d.json").read_text()
+    f = tmp_path / "module.json"
+    f.write_text(text.replace('"grading": 1,', '"grading": 0, "grading": 1,', 1))
+    code, out, err = run(capsys, "mod", "validate", str(f))
+    assert (code, out) == (2, "")
+    assert err == f'input error: {f}: repeated key "grading"\n'
+
+
+def test_mod_validate_fails_a_da_module_that_breaks_its_relation(capsys,
+                                                                 tmp_path):
+    z = pmc.genus1()
+    r12, r23 = (strands.StrandsBasisElement.make(z, [p]) for p in ((1, 2), (2, 3)))
+    gens = [structures.ModuleGenerator(name, frozenset({j}), frozenset({1}), g)
+            for name, j, g in (("a", 1, 0), ("b", 2, 1), ("c", 1, 1))]
+    da = structures.TypeDAStructure(z, z, gens, {("a", ()): {(r12, "b")},
+                                                 ("b", ()): {(r23, "c")}})
+    f = tmp_path / "da.json"
+    f.write_text(json.dumps(da.to_json()))
+    code, out, _ = run(capsys, "mod", "validate", str(f))
+    assert code == 1
+    assert out == "FAIL\nstructure relation (d^2 = 0) fails at a, 0 inputs\n"
 
 
 def test_mod_box_output_loads_in_hh_homology(capsys, tmp_path):

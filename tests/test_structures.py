@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 
@@ -69,6 +70,59 @@ def test_d_squared_detection():
     assert any("d^2" in e for e in report["errors"])
 
 
+def identity_da(drop=()):
+    """The genus-1 identity DA bimodule, without the ops of the chords in
+    drop: generators x1 and x2 over the two classes, and
+    delta^1_2(x_s, a) = a (x) x_t for each chord a from class s to class t."""
+    gens = [ModuleGenerator(f"x{j}", frozenset({j}), frozenset({j}), 0)
+            for j in (1, 2)]
+    ops = {}
+    for a in strands.basis(Z1, 0):
+        if not a.is_idempotent and a not in drop:
+            (s, t), = a.pairs
+            ops[(f"x{Z1.cls(s)}", (a,))] = {(a, f"x{Z1.cls(t)}")}
+    return TypeDAStructure(Z1, Z1, gens, ops, name="identity_da")
+
+
+def test_identity_da_satisfies_the_structure_relation():
+    da = identity_da()
+    assert len(da.ops) == 6
+    report = da.validate()
+    assert report["ok"], report["errors"]
+
+
+def test_identity_da_without_rho13_fails_the_structure_relation():
+    # rho_13 is rho_12 rho_23, so it is in the alphabet of the check;
+    # dropping rho_12, rho_23 or rho_34 would leave no word that sees it
+    rho13 = strands.StrandsBasisElement.make(Z1, [(1, 3)])
+    report = identity_da(drop=(rho13,)).validate()
+    assert set(report["errors"]) == {
+        "structure relation (d^2 = 0) fails at x1, 2 inputs"}
+
+
+def test_da_zero_input_ops_that_compose_fail_d_squared():
+    r12 = strands.StrandsBasisElement.make(Z1, [(1, 2)])
+    r23 = strands.StrandsBasisElement.make(Z1, [(2, 3)])
+    gens = [ModuleGenerator("a", frozenset({1}), frozenset({1}), 0),
+            ModuleGenerator("b", frozenset({2}), frozenset({1}), 1),
+            ModuleGenerator("c", frozenset({1}), frozenset({1}), 1)]
+    bad = TypeDAStructure(Z1, Z1, gens, {("a", ()): {(r12, "b")},
+                                         ("b", ()): {(r23, "c")}})
+    report = bad.validate()
+    assert report["errors"] and all("d^2" in e for e in report["errors"])
+    assert any(" a, 0 inputs" in e for e in report["errors"])
+
+
+def test_op_with_an_idempotent_input_is_flagged():
+    a = solid_torus_a()
+    unit = strands.StrandsBasisElement.make(Z1, [(2, 2)])
+    ops = dict(a.ops) | {("x", (unit,)): frozenset({(None, "x")})}
+    report = TypeAStructure(None, Z1, list(a.generators.values()),
+                            ops).validate()
+    assert "op(x,...): idempotent input (the unit is implicit)" in \
+        report["errors"]
+
+
 def test_boundedness_and_chains():
     d = solid_torus_d()
     assert d.bounded
@@ -118,6 +172,29 @@ def test_box_tensor_bimodules_da_d():
     assert d.flavor == "D"
     report = d.validate()
     assert report["ok"], report["errors"]
+
+
+def unit_output_d():
+    """A type D structure whose one op outputs an idempotent."""
+    unit = strands.StrandsBasisElement.make(Z1, [(1, 1)])
+    return TypeDStructure(Z1, None, [
+        ModuleGenerator("a", frozenset({1}), None, 0),
+        ModuleGenerator("b", frozenset({1}), None, 1)], {("a", ()): {(unit, "b")}})
+
+
+@pytest.mark.parametrize("d", [solid_torus_d, unit_output_d],
+                         ids=["solid-torus", "unit-output"])
+def test_identity_da_box_d_is_d(d):
+    d = d()
+    assert d.validate()["ok"]
+    product = box_tensor_bimodules(identity_da(), d)
+    assert product.flavor == "D" and product.pmc_left == d.pmc_left
+    name = {f"x{min(g.idem_left)}*{g.name}": g.name
+            for g in d.generators.values()}
+    assert {name[n]: replace(g, name=name[n])
+            for n, g in product.generators.items()} == d.generators
+    assert {(name[x], seq): frozenset((b, name[y]) for b, y in terms)
+            for (x, seq), terms in product.ops.items()} == d.ops
 
 
 def test_box_tensor_bimodules_aa_dd_shapes():
