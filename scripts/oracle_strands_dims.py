@@ -7,9 +7,15 @@ points between the two points of their matched class.  Dimension = number of
 orbits.  Also sanity-checks that the raw count decomposes into full orbits.
 
 Written before (and independently of) the package's basis enumeration.
+Also counts every connected 8-point (genus-2) circle, taken from the surgery
+oracle next to this script.
+
+Run from the repo root: python scripts/oracle_strands_dims.py
 """
 
 from itertools import combinations, permutations
+
+from oracle_surgery import components, matchings
 
 GENUS1 = [1, 2, 1, 2]
 GENUS2_SPLIT = [1, 2, 1, 2, 3, 4, 3, 4]
@@ -55,11 +61,24 @@ def dims(matching):
     return out
 
 
+def connected_matchings(n):
+    """Every matching of n points whose surgery is connected, as class labels
+    numbered in the order of each class's first point."""
+    for pairing in matchings(range(1, n + 1)):
+        if components(n, pairing) == 1:
+            labels = [0] * n
+            for c, (p, q) in enumerate(sorted(pairing), start=1):
+                labels[p - 1] = labels[q - 1] = c
+            yield labels
+
+
 def main():
     for name, m in (("genus1", GENUS1), ("genus2_split", GENUS2_SPLIT),
                     ("genus3_split", GENUS3_SPLIT)):
         d = dims(m)
         print(name, d, "total", sum(d.values()))
+    for m in connected_matchings(8):
+        print(f"{tuple(m)}: {dims(m)},")
 
 
 if __name__ == "__main__":

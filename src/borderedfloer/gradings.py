@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import sub
 
 from . import strands
 from .errors import (FlavorViolation, NotInRefinedSubgroup, NotSubordinate,
@@ -185,31 +186,33 @@ class GradingGroupElement:
         return GradingGroupElement(self.num_points, self.j2 + 2 * c, self.eta)
 
 
-def _ext(eta, i):
-    """eta extended by zero multiplicity outside the circle's intervals."""
-    return eta[i - 1] if 1 <= i <= len(eta) else 0
+def _boundary(eta):
+    """The boundary of the interval chain eta at points 1..n, with eta padded
+    by a zero multiplicity before point 1 and after point n."""
+    e = (0, *eta, 0)
+    return tuple(map(sub, e, e[1:]))
 
 
 def _parity_changes(eta):
-    n = len(eta) + 1
-    return sum(1 for p in range(1, n + 1)
-               if (_ext(eta, p - 1) - _ext(eta, p)) % 2)
+    return sum(b % 2 for b in _boundary(eta))
 
 
 def boundary(eta, p):
-    """Coefficient of point p in the boundary of the interval chain eta."""
-    return _ext(eta, p - 1) - _ext(eta, p)
+    """Coefficient of point p in the boundary of the interval chain eta
+    (0 off the points 1..n)."""
+    return _boundary(eta)[p - 1] if 1 <= p <= len(eta) + 1 else 0
 
 
 def m2(eta, p):
-    """Doubled average multiplicity of eta at point p."""
-    return _ext(eta, p - 1) + _ext(eta, p)
+    """Doubled average multiplicity of eta at point p (0 off the points)."""
+    e = (0, *eta, 0)
+    return e[p - 1] + e[p] if 1 <= p <= len(eta) + 1 else 0
 
 
 def L2(eta1, eta2):
     """Doubled L(eta1, eta2) = m(eta2, boundary(eta1))."""
-    n = len(eta1) + 1
-    return sum(boundary(eta1, p) * m2(eta2, p) for p in range(1, n + 1))
+    e2 = (0, *eta2, 0)
+    return sum(b * (u + v) for b, u, v in zip(_boundary(eta1), e2, e2[1:]))
 
 
 # the small grading group and refinement --------------------------------
@@ -237,41 +240,28 @@ def g_prime(pmc, elt):
 
 
 def in_small_group(pmc, x):
-    """M_*(boundary eta) = 0."""
-    for j in range(1, pmc.num_classes + 1):
-        lo, hi = pmc.class_points(j)
-        if boundary(x.eta, lo) + boundary(x.eta, hi) != 0:
-            return False
+    """M_*(boundary eta) = 0, the test of chord_decomposition."""
+    try:
+        chord_decomposition(pmc, x.eta)
+    except NotInRefinedSubgroup:
+        return False
     return True
 
 
 def chord_decomposition(pmc, eta):
-    """Write eta as an integer combination of the class chords.
+    """Write eta as an integer combination of the class chords, read off the
+    boundary.
 
-    Scans intervals left to right; each minus point opens the single new
-    unknown.  NotInRefinedSubgroup if no integer solution exists.
+    The chord of class j has boundary hi_j - lo_j, and a chain of intervals
+    that is zero at both ends is fixed by its boundary.  So eta lies in the
+    chord span exactly when boundary(eta) cancels on every matched pair, and
+    then h_j = -boundary(eta, lo_j).  NotInRefinedSubgroup otherwise.
     """
-    h = {}
-    for i in range(1, pmc.n):  # interval between points i and i+1
-        covering = [j for j in range(1, pmc.num_classes + 1)
-                    if pmc.class_points(j)[0] <= i < pmc.class_points(j)[1]]
-        unknown = [j for j in covering if j not in h]
-        known = sum(h[j] for j in covering if j in h)
-        if len(unknown) > 1:
-            raise AssertionError("more than one chord opens per interval")
-        if unknown:
-            h[unknown[0]] = eta[i - 1] - known
-        elif known != eta[i - 1]:
-            raise NotInRefinedSubgroup(f"eta not in the chord span at interval {i}")
-    hvec = tuple(h.get(j, 0) for j in range(1, pmc.num_classes + 1))
-    check = [0] * (pmc.n - 1)
-    for j, hj in enumerate(hvec, start=1):
-        ce = chord_eta(pmc, j)
-        for i in range(pmc.n - 1):
-            check[i] += hj * ce[i]
-    if tuple(check) != tuple(eta):
+    bd = _boundary(eta)
+    ends = [pmc.class_points(j) for j in range(1, pmc.num_classes + 1)]
+    if len(eta) != pmc.n - 1 or any(bd[lo - 1] + bd[hi - 1] for lo, hi in ends):
         raise NotInRefinedSubgroup("eta is not an integer chord combination")
-    return hvec
+    return tuple(-bd[lo - 1] for lo, _ in ends)
 
 
 @lru_cache(maxsize=None)
@@ -328,8 +318,6 @@ def refined_grading_element(pmc, t, elt):
 
 def f(pmc, t, x):
     """The Z/2 homomorphism killing the refined chord generators."""
-    if not in_small_group(pmc, x):
-        raise NotInRefinedSubgroup("element has nonzero matched boundary")
     h = chord_decomposition(pmc, x.eta)
     ref = refinement(pmc, t)
     s0 = set(ref.base)

@@ -200,7 +200,7 @@ class Structure:
         arXiv:1003.0598, 2.2) at each generator and word of at most 3 A-side
         inputs, over GF(2).  With no A side the one word is empty and this is
         d^2 = 0 of type D; with no D-side output it is the A-infinity
-        relation of type A."""
+        relation of type A.  A failure names the word's strand maps."""
         errors = []
         alpha = self._alphabet() if self.right == "A" else []
         for x in self.generators:
@@ -228,8 +228,9 @@ class Structure:
                         if c is not None:
                             acc ^= self.delta(x, seq[:i] + (c,) + seq[i + 2:])
                     if acc:
+                        word = "".join(f" {list(a.pairs)}" for a in seq)
                         errors.append(f"structure relation (d^2 = 0) fails at "
-                                      f"{x}, {n} inputs")
+                                      f"{x}, {n} inputs{':' if seq else ''}{word}")
         return errors
 
     @property

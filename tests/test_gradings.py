@@ -14,11 +14,15 @@ from borderedfloer.gradings import (BorderedPartialPermutation as BPP,
                                     inv_seq, m_grading, refined_grading_element,
                                     refinement, sum_permutations,
                                     verify_grading_equivalence)
-from borderedfloer.errors import (FlavorViolation, NotInRefinedSubgroup,
-                                  NotSubordinate, SizeMismatch)
+from borderedfloer.errors import (DisconnectedSurgery, FlavorViolation,
+                                  NotInRefinedSubgroup, NotSubordinate,
+                                  SizeMismatch)
+from oracle_constants import STRANDS_DIMS_GENUS2, SURGERY_N8
 
 Z1 = pmc_mod.genus1()
 Z2 = pmc_mod.genus2_split()
+ANTIPODAL = pmc_mod.PointedMatchedCircle((1, 2, 3, 4, 1, 2, 3, 4),
+                                         (1, 1, 1, 1, 0, 0, 0, 0))
 
 
 def injections(g, n):
@@ -271,6 +275,44 @@ def test_chord_decomposition():
         chord_decomposition(Z1, (1, 0, 0))
 
 
+def test_boundary_and_m2_vanish_off_the_points():
+    eta = (1, 2, 3)
+    assert [boundary(eta, p) for p in range(-1, 7)] == [0, 0, -1, -1, -1, 3, 0, 0]
+    assert [gr_mod.m2(eta, p) for p in range(-1, 7)] == [0, 0, 1, 3, 5, 3, 0, 0]
+
+
+def chord_combination(pmc, h):
+    chords = [chord_eta(pmc, j) for j in range(1, pmc.num_classes + 1)]
+    return tuple(sum(hj * c[i] for hj, c in zip(h, chords))
+                 for i in range(pmc.n - 1))
+
+
+def test_chord_decomposition_recovers_random_combinations():
+    rng = random.Random(8)
+    for pmc in (Z1, Z2, ANTIPODAL):
+        for _ in range(50):
+            h = tuple(rng.randint(-3, 3) for _ in range(pmc.num_classes))
+            assert chord_decomposition(pmc, chord_combination(pmc, h)) == h
+
+
+def test_chord_span_matches_brute_force_genus1():
+    span = {chord_combination(Z1, h): h
+            for h in itertools.product(range(-2, 3), repeat=2)}
+    inside = 0
+    for eta in itertools.product((-1, 0, 1), repeat=3):
+        x = GradingGroupElement(Z1.n, gr_mod._parity_changes(eta) // 2, eta)
+        assert in_small_group(Z1, x) == (eta in span)
+        if eta in span:
+            inside += 1
+            assert chord_decomposition(Z1, eta) == span[eta]
+        else:
+            with pytest.raises(NotInRefinedSubgroup):
+                chord_decomposition(Z1, eta)
+    assert inside == 7
+    with pytest.raises(NotInRefinedSubgroup):  # a chord of a larger circle
+        chord_decomposition(Z1, chord_eta(Z2, 1))
+
+
 def test_gradings_agree_genus1():
     report = verify_grading_equivalence(Z1)
     assert report["ok"], report["counterexample"]
@@ -282,6 +324,50 @@ def test_m_matches_gr_spotcheck_genus2():
     elts = strands.all_basis(Z2)
     for x in rng.sample(elts, 40):
         assert m_grading(Z2, x) == x.gr
+
+
+def matchings(points):
+    if not points:
+        yield ()
+        return
+    for j in range(1, len(points)):
+        for rest in matchings(points[1:j] + points[j + 1:]):
+            yield ((points[0], points[j]),) + rest
+
+
+def genus2_circles():
+    """Every valid 8-point circle, classes numbered by their first point,
+    which is negative (so every one is subordinate)."""
+    out = []
+    for m in matchings(tuple(range(1, 9))):
+        labels, orientation = [0] * 8, [pmc_mod.POS] * 8
+        for c, (p, q) in enumerate(m, start=1):
+            labels[p - 1] = labels[q - 1] = c
+            orientation[p - 1] = pmc_mod.NEG
+        z = pmc_mod.PointedMatchedCircle(tuple(labels), tuple(orientation))
+        try:
+            pmc_mod.validate(z)
+        except DisconnectedSurgery:
+            continue
+        out.append(z)
+    return out
+
+
+def test_gradings_agree_on_every_genus2_circle():
+    circles = genus2_circles()
+    assert len(circles) == SURGERY_N8["connected"]
+    assert {z.matching for z in circles} == set(STRANDS_DIMS_GENUS2)
+    for z in circles:
+        report = verify_grading_equivalence(z)
+        assert report["ok"], (z.matching, report["counterexample"])
+        assert report["per_grading"] == STRANDS_DIMS_GENUS2[z.matching]
+
+
+def test_m_matches_gr_spotcheck_genus3():
+    z3 = pmc_mod.connected_sum(Z2, Z1)
+    rng = random.Random(13)
+    for x in rng.sample(strands.all_basis(z3), 3000):
+        assert m_grading(z3, x) == x.gr, x.pairs
 
 
 def test_grading_determined_by_seed_sets():

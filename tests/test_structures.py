@@ -96,8 +96,9 @@ def test_identity_da_without_rho13_fails_the_structure_relation():
     # dropping rho_12, rho_23 or rho_34 would leave no word that sees it
     rho13 = strands.StrandsBasisElement.make(Z1, [(1, 3)])
     report = identity_da(drop=(rho13,)).validate()
-    assert set(report["errors"]) == {
-        "structure relation (d^2 = 0) fails at x1, 2 inputs"}
+    assert report["errors"] == [
+        "structure relation (d^2 = 0) fails at x1, 2 inputs: [(1, 2)] [(2, 3)]",
+        "structure relation (d^2 = 0) fails at x1, 2 inputs: [(1, 3)] [(3, 4)]"]
 
 
 def test_da_zero_input_ops_that_compose_fail_d_squared():
