@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 input error.
-All numeric output is exact.
+All numeric output is exact.  Each command imports the library modules it
+uses, so a call loads only those.
 """
 
 from __future__ import annotations
@@ -10,17 +11,15 @@ import argparse
 import json
 import sys
 import time
-from importlib import resources
 
-from . import decat, gradings, heegaard, hochschild, knots, pmc, strands, structures
 from .errors import BorderedFloerError, SchemaViolation, show
-from .laurent import LaurentPolynomial
 
 BUILTIN_DIAGRAMS = ("solid_torus_a", "solid_torus_d", "trefoil",
                     "identity_aa_genus1")
 
 
 def data_path(name):
+    from importlib import resources
     return resources.files("borderedfloer").joinpath("data").joinpath(name)
 
 
@@ -53,6 +52,7 @@ def emit(args, payload, text=None):
 
 # pmc ----------------------------------------------------------------------
 def cmd_pmc_validate(args):
+    from . import pmc
     z = pmc.PointedMatchedCircle.from_json(load_json(args.file))
     pmc.validate(z)
     emit(args, {"ok": True, "points": z.n, "genus": z.k,
@@ -63,6 +63,7 @@ def cmd_pmc_validate(args):
 
 
 def cmd_pmc_reverse(args):
+    from . import pmc
     z = pmc.PointedMatchedCircle.from_json(load_json(args.file))
     pmc.validate(z)
     emit(args, pmc.reverse(z).to_json())
@@ -70,6 +71,7 @@ def cmd_pmc_reverse(args):
 
 
 def cmd_pmc_consum(args):
+    from . import pmc
     z1 = pmc.PointedMatchedCircle.from_json(load_json(args.file1))
     z2 = pmc.PointedMatchedCircle.from_json(load_json(args.file2))
     pmc.validate(z1)
@@ -80,6 +82,7 @@ def cmd_pmc_consum(args):
 
 # alg ----------------------------------------------------------------------
 def cmd_alg_basis(args):
+    from . import pmc, strands
     z = pmc.PointedMatchedCircle.from_json(load_json(args.pmc))
     pmc.validate(z)
     elts = strands.basis(z, args.strands)
@@ -94,6 +97,7 @@ def cmd_alg_basis(args):
 
 
 def cmd_alg_check_gradings(args):
+    from . import gradings, pmc
     z = pmc.PointedMatchedCircle.from_json(load_json(args.pmc))
     pmc.validate(z)
     report = gradings.verify_grading_equivalence(z)
@@ -112,6 +116,7 @@ def cmd_diagrams_list(args):
 
 
 def cmd_diagrams_generators(args):
+    from . import heegaard
     d = heegaard.BorderedDiagram.from_json(load_json(args.file))
     if args.flavor and d.flavor != args.flavor:
         raise SchemaViolation(
@@ -125,6 +130,7 @@ def cmd_diagrams_generators(args):
 
 # mod ----------------------------------------------------------------------
 def cmd_mod_validate(args):
+    from . import structures
     st = structures.structure_from_json(load_json(args.file))
     report = st.validate()
     emit(args, report,
@@ -133,6 +139,7 @@ def cmd_mod_validate(args):
 
 
 def cmd_mod_box(args):
+    from . import structures
     a = structures.structure_from_json(load_json(args.a))
     d = structures.structure_from_json(load_json(args.d))
     if a.flavor != "A" or d.flavor != "D":
@@ -149,6 +156,7 @@ def cmd_mod_box(args):
 
 # hh -----------------------------------------------------------------------
 def cmd_hh_euler(args):
+    from . import hochschild, structures
     st = structures.structure_from_json(load_json(args.file))
     if st.flavor != "DA":
         raise SchemaViolation("hh euler expects a DA module")
@@ -158,6 +166,7 @@ def cmd_hh_euler(args):
 
 
 def cmd_hh_homology(args):
+    from . import hochschild
     c = hochschild.complex_from_json(load_json(args.file))
     dims = c.homology_dimensions()
     emit(args, {"dimensions": {str(k): v for k, v in dims.items()}},
@@ -167,18 +176,21 @@ def cmd_hh_homology(args):
 
 # decat --------------------------------------------------------------------
 def cmd_decat_psi(args):
+    from . import decat, structures
     st = structures.structure_from_json(load_json(args.file))
     emit(args, decat.psi_K0(st).to_json())
     return 0
 
 
 def cmd_decat_upsilon(args):
+    from . import decat
     elt = decat.ExteriorElement.from_json(load_json(args.file))
     emit(args, decat.upsilon(elt).to_json())
     return 0
 
 
 def cmd_decat_trace(args):
+    from . import decat
     e = decat.GradedEndomorphism.from_json(load_json(args.file))
     poly = decat.graded_trace(e)
     emit(args, {"trace": poly.to_json()}, str(poly))
@@ -187,6 +199,7 @@ def cmd_decat_trace(args):
 
 # knot ---------------------------------------------------------------------
 def cmd_knot_alexander(args):
+    from . import knots
     pres = knots.Presentation.from_json(load_json(args.presentation))
     poly = knots.presentation_to_alexander(pres)
     emit(args, {"alexander": poly.to_json()}, str(poly))
@@ -194,6 +207,7 @@ def cmd_knot_alexander(args):
 
 
 def cmd_knot_seifert(args):
+    from . import knots
     pres = knots.Presentation.from_json(load_json(args.presentation))
     omega = knots.matrix_from_json(load_json(args.omega))
     v = knots.recover_seifert(pres, omega)
@@ -203,6 +217,7 @@ def cmd_knot_seifert(args):
 
 
 def cmd_knot_from_plucker(args):
+    from . import decat, knots
     p = decat.ExteriorElement.from_json(load_json(args.file))
     omega = knots.matrix_from_json(load_json(args.omega))
     content, rows = knots.kernel_basis_from_plucker(p)
@@ -221,6 +236,7 @@ def cmd_knot_from_plucker(args):
 # the full worked example --------------------------------------------------
 def run_trefoil():
     """The end-to-end pipeline; returns (report, golden, mismatches)."""
+    from . import decat, heegaard, knots, pmc, structures
     start = time.monotonic()
     diagram = heegaard.trefoil_diagram()
     gens = sorted(heegaard.enumerate_generators(diagram), key=lambda g: g.name)
@@ -267,6 +283,7 @@ def _equal_up_to_sign(cls, a, b):
 
 
 def _diff_golden(report, golden):
+    from . import decat
     mism = []
     if report["table"] != golden["table"]:
         mism.append("table")
@@ -282,6 +299,8 @@ def _diff_golden(report, golden):
 
 
 def cmd_trefoil(args):
+    from . import decat
+    from .laurent import LaurentPolynomial
     report, golden, mismatches = run_trefoil()
     if args.json:
         report["mismatches"] = mismatches

@@ -284,6 +284,7 @@ class RefinementData:
     t: int
     base: tuple  # the base idempotent s_0, ascending class indices
     psi: dict  # frozenset of classes -> GradingGroupElement
+    psi_inv: dict  # the inverses of psi, built once
 
 
 @lru_cache(maxsize=None)
@@ -305,7 +306,8 @@ def refinement(pmc, t):
         elt = strands.StrandsBasisElement.make(pmc, pairs)
         gp = g_prime(pmc, elt).power_of_central(elt.gr)
         psi[frozenset(s)] = gp
-    return RefinementData(pmc, t, s0, psi)
+    psi_inv = {s: gp.inverse() for s, gp in psi.items()}
+    return RefinementData(pmc, t, s0, psi, psi_inv)
 
 
 def refined_grading_element(pmc, t, elt):
@@ -313,7 +315,7 @@ def refined_grading_element(pmc, t, elt):
     ref = refinement(pmc, t)
     s_cls = frozenset(pmc.cls(s) for s, _ in elt.pairs)
     t_cls = frozenset(pmc.cls(tt) for _, tt in elt.pairs)
-    return ref.psi[s_cls] * g_prime(pmc, elt) * ref.psi[t_cls].inverse()
+    return ref.psi[s_cls] * g_prime(pmc, elt) * ref.psi_inv[t_cls]
 
 
 def f(pmc, t, x):

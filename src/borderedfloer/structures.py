@@ -50,6 +50,16 @@ def _target_classes(a):
     return frozenset(a.pmc.cls(t) for _, t in a.pairs)
 
 
+def _factor_pairs(c):
+    """The pairs (a, b) of non-idempotent basis elements with a * b = c."""
+    elts = [a for a in strands.basis(c.pmc, c.strands_grading)
+            if not a.is_idempotent]
+    lefts = [a for a in elts if _source_classes(a) == _source_classes(c)]
+    rights = [b for b in elts if _target_classes(b) == _target_classes(c)]
+    return [(a, b) for a in lefts for b in rights
+            if strands.multiply_basis(a, b) is c]
+
+
 def _idempotent(pmc, classes):
     return strands.idempotent(pmc, classes).basis_terms()[0]
 
@@ -192,8 +202,11 @@ class Structure:
         products = {strands.multiply_basis(a, b) for a in alpha for b in alpha}
         differentials = {c for a in alpha
                          for c in strands.differential_basis(a).basis_terms()}
-        return sorted((alpha | products | differentials) - {None},
-                      key=lambda e: e.pairs)
+        alpha = (alpha | products | differentials) - {None}
+        # the factors of each element, so that a dropped op on a factor
+        # shows in the word of the two factors
+        factors = {e for c in alpha for pair in _factor_pairs(c) for e in pair}
+        return sorted(alpha | factors, key=lambda e: e.pairs)
 
     def _check_relation(self):
         """The DA structure relation (Lipshitz-Ozsvath-Thurston,

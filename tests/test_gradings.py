@@ -205,6 +205,15 @@ def test_refinement_base_is_identity():
                 GradingGroupElement.identity(pmc.n)
 
 
+def test_refinement_psi_inv_inverts_psi():
+    for t in range(-Z2.k, Z2.k + 1):
+        ref = refinement(Z2, t)
+        assert ref.psi_inv.keys() == ref.psi.keys()
+        for s, gp in ref.psi.items():
+            assert ref.psi_inv[s] * gp == GradingGroupElement.identity(Z2.n)
+            assert gp * ref.psi_inv[s] == GradingGroupElement.identity(Z2.n)
+
+
 def test_refinement_boundary_tracks_idempotent():
     # M_*(boundary of psi(s).eta) = indicator(s) - indicator(base)
     for pmc in (Z1, Z2):

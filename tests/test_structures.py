@@ -91,9 +91,19 @@ def test_identity_da_satisfies_the_structure_relation():
     assert report["ok"], report["errors"]
 
 
+@pytest.mark.parametrize("pairs", [[(1, 2)], [(2, 3)], [(3, 4)]],
+                         ids=["rho12", "rho23", "rho34"])
+def test_identity_da_without_a_generator_chord_fails(pairs):
+    # no op input is a product with this chord as a factor, so only the
+    # factor pairs of the alphabet put it into a word of the check
+    rho = strands.StrandsBasisElement.make(Z1, pairs)
+    report = identity_da(drop=(rho,)).validate()
+    assert not report["ok"]
+    assert all("structure relation" in e for e in report["errors"])
+
+
 def test_identity_da_without_rho13_fails_the_structure_relation():
-    # rho_13 is rho_12 rho_23, so it is in the alphabet of the check;
-    # dropping rho_12, rho_23 or rho_34 would leave no word that sees it
+    # rho_13 is rho_12 rho_23, so it is in the alphabet of the check
     rho13 = strands.StrandsBasisElement.make(Z1, [(1, 3)])
     report = identity_da(drop=(rho13,)).validate()
     assert report["errors"] == [
