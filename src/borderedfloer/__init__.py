@@ -26,8 +26,8 @@ _EXPORTS = {
                      "enumerate_generators"), "heegaard"),
     **dict.fromkeys(("ModuleGenerator", "Structure", "TypeAStructure",
                      "TypeDAStructure", "TypeDDStructure", "TypeDStructure",
-                     "box_tensor", "box_tensor_bimodules", "direct_sum",
-                     "identity_aa", "shift"), "structures"),
+                     "box_tensor", "direct_sum", "identity_aa", "shift"),
+                    "structures"),
     **dict.fromkeys(("F2ChainComplex", "graded_euler",
                      "hochschild_generators"), "hochschild"),
     **dict.fromkeys(("ExteriorElement", "GradedEndomorphism", "graded_trace",

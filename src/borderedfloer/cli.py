@@ -178,6 +178,8 @@ def cmd_hh_homology(args):
 def cmd_decat_psi(args):
     from . import decat, structures
     st = structures.structure_from_json(load_json(args.file))
+    if st.flavor not in ("D", "DD"):
+        raise SchemaViolation("decat psi expects a D or DD module")
     emit(args, decat.psi_K0(st).to_json())
     return 0
 
@@ -221,9 +223,7 @@ def cmd_knot_from_plucker(args):
     p = decat.ExteriorElement.from_json(load_json(args.file))
     omega = knots.matrix_from_json(load_json(args.omega))
     content, rows = knots.kernel_basis_from_plucker(p)
-    half = len(rows[0]) // 2
-    pres = knots.Presentation.make([r[:half] for r in rows],
-                                   [r[half:] for r in rows])
+    pres = knots.Presentation.from_rows(rows)
     v = knots.recover_seifert(pres, omega)
     poly = knots.presentation_to_alexander(pres)
     payload = {"content": content, "rows": [list(r) for r in rows],
@@ -254,9 +254,7 @@ def run_trefoil():
     delta_trace = decat.graded_trace(matrix).symmetrized()
     point = decat.combine_factors(gamma)
     content, rows = knots.kernel_basis_from_plucker(point)
-    half = len(rows[0]) // 2
-    pres = knots.Presentation.make([r[:half] for r in rows],
-                                   [r[half:] for r in rows])
+    pres = knots.Presentation.from_rows(rows)
     omega = knots.intersection_from_pmc(pmc.genus1())
     delta_pres = knots.presentation_to_alexander(pres)
     seifert = knots.recover_seifert(pres, omega)

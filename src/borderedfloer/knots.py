@@ -27,6 +27,14 @@ class Presentation:
             raise SchemaViolation("A, B: expected square matrices of one size")
         return cls(a, b)
 
+    @classmethod
+    def from_rows(cls, rows):
+        """A and B are the left and right halves of the kernel rows."""
+        if not rows:
+            raise SchemaViolation("no kernel rows to split into A and B")
+        half = len(rows[0]) // 2
+        return cls.make([r[:half] for r in rows], [r[half:] for r in rows])
+
     def to_json(self):
         return {"A": [list(r) for r in self.a], "B": [list(r) for r in self.b]}
 

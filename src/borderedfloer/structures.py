@@ -13,6 +13,13 @@ grading by i + 1), that no input is an idempotent (the unit is implicit),
 the one DA structure relation, whose degenerate cases are d^2 = 0 for type
 D and the A-infinity relation for type A, and boundedness of the
 delta-transition graph for type D.
+
+One box tensor product, `box_tensor(left, right)`, pairs A (x) D into a
+chain complex and DA (x) D, AA (x) D and AA (x) DD into D, A and DA
+structures.  It walks right's delta^1 chains up to length
+max(arity of left - 1, 1), so the implicit unit always meets an idempotent
+D output, and needs a bounded right factor only when left has an op with an
+A-side input.
 """
 
 from __future__ import annotations
@@ -378,33 +385,11 @@ def direct_sum(a, b):
     return type(a)(a.pmc_left, a.pmc_right, gens, ops)
 
 
-# box tensor products ------------------------------------------------------
-def box_tensor(a_struct, d_struct):
-    """A (x) D along a common boundary circle; returns an F2ChainComplex."""
-    from .hochschild import F2ChainComplex
-    if a_struct.pmc_right != d_struct.pmc_left:
-        raise AlgebraMismatch("boundary circles differ")
-    if not d_struct.bounded and a_struct.max_arity >= 2:
-        raise BothUnbounded("type D side is unbounded")
-    grading = {(x.name, y.name): (x.grading + y.grading) % 2
-               for x in a_struct.generators.values()
-               for y in d_struct.generators.values() if x.idem_right == y.idem_left}
-    gens = list(grading)
-    diff = {}
-    depth = max(a_struct.max_arity - 1, 0)
-    for (xn, yn) in gens:
-        targets = set()
-        for chain, zn in d_struct.delta_chains(yn, depth):
-            for _, wn in a_struct.delta(xn, chain):
-                if (wn, zn) in grading:
-                    targets ^= {(wn, zn)}
-        if targets:
-            diff[(xn, yn)] = frozenset(targets)
-    return F2ChainComplex(gens, grading, diff)
-
-
-_PRODUCTS = {("DA", "D"): TypeDStructure, ("AA", "D"): TypeAStructure,
-             ("AA", "DD"): TypeDAStructure}
+# box tensor product -------------------------------------------------------
+# (left flavor, right flavor) -> the class of left (x) right; None for A (x) D,
+# whose product is a chain complex
+_PRODUCTS = {("A", "D"): None, ("DA", "D"): TypeDStructure,
+             ("AA", "D"): TypeAStructure, ("AA", "DD"): TypeDAStructure}
 
 
 def _onto_sides(cls, outer_left, outer_right):
@@ -413,38 +398,44 @@ def _onto_sides(cls, outer_left, outer_right):
     return tuple(next(values) if side else None for side in (cls.left, cls.right))
 
 
-def box_tensor_bimodules(left, right):
-    """left (x) right along left's right circle and right's left circle:
-    DA (x) D -> D with structure maps; AA (x) D -> A and AA (x) DD -> DA at
-    the generator/idempotent/grading level (an AA structure carries no ops,
-    so only the unit of `delta` contributes).  The outer sides fill the
-    result's sides in order, so AA (x) D keeps its left idempotent in
-    idem_right."""
-    cls = _PRODUCTS.get((left.flavor, right.flavor))
-    if cls is None:
-        raise AlgebraMismatch(
-            f"unsupported pairing {left.flavor} (x) {right.flavor}")
+def box_tensor(left, right):
+    """left (x) right along left's right circle and right's left circle
+    (Lipshitz-Ozsvath-Thurston, arXiv:1003.0598, 2.3), with the depth and
+    boundedness rules of the module docstring.  A (x) D is an F2ChainComplex
+    on (x, y) name pairs; the other pairings give structures on "x*y" names
+    whose outer sides fill the result's sides in order (AA (x) D keeps its
+    left idempotent in idem_right)."""
+    key = (left.flavor, right.flavor)
+    if key not in _PRODUCTS:
+        raise AlgebraMismatch(f"unsupported pairing {key[0]} (x) {key[1]}")
     if left.pmc_right != right.pmc_left:
-        raise AlgebraMismatch("middle circles differ")
-    if left.left == "D" and not right.bounded:
+        raise AlgebraMismatch("boundary circles differ")
+    if left.max_arity >= 2 and not right.bounded:
         raise BothUnbounded("type D side is unbounded")
-    pairs = [(x, y) for x in left.generators.values()
-             for y in right.generators.values() if x.idem_right == y.idem_left]
-    gens = [ModuleGenerator(f"{x.name}*{y.name}",
-                            *_onto_sides(cls, x.idem_left, y.idem_right),
-                            (x.grading + y.grading) % 2) for x, y in pairs]
-    names = {g.name for g in gens}
-    max_inputs = max((len(seq) for _, seq in left.ops), default=0)
+    pairs = {(x.name, y.name): (x, y) for x in left.generators.values()
+             for y in right.generators.values() if x.idem_right == y.idem_left}
+    depth = max(left.max_arity - 1, 1)
     ops = {}
-    for x, y in pairs:
+    for xn, yn in pairs:
         terms = set()
-        for chain, zn in right.delta_chains(y.name, max_inputs):
-            for b, wn in left.delta(x.name, chain):
-                if f"{wn}*{zn}" in names:
-                    terms ^= {(b, f"{wn}*{zn}")}
+        for chain, zn in right.delta_chains(yn, depth):
+            for b, wn in left.delta(xn, chain):
+                if (wn, zn) in pairs:
+                    terms ^= {(b, (wn, zn))}
         if terms:
-            ops[(f"{x.name}*{y.name}", ())] = terms
-    return cls(*_onto_sides(cls, left.pmc_left, right.pmc_right), gens, ops)
+            ops[(xn, yn)] = terms
+    grading = {p: (x.grading + y.grading) % 2 for p, (x, y) in pairs.items()}
+    cls = _PRODUCTS[key]
+    if cls is None:
+        from .hochschild import F2ChainComplex
+        return F2ChainComplex(grading, grading, {
+            p: {t for _, t in terms} for p, terms in ops.items()})
+    gens = [ModuleGenerator("*".join(p),
+                            *_onto_sides(cls, x.idem_left, y.idem_right),
+                            grading[p]) for p, (x, y) in pairs.items()]
+    return cls(*_onto_sides(cls, left.pmc_left, right.pmc_right), gens, {
+        ("*".join(p), ()): {(b, "*".join(t)) for b, t in terms}
+        for p, terms in ops.items()})
 
 
 def identity_aa(pmc):

@@ -25,9 +25,8 @@ from borderedfloer.knots import (Presentation, alexander_from_seifert,
                                  intersection_from_pmc,
                                  presentation_to_alexander, recover_seifert)
 from borderedfloer.laurent import LaurentPolynomial
-from borderedfloer.structures import (box_tensor_bimodules, direct_sum,
-                                      elementary_d, elementary_da,
-                                      identity_aa, shift, theta)
+from borderedfloer.structures import (box_tensor, direct_sum, elementary_d,
+                                      elementary_da, identity_aa, shift, theta)
 
 from oracle_constants import (TREFOIL_ALEXANDER, TREFOIL_MATRIX_BLOCKS,
                               TREFOIL_OMEGA, TREFOIL_PLUCKER, TREFOIL_SEIFERT,
@@ -199,8 +198,7 @@ def test_criterion_5_categorified_hodge_duality():
         for r in range(n + 1):
             for s in itertools.combinations(range(1, n + 1), r):
                 sset = frozenset(s)
-                module = box_tensor_bimodules(
-                    ident, elementary_d(z, sset, 0, name="e"))
+                module = box_tensor(ident, elementary_d(z, sset, 0, name="e"))
                 lhs = k0_functional(module)
                 rhs = hodge_eta(ExteriorElement.monomial(n, s))
                 assert lhs == rhs, s

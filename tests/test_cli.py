@@ -318,6 +318,26 @@ def test_decat_and_knot_pipeline(capsys, tmp_path):
         tuple(tuple(r) for r in payload["seifert"]))
 
 
+def test_knot_from_plucker_degree_zero_point_is_an_input_error(capsys,
+                                                              tmp_path):
+    pfile, ofile = tmp_path / "point.json", tmp_path / "omega.json"
+    pfile.write_text(json.dumps(
+        {"dimension": 0, "terms": [{"indices": [], "coeff": 1}]}))
+    ofile.write_text(json.dumps({"matrix": []}))
+    code, out, err = run(capsys, "knot", "from-plucker", str(pfile),
+                         "--omega", str(ofile))
+    assert (code, out) == (2, "")
+    assert err == "input error: no kernel rows to split into A and B\n"
+
+
+@pytest.mark.parametrize("file", ["module_solid_torus_a.json",
+                                  "module_dehn_twist_da.json"])
+def test_decat_psi_rejects_a_module_of_the_wrong_flavor(capsys, file):
+    code, out, err = run(capsys, "decat", "psi", data(file))
+    assert (code, out) == (2, "")
+    assert err == "input error: decat psi expects a D or DD module\n"
+
+
 def test_trefoil_end_to_end(capsys):
     code, payload, _ = run_json(capsys, "trefoil")
     assert code == 0
@@ -444,7 +464,8 @@ def mutate(draw, obj):
     ("decat trace", "matrix"),
     ("knot alexander --presentation", "presentation"),
     ("knot seifert --omega @omega --presentation", "presentation"),
-    ("knot seifert --presentation @presentation --omega", "omega")],
+    ("knot seifert --presentation @presentation --omega", "omega"),
+    ("knot from-plucker --omega @omega", "point")],
     ids=lambda v: "-".join(v.split(".")[0].split()[:2]))
 @settings(derandomize=True, max_examples=25, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])

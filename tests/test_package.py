@@ -18,7 +18,7 @@ PACKAGE_NAMES = (
     "PointedMatchedCircle", "Presentation", "StrandsBasisElement",
     "StrandsElement", "Structure", "TypeAStructure", "TypeDAStructure",
     "TypeDDStructure", "TypeDStructure", "basis", "box_tensor",
-    "box_tensor_bimodules", "connected_sum", "decat", "differential",
+    "connected_sum", "decat", "differential",
     "direct_sum", "enumerate_generators", "errors", "genus1", "genus2_split",
     "graded_euler", "graded_trace", "gradings", "heegaard", "hochschild",
     "hochschild_generators", "hodge_eta", "idempotent", "identity_aa",

@@ -9,10 +9,10 @@ from borderedfloer.errors import (AlgebraMismatch, BothUnbounded,
 from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
                                       TypeAStructure, TypeDAStructure,
                                       TypeDDStructure, TypeDStructure,
-                                      box_tensor, box_tensor_bimodules,
-                                      direct_sum, elementary_d, elementary_da,
-                                      identity_aa, induct_dd, shift,
-                                      structure_from_json, theta)
+                                      box_tensor, direct_sum, elementary_a,
+                                      elementary_d, elementary_da, identity_aa,
+                                      induct_dd, shift, structure_from_json,
+                                      theta)
 
 import importlib.resources as resources
 
@@ -169,17 +169,32 @@ def test_box_tensor_solid_tori():
     assert cx.euler() == 0
 
 
-def test_box_tensor_requires_bounded_side():
+def loop_d():
+    """An unbounded type D structure: delta^1(a) = rho_2 (x) a."""
     rho2 = strands.StrandsBasisElement.make(Z1, [(2, 3)])
     gens = [ModuleGenerator("a", frozenset({2}), None, 0),
             ModuleGenerator("b", frozenset({1}), None, 1)]
-    loop = TypeDStructure(Z1, None, gens, {("a", ()): {(rho2, "a")}})
+    return TypeDStructure(Z1, None, gens, {("a", ()): {(rho2, "a")}})
+
+
+@pytest.mark.parametrize("left", [solid_torus_a, identity_da],
+                         ids=["a", "da"])
+def test_box_tensor_requires_bounded_side(left):
+    # each left factor has an op with an A-side input
+    assert left().max_arity >= 2
     with pytest.raises(BothUnbounded):
-        box_tensor(solid_torus_a(), loop)
+        box_tensor(left(), loop_d())
+
+
+def test_box_tensor_without_a_side_inputs_takes_an_unbounded_side():
+    # a DA with no op of an A-side input never walks the loop
+    product = box_tensor(elementary_da(Z1, Z1, {2}, {2}, 0, name="x"), loop_d())
+    assert set(product.generators) == {"x*a"} and product.ops == {}
+    assert product.validate()["ok"]
 
 
 def test_box_tensor_bimodules_da_d():
-    d = box_tensor_bimodules(dehn_twist_da(), solid_torus_d())
+    d = box_tensor(dehn_twist_da(), solid_torus_d())
     assert d.flavor == "D"
     report = d.validate()
     assert report["ok"], report["errors"]
@@ -193,12 +208,34 @@ def unit_output_d():
         ModuleGenerator("b", frozenset({1}), None, 1)], {("a", ()): {(unit, "b")}})
 
 
-@pytest.mark.parametrize("d", [solid_torus_d, unit_output_d],
-                         ids=["solid-torus", "unit-output"])
-def test_identity_da_box_d_is_d(d):
+def test_opless_a_box_d_keeps_the_unit_term():
+    cx = box_tensor(elementary_a(Z1, {1}, 0, name="x"), unit_output_d())
+    assert cx.differential == {("x", "a"): frozenset({("x", "b")})}
+    assert cx.homology_dimensions() == {0: 0, 1: 0}
+
+
+def test_identity_aa_box_d_keeps_the_unit_term():
+    product = box_tensor(identity_aa(Z1), unit_output_d())
+    assert product.flavor == "A"
+    assert product.ops == {("s1*a", ()): {(None, "s1*b")}}
+    report = product.validate()
+    assert report["ok"], report["errors"]
+
+
+def opless_da():
+    """A DA structure with one generator x1 over class 1 and no ops: the
+    identity on a D structure whose generators all lie over class 1."""
+    return elementary_da(Z1, Z1, {1}, {1}, 0, name="x1")
+
+
+@pytest.mark.parametrize("da, d", [(identity_da, solid_torus_d),
+                                   (identity_da, unit_output_d),
+                                   (opless_da, unit_output_d)],
+                         ids=["solid-torus", "unit-output", "opless-da"])
+def test_identity_da_box_d_is_d(da, d):
     d = d()
     assert d.validate()["ok"]
-    product = box_tensor_bimodules(identity_da(), d)
+    product = box_tensor(da(), d)
     assert product.flavor == "D" and product.pmc_left == d.pmc_left
     name = {f"x{min(g.idem_left)}*{g.name}": g.name
             for g in d.generators.values()}
@@ -213,7 +250,7 @@ def test_box_tensor_bimodules_aa_dd_shapes():
     dd = induct_dd(TypeDStructure(
         pmc_mod.trefoil_pmc(), None,
         [ModuleGenerator("m", frozenset({1, 3}), None, 0)]), 1)
-    da = box_tensor_bimodules(ident, dd)
+    da = box_tensor(ident, dd)
     assert da.flavor == "DA"
     for g in da.generators.values():
         assert g.idem_left is not None and g.idem_right is not None
@@ -221,7 +258,7 @@ def test_box_tensor_bimodules_aa_dd_shapes():
 
 def test_box_tensor_bimodules_rejects_unsupported():
     with pytest.raises(AlgebraMismatch):
-        box_tensor_bimodules(solid_torus_d(), solid_torus_d())
+        box_tensor(solid_torus_d(), solid_torus_d())
 
 
 def test_identity_aa_theta():
