@@ -222,10 +222,7 @@ def cmd_knot_from_plucker(args):
     from . import decat, knots
     p = decat.ExteriorElement.from_json(load_json(args.file))
     omega = knots.matrix_from_json(load_json(args.omega))
-    content, rows = knots.kernel_basis_from_plucker(p)
-    pres = knots.Presentation.from_rows(rows)
-    v = knots.recover_seifert(pres, omega)
-    poly = knots.presentation_to_alexander(pres)
+    content, rows, v, poly = knots.knot_from_plucker(p, omega)
     payload = {"content": content, "rows": [list(r) for r in rows],
                "seifert": [list(r) for r in v], "alexander": poly.to_json()}
     emit(args, payload,
@@ -233,46 +230,49 @@ def cmd_knot_from_plucker(args):
     return 0
 
 
-# the full worked example --------------------------------------------------
-def run_trefoil():
-    """The end-to-end pipeline; returns (report, golden, mismatches)."""
-    from . import decat, heegaard, knots, pmc, structures
+# the knot pipeline and its worked example ---------------------------------
+def run_knot(diagram):
+    """The knot pipeline on a type D diagram of a knot complement, whose
+    boundary Z # -Z gives the split into a DD structure and the intersection
+    form omega of Z; returns the report."""
+    from . import decat, heegaard, knots, structures
     start = time.monotonic()
-    diagram = heegaard.trefoil_diagram()
     gens = sorted(heegaard.enumerate_generators(diagram), key=lambda g: g.name)
     d_struct = structures.TypeDStructure(
         diagram.pmc_left, None,
         [structures.ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
-         for g in gens], name="trefoil")
+         for g in gens], name=diagram.name)
     dd = structures.induct_dd(d_struct, diagram.pmc_left.k // 2)
-    table = [{"name": g.name, "grading": g.grading,
-              "idem_left": sorted(g.idem_left),
-              "idem_right": sorted(g.idem_right)}
-             for g in dd.generators.values()]
     gamma = decat.psi_K0(dd)
     matrix = decat.upsilon(gamma)
-    delta_trace = decat.graded_trace(matrix).symmetrized()
-    point = decat.combine_factors(gamma)
-    content, rows = knots.kernel_basis_from_plucker(point)
-    pres = knots.Presentation.from_rows(rows)
-    omega = knots.intersection_from_pmc(pmc.genus1())
-    delta_pres = knots.presentation_to_alexander(pres)
-    seifert = knots.recover_seifert(pres, omega)
-    report = {
-        "table": table,
+    omega = knots.intersection_from_pmc(dd.pmc_left)
+    content, rows, seifert, delta_pres = knots.knot_from_plucker(
+        decat.combine_factors(gamma), omega)
+    return {
+        "table": [{"name": g.name, "grading": g.grading,
+                   "idem_left": sorted(g.idem_left),
+                   "idem_right": sorted(g.idem_right)}
+                  for g in dd.generators.values()],
         "plucker": gamma.to_json(),
         "matrix": matrix.to_json(),
-        "alexander": (delta_trace or decat.graded_trace(matrix)).to_json(),
+        "alexander": knots.symmetrized_or_raw(
+            decat.graded_trace(matrix)).to_json(),
         "alexander_from_presentation": delta_pres.to_json(),
         "omega": [list(r) for r in omega],
         "seifert": [list(r) for r in seifert],
         "kernel_content": content,
         "seconds": time.monotonic() - start,
     }
-    with data_path("golden_trefoil.json").open() as fh:
-        golden = json.load(fh)
-    mismatches = _diff_golden(report, golden)
-    return report, golden, mismatches
+
+
+def run_trefoil():
+    """run_knot on the bundled trefoil diagram; returns (report, golden,
+    mismatches)."""
+    from .heegaard import BorderedDiagram
+    report = run_knot(BorderedDiagram.from_json(
+        load_json(data_path("diagram_trefoil.json"))))
+    golden = load_json(data_path("golden_trefoil.json"))
+    return report, golden, _diff_golden(report, golden)
 
 
 def _equal_up_to_sign(cls, a, b):

@@ -241,44 +241,7 @@ def glued_grading(left_gen, right_gen):
     return (glued.sgn() + extra) % 2
 
 
-# built-in diagrams -------------------------------------------------------
-def solid_torus_a_diagram():
-    """Genus-1 diagram with one boundary; the beta crosses arcs 2 and 1."""
-    z = pmc_mod.genus1()
-    pts = (IntersectionPoint("x", 1, "arc", 2, 0),
-           IntersectionPoint("y", 1, "arc", 1, 1))
-    d = BorderedDiagram("A", 1, None, z, pts, name="solid_torus_a")
-    d.validate()
-    return d
-
-
-def solid_torus_d_diagram():
-    z = pmc_mod.genus1()
-    pts = (IntersectionPoint("a", 1, "arc", 1, 0),
-           IntersectionPoint("b", 1, "arc", 2, 1))
-    d = BorderedDiagram("D", 1, z, None, pts, name="solid_torus_d")
-    d.validate()
-    return d
-
-
-def trefoil_diagram():
-    """Genus-2 diagram for the drilled trefoil complement.
-
-    One 8-point boundary circle; the four arcs split 2+2 over the two
-    connected-sum factors.
-    """
-    z = pmc_mod.trefoil_pmc()
-    pts = (IntersectionPoint("a", 1, "arc", 1, 0),
-           IntersectionPoint("b", 1, "arc", 4, 0),
-           IntersectionPoint("c", 1, "arc", 2, 1),
-           IntersectionPoint("e", 2, "arc", 4, 1),
-           IntersectionPoint("f", 2, "arc", 3, 0),
-           IntersectionPoint("g", 2, "arc", 1, 1))
-    d = BorderedDiagram("D", 2, z, None, pts, name="trefoil")
-    d.validate()
-    return d
-
-
+# the identity bimodule's diagram, for any Z -----------------------------
 def identity_aa_diagram(z):
     """The standard diagram whose type AA module is the identity bimodule.
 

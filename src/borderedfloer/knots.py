@@ -67,7 +67,8 @@ def _det_poly(a, b):
     return out
 
 
-def _symmetrized_or_raw(raw):
+def symmetrized_or_raw(raw):
+    """raw.symmetrized(), or raw itself when it has no symmetric form."""
     sym = raw.symmetrized()
     return sym if sym is not None else raw
 
@@ -75,13 +76,13 @@ def _symmetrized_or_raw(raw):
 def presentation_to_alexander(pres):
     """det(A + tB), symmetrized to a_i = a_{-i} with positive top
     coefficient when possible; the raw determinant otherwise."""
-    return _symmetrized_or_raw(_det_poly(pres.a, pres.b))
+    return symmetrized_or_raw(_det_poly(pres.a, pres.b))
 
 
 def alexander_from_seifert(v):
     """det(V - t V^T)."""
     size = len(v)
-    return _symmetrized_or_raw(_det_poly(
+    return symmetrized_or_raw(_det_poly(
         v, [[-v[j][i] for j in range(size)] for i in range(size)]))
 
 
@@ -102,6 +103,16 @@ def recover_seifert(pres, omega):
             if v[i][j] - v[j][i] != -omega[i][j]:
                 raise SeifertConsistencyFailure("V - V^T != -omega")
     return v
+
+
+def knot_from_plucker(point, omega):
+    """(content, rows, V, Delta) of a single-factor Plucker point: its
+    kernel rows present the Alexander module as A + tB, and omega, the
+    intersection form of the boundary, recovers the Seifert form V."""
+    content, rows = kernel_basis_from_plucker(point)
+    pres = Presentation.from_rows(rows)
+    return (content, rows, recover_seifert(pres, omega),
+            presentation_to_alexander(pres))
 
 
 # intersection forms -------------------------------------------------------

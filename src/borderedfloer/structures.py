@@ -88,12 +88,9 @@ def _is_dag(edges, nodes):
 
 def _generator_errors(pmc_left, pmc_right, generators):
     """Each present side needs an idempotent of classes of its circle, an
-    absent side none; generator names are distinct."""
-    errors, seen = [], set()
+    absent side none."""
+    errors = []
     for g in generators:
-        if g.name in seen:
-            errors.append(f"duplicate generator {g.name!r}")
-        seen.add(g.name)
         for side, circle, idem in (("left", pmc_left, g.idem_left),
                                    ("right", pmc_right, g.idem_right)):
             if circle is None:
@@ -123,7 +120,8 @@ class Structure:
     m_{i+1} of a type A structure (D-side output None) and, with i = 0,
     delta^1 of a type D structure.  The unit delta^1(x, I) = I (x) x is
     implicit; `delta` adds it.  DD and AA structures carry generator data
-    only.
+    only.  Generator names are distinct: a repeated one raises
+    SchemaViolation.
     """
 
     left = None  # "D", "A" or None
@@ -141,6 +139,7 @@ class Structure:
                 f"a {self.flavor} structure has a circle exactly on its sides")
         self.pmc_left = pmc_left
         self.pmc_right = pmc_right
+        unique([g.name for g in generators], "generators")
         self.generators = {g.name: g for g in generators}
         self.ops = {(x, tuple(seq)): frozenset(v)
                     for (x, seq), v in (ops or {}).items()}
@@ -403,8 +402,9 @@ def box_tensor(left, right):
     (Lipshitz-Ozsvath-Thurston, arXiv:1003.0598, 2.3), with the depth and
     boundedness rules of the module docstring.  A (x) D is an F2ChainComplex
     on (x, y) name pairs; the other pairings give structures on "x*y" names
-    whose outer sides fill the result's sides in order (AA (x) D keeps its
-    left idempotent in idem_right)."""
+    (two pairs joined to one name raise SchemaViolation) whose outer sides
+    fill the result's sides in order (AA (x) D keeps its left idempotent in
+    idem_right)."""
     key = (left.flavor, right.flavor)
     if key not in _PRODUCTS:
         raise AlgebraMismatch(f"unsupported pairing {key[0]} (x) {key[1]}")
@@ -494,7 +494,6 @@ def structure_from_json(obj):
     check(obj["generators"], [{"name": str, "grading": (0, 1), **{
         ("idem_left", "idem_right")[i]: [range(1, circle.num_classes + 1)]
         for i, circle in circles.items()}}], "generators")
-    unique([g["name"] for g in obj["generators"]], "generators")
     for i, g in enumerate(obj["generators"]):
         for k in ("idem_left", "idem_right"):
             unique(g.get(k, ()), f"generators[{i}].{k}")

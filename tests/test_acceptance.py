@@ -16,9 +16,8 @@ from borderedfloer.gradings import (BorderedPartialPermutation as BPP,
                                     hochschild_closable, hochschild_closure,
                                     inv_seq, sum_permutations,
                                     verify_grading_equivalence)
-from borderedfloer.heegaard import (enumerate_generators, glued_grading,
-                                    identity_aa_diagram, solid_torus_a_diagram,
-                                    solid_torus_d_diagram)
+from borderedfloer.heegaard import (BorderedDiagram, enumerate_generators,
+                                    glued_grading, identity_aa_diagram)
 from borderedfloer.hochschild import graded_euler, hochschild_generators
 from borderedfloer.knots import (Presentation, alexander_from_seifert,
                                  intersection_from_algebra,
@@ -266,10 +265,15 @@ def test_criterion_8_seifert_recovery():
         assert presentation_to_alexander(mpres) == DELTA
 
 
+def bundled_diagram(name):
+    return BorderedDiagram.from_json(
+        cli.load_json(cli.data_path(f"diagram_{name}.json")))
+
+
 def test_criterion_9_pairing_gradings():
     # glued solid tori: gr(glued) - (gr(x) + gr(a)) is pair-independent
-    a_gens = enumerate_generators(solid_torus_a_diagram())
-    d_gens = enumerate_generators(solid_torus_d_diagram())
+    a_gens = enumerate_generators(bundled_diagram("solid_torus_a"))
+    d_gens = enumerate_generators(bundled_diagram("solid_torus_d"))
     diffs = set()
     for x in a_gens:
         for y in d_gens:

@@ -1,12 +1,16 @@
 import contextlib
 import io
+import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from borderedfloer import cli, heegaard, pmc, strands, structures
 from borderedfloer.decat import ExteriorElement, combine_factors
+from borderedfloer.errors import NotUnimodular, SeifertConsistencyFailure
+from borderedfloer.knots import alexander_from_seifert
 from borderedfloer.laurent import LaurentPolynomial
 
 from oracle_constants import (STRANDS_DIMS_GENUS1, TREFOIL_ALEXANDER,
@@ -347,6 +351,31 @@ def test_trefoil_end_to_end(capsys):
     code, out, _ = run(capsys, "knot", "trefoil")
     assert code == 0
     assert "all values match the golden file" in out
+
+
+def test_run_knot_cross_checks_agree_on_every_sign_pattern():
+    base = heegaard.BorderedDiagram.from_json(
+        cli.load_json(data("diagram_trefoil.json")))
+    agree = []
+    for signs in itertools.product((0, 1), repeat=len(base.points)):
+        diagram = replace(base, points=tuple(
+            replace(p, sign=s) for p, s in zip(base.points, signs)))
+        try:
+            report = cli.run_knot(diagram)
+        except (NotUnimodular, SeifertConsistencyFailure):
+            continue
+        seifert = tuple(map(tuple, report["seifert"]))
+        assert report["alexander"] == report["alexander_from_presentation"] \
+            == alexander_from_seifert(seifert).to_json(), signs
+        agree.append(signs)
+    assert len(agree) == 16
+    assert tuple(p.sign for p in base.points) in agree
+
+
+def test_builtin_list_names_the_bundled_diagrams():
+    files = [path.name for path in cli.data_path("").glob("diagram_*.json")]
+    assert sorted(f"diagram_{name}.json" for name in cli.BUILTIN_DIAGRAMS) \
+        == sorted(files)
 
 
 @pytest.mark.parametrize("loader, pattern", [

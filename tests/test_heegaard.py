@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from borderedfloer import heegaard, pmc as pmc_mod
+from borderedfloer import cli, heegaard, pmc as pmc_mod
 from borderedfloer.errors import (FlavorOrderViolation, InvalidDiagram,
                                   SchemaViolation)
 from borderedfloer.heegaard import (BorderedDiagram, IntersectionPoint,
@@ -13,12 +13,18 @@ from borderedfloer.structures import (ModuleGenerator, TypeDStructure,
 from oracle_constants import TREFOIL_TABLE
 
 
+def bundled(name):
+    """The bundled diagram data/diagram_<name>.json."""
+    return BorderedDiagram.from_json(
+        cli.load_json(cli.data_path(f"diagram_{name}.json")))
+
+
 def by_name(diagram):
     return {g.name: g for g in enumerate_generators(diagram)}
 
 
 def test_solid_torus_a_generators():
-    gens = by_name(heegaard.solid_torus_a_diagram())
+    gens = by_name(bundled("solid_torus_a"))
     assert set(gens) == {"x", "y"}
     assert gens["x"].grading == 0
     assert gens["y"].grading == 1
@@ -28,7 +34,7 @@ def test_solid_torus_a_generators():
 
 
 def test_solid_torus_d_generators():
-    gens = by_name(heegaard.solid_torus_d_diagram())
+    gens = by_name(bundled("solid_torus_d"))
     assert set(gens) == {"a", "b"}
     assert gens["a"].grading == 1
     assert gens["b"].grading == 1
@@ -39,8 +45,8 @@ def test_solid_torus_d_generators():
 
 
 def test_glued_solid_tori_gradings():
-    a = by_name(heegaard.solid_torus_a_diagram())
-    d = by_name(heegaard.solid_torus_d_diagram())
+    a = by_name(bundled("solid_torus_a"))
+    d = by_name(bundled("solid_torus_d"))
     assert glued_grading(a["x"], d["a"]) == 1
     assert glued_grading(a["y"], d["b"]) == 0
     # incompatible occupancies do not glue
@@ -49,7 +55,7 @@ def test_glued_solid_tori_gradings():
 
 
 def test_trefoil_generator_table():
-    diagram = heegaard.trefoil_diagram()
+    diagram = bundled("trefoil")
     gens = by_name(diagram)
     assert set(gens) == set(TREFOIL_TABLE)
     dd = induct_dd(TypeDStructure(
@@ -116,13 +122,11 @@ def test_validate_rejections():
 
 
 def test_json_roundtrip():
-    for d in (heegaard.solid_torus_a_diagram(),
-              heegaard.solid_torus_d_diagram(),
-              heegaard.trefoil_diagram(),
-              heegaard.identity_aa_diagram(pmc_mod.genus1())):
-        back = BorderedDiagram.from_json(d.to_json())
-        assert back == d
-        assert [g.to_json() for g in enumerate_generators(back)] == \
-            [g.to_json() for g in enumerate_generators(d)]
+    # the bundled diagrams round-trip in test_cli
+    d = heegaard.identity_aa_diagram(pmc_mod.genus1())
+    back = BorderedDiagram.from_json(d.to_json())
+    assert back == d
+    assert [g.to_json() for g in enumerate_generators(back)] == \
+        [g.to_json() for g in enumerate_generators(d)]
     with pytest.raises(SchemaViolation):
         BorderedDiagram.from_json({"flavor": "A", "genus": 1})

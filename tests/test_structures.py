@@ -402,3 +402,21 @@ def test_constructor_rejects_circles_off_the_sides():
         TypeDStructure(Z1, Z1, [])
     with pytest.raises(AlgebraMismatch):
         TypeAStructure(Z1, None, [])
+
+
+def test_constructor_rejects_a_repeated_generator_name():
+    twins = [ModuleGenerator("x", frozenset({1}), None, 0),
+             ModuleGenerator("x", frozenset({2}), None, 1)]
+    with pytest.raises(SchemaViolation, match="generators\\[1\\]: repeats"):
+        TypeDStructure(Z1, None, twins)
+
+
+def test_box_tensor_rejects_colliding_product_names():
+    # (a*b, c) and (a, b*c) would both be named "a*b*c"
+    da = TypeDAStructure(Z1, Z1, [
+        ModuleGenerator("a*b", frozenset({1}), frozenset({1}), 0),
+        ModuleGenerator("a", frozenset({2}), frozenset({1}), 0)])
+    d = TypeDStructure(Z1, None, [ModuleGenerator("c", frozenset({1}), None, 0),
+                                  ModuleGenerator("b*c", frozenset({1}), None, 0)])
+    with pytest.raises(SchemaViolation, match="repeats \"a\\*b\\*c\""):
+        box_tensor(da, d)
