@@ -246,8 +246,7 @@ def run_knot(diagram):
     gamma = decat.psi_K0(dd)
     matrix = decat.upsilon(gamma)
     omega = knots.intersection_from_pmc(dd.pmc_left)
-    content, rows, seifert, delta_pres = knots.knot_from_plucker(
-        decat.combine_factors(gamma), omega)
+    content, rows, seifert, delta_pres = knots.knot_from_plucker(gamma, omega)
     return {
         "table": [{"name": g.name, "grading": g.grading,
                    "idem_left": sorted(g.idem_left),

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from . import strands
+from . import decat, strands
 from .decat import ExteriorElement, det, plucker
 from .errors import (NotDecomposable, NotUnimodular, SchemaViolation,
                      SeifertConsistencyFailure, ZeroPoint, check)
@@ -106,9 +106,12 @@ def recover_seifert(pres, omega):
 
 
 def knot_from_plucker(point, omega):
-    """(content, rows, V, Delta) of a single-factor Plucker point: its
-    kernel rows present the Alexander module as A + tB, and omega, the
-    intersection form of the boundary, recovers the Seifert form V."""
+    """(content, rows, V, Delta) of a Plucker point: its kernel rows present
+    the Alexander module as A + tB, and omega, the intersection form of the
+    boundary, recovers the Seifert form V.  A two-factor point, as psi of a
+    DD structure gives it, is read in the joint basis first."""
+    if point.factors == 2:
+        point = decat.combine_factors(point)
     content, rows = kernel_basis_from_plucker(point)
     pres = Presentation.from_rows(rows)
     return (content, rows, recover_seifert(pres, omega),

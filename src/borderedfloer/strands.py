@@ -6,14 +6,16 @@ completions of fixed (horizontal) strands across their matched class.  The
 canonical representative keeps every horizontal strand at the smaller point of
 its class.
 
-Each circle carries one table of its algebra, built as it is used: the basis
-per strands grading, one interned ``StrandsBasisElement`` per canonical pairs
-tuple, the product of each pair of basis elements that has been multiplied and
-the differential of each basis element that has been differentiated.
-``basis``, ``multiply_basis`` and ``differential_basis(...).basis_terms()``
-return the interned instances.  The basis is generated directly, and products
-and differentials are computed on canonical representatives, all from the
-circle's per-point tables (class, partner, class minimum).
+Each circle carries the tables of its algebra, filled as they are read: the
+basis per strands grading, one interned ``StrandsBasisElement`` per canonical
+pairs tuple, and the product and the differential of each basis element (pair)
+met so far; looking up a missing entry computes it.  ``basis``,
+``multiply_basis`` and ``differential_basis(...).basis_terms()`` return the
+interned instances.  The kernels loop over canonical representatives and the
+circle's per-point tables (class, partner, class minimum): d resolves a
+crossing by swapping two targets, which keeps the source order, and re-sorts
+only after resolving a horizontal strand; a product stops at the first two
+strands that cross in both factors; ``gr`` counts class inversions unsorted.
 ``multiply_basis_raw`` expands every representative in the big strands algebra
 and stays as an independent cross-check of ``multiply_basis``.
 """
@@ -69,6 +71,19 @@ def raw_expand(pmc, pairs):
     return [tuple(sorted(r)) for r in reps]
 
 
+class _Table(dict):
+    """A dict that fills a missing entry with ``compute(owner, key)``."""
+
+    __slots__ = ("owner", "compute")
+
+    def __init__(self, owner, compute):
+        self.owner, self.compute = owner, compute
+
+    def __missing__(self, key):
+        out = self[key] = self.compute(self.owner, key)
+        return out
+
+
 class _Algebra:
     """The tables of one circle's algebra; they live on the circle itself."""
 
@@ -76,10 +91,10 @@ class _Algebra:
 
     def __init__(self, pmc):
         self.pmc = pmc
-        self.elements = {}  # canonical pairs -> the interned basis element
+        self.elements = _Table(pmc, StrandsBasisElement)  # pairs -> element
         self.bases = {}  # strands grading -> tuple of basis elements
-        self.products = {}  # (pairs, pairs) -> basis element, or None for 0
-        self.differentials = {}  # pairs -> frozenset of the pairs of its terms
+        self.products = _Table(self, _product)  # (pairs, pairs) -> element or None
+        self.differentials = _Table(pmc, _differential_pairs)  # pairs -> frozenset
 
 
 def _algebra(pmc):
@@ -88,13 +103,6 @@ def _algebra(pmc):
         alg = _Algebra(pmc)
         object.__setattr__(pmc, "algebra", alg)
     return alg
-
-
-def _intern(alg, pairs):
-    elt = alg.elements.get(pairs)
-    if elt is None:
-        elt = alg.elements[pairs] = StrandsBasisElement(alg.pmc, pairs)
-    return elt
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +121,7 @@ class StrandsBasisElement:
             raise AlgebraMismatch(f"not M-admissible: {pairs}")
         if any(t < s for s, t in pairs):
             raise AlgebraMismatch(f"not upward-veering: {pairs}")
-        return _intern(_algebra(pmc), pairs)
+        return _algebra(pmc).elements[pairs]
 
     @property
     def strands_grading(self):
@@ -149,8 +157,8 @@ class StrandsElement:
         return cls(elt.pmc, frozenset([elt.pairs]))
 
     def basis_terms(self):
-        alg = _algebra(self.pmc)
-        return [_intern(alg, p) for p in sorted(self.terms)]
+        elements = _algebra(self.pmc).elements
+        return [elements[p] for p in sorted(self.terms)]
 
     def __add__(self, other):
         if self.pmc != other.pmc:
@@ -190,10 +198,18 @@ def element_from_json(pmc, obj, path=""):
 
 # gradings ---------------------------------------------------------------
 def gr_pairs(pmc, pairs):
-    """Sum of orientations over S and T plus inversions of the class map."""
+    """Sum of orientations over S and T plus inversions of the class map: the
+    pairs of strands whose source and target classes lie in opposite orders."""
     o, cls = pmc.orientation, pmc.cls_table
-    total = sum(o[s - 1] + o[t - 1] for s, t in pairs)
-    total += _inv(tuple(sorted((cls[s], cls[t]) for s, t in pairs)))
+    total = 0
+    seen = []  # (source class, target class) of the strands before
+    for s, t in pairs:
+        a, b = cls[s], cls[t]
+        total += o[s - 1] + o[t - 1]
+        for a2, b2 in seen:
+            if (a2 < a) != (b2 < b):
+                total += 1
+        seen.append((a, b))
     return total % 2
 
 
@@ -236,7 +252,8 @@ def basis(pmc, i):
     alg = _algebra(pmc)
     out = alg.bases.get(i)
     if out is None:
-        out = alg.bases[i] = tuple(_intern(alg, p) for p in _canonical_pairs(pmc, k + i))
+        out = alg.bases[i] = tuple(map(alg.elements.__getitem__,
+                                       _canonical_pairs(pmc, k + i)))
     return out
 
 
@@ -273,8 +290,8 @@ def _raw_multiply(pa, pb):
     return composed
 
 
-def _product_pairs(pmc, a, b):
-    """Canonical pairs of the product of basis elements a and b; None when zero.
+def _product(alg, key):
+    """The interned product of the basis elements with pairs key; None for 0.
 
     Picks the one pair of raw representatives that compose: each strand x -> y
     of a meets the strand of b leaving y.  A horizontal strand of b moves to
@@ -282,60 +299,41 @@ def _product_pairs(pmc, a, b):
     to the start of b's moving strand in its class, and two horizontal
     strands of one class both stay at its minimum, so the composite needs no
     re-canonicalizing.  The product is zero unless every strand of b is met
-    once and no two strands cross in both factors.
+    once (the strands of a meet strands of b in distinct classes, so equal
+    counts suffice) and no two strands cross in both factors.
     """
-    cls, partner = pmc.cls_table, pmc.partner_table
-    leave_b = {}  # start of a moving strand of b -> its end
-    flat_b = set()  # classes of b's horizontal strands
-    for s, t in b:
-        if s == t:
-            flat_b.add(cls[s])
-        else:
-            leave_b[s] = t
-    paths = []  # (x, y, z): a runs x -> y, then b runs y -> z
-    for x, y in a:
-        if x != y:
-            z = leave_b.get(y)
-            if z is None:
-                if cls[y] not in flat_b:
-                    return None
-                z = y
-        elif x in leave_b:
-            z = leave_b[x]
-        elif partner[x] in leave_b:
-            x = y = partner[x]
-            z = leave_b[x]
-        elif cls[x] in flat_b:
-            z = x
-        else:
-            return None
-        paths.append((x, y, z))
-    if len(paths) != len(b):
+    a, b = key
+    if len(a) != len(b):
         return None
-    for i, (x1, y1, z1) in enumerate(paths):
-        for x2, y2, z2 in paths[i + 1:]:
-            if (x1 < x2) == (z1 < z2) != (y1 < y2):  # crosses in a and in b
+    partner = alg.pmc.partner_table
+    leave_b = dict(b)  # start of a strand of b -> its end
+    paths = []  # (x, y, z): a runs x -> y, then b runs y -> z
+    moved = False  # whether a horizontal strand of a moved to its partner
+    for x, y in a:
+        z = leave_b.get(y)
+        if z is None:  # no strand of b starts at y; try the other point
+            p = partner[y]
+            z = leave_b.get(p)
+            if z == p:  # a horizontal strand of b holds the class
+                z = y
+            elif z is None or x != y:
                 return None
-    return tuple(sorted((x, z) for x, _, z in paths))
-
-
-_MISSING = object()
-
-
-def _product(alg, a, b):
-    key = (a, b)
-    out = alg.products.get(key, _MISSING)
-    if out is _MISSING:
-        p = _product_pairs(alg.pmc, a, b)
-        out = alg.products[key] = None if p is None else _intern(alg, p)
-    return out
+            else:  # a's horizontal strand moves to the start of b's
+                x = y = p
+                moved = True
+        for x2, y2, z2 in paths:
+            if (x < x2) == (z < z2) != (y < y2):  # crosses in a and in b
+                return None
+        paths.append((x, y, z))
+    out = [(x, z) for x, _, z in paths]
+    return alg.elements[tuple(sorted(out) if moved else out)]
 
 
 def multiply_basis(x, y):
     """Product of two basis elements: a basis element or None."""
     if x.pmc is not y.pmc and x.pmc != y.pmc:
         raise AlgebraMismatch("different ambient circles")
-    return _product(_algebra(x.pmc), x.pairs, y.pairs)
+    return _algebra(x.pmc).products[x.pairs, y.pairs]
 
 
 def multiply_basis_raw(x, y):
@@ -374,11 +372,11 @@ def multiply(x, y):
     """Bilinear product of StrandsElements."""
     if x.pmc is not y.pmc and x.pmc != y.pmc:
         raise AlgebraMismatch("different ambient circles")
-    alg = _algebra(x.pmc)
+    products = _algebra(x.pmc).products
     acc = set()
     for pa in x.terms:
         for pb in y.terms:
-            p = _product(alg, pa, pb)
+            p = products[pa, pb]
             if p is not None:
                 acc ^= {p.pairs}
     return StrandsElement(x.pmc, frozenset(acc))
@@ -399,44 +397,46 @@ def _differential_pairs(pmc, pairs):
     a different term, so nothing cancels.
     """
     partner = pmc.partner_table
-    moving = [(s, t) for s, t in pairs if s != t]
+    n = len(pairs)
     flat = [s for s, t in pairs if s == t]
-
-    def free(s_lo, s_hi, t_lo, t_hi):
-        return not any(s_lo < s < s_hi and t_lo < t < t_hi for s, t in moving)
-
-    def resolve(old, new):
-        return tuple(sorted([p for p in pairs if p not in old] + new))
-
     out = []
-    for i, (s1, t1) in enumerate(moving):
-        for s2, t2 in moving[i + 1:]:
-            if t2 < t1 and free(s1, s2, t2, t1):
-                out.append(resolve(((s1, t1), (s2, t2)), [(s1, t2), (s2, t1)]))
+    for i, (s1, t1) in enumerate(pairs):
+        if s1 == t1:
+            continue
+        # pairs is sorted by source; top is the highest end below t1 of the
+        # strands met so far, so a crossing with (s2, t2) is free iff t2 > top
+        top = s1
+        for j in range(i + 1, n):
+            s2, t2 = pairs[j]
+            if top < t2 < t1:
+                top = t2
+                if s2 != t2:  # swapping two targets keeps the order
+                    new = list(pairs)
+                    new[i], new[j] = (s1, t2), (s2, t1)
+                    out.append(tuple(new))
         for m in flat:
             for h in (m, partner[m]):
-                if s1 < h < t1 and free(s1, h, h, t1):
-                    out.append(resolve(((s1, t1), (m, m)), [(s1, h), (h, t1)]))
+                if s1 < h < t1:
+                    for s, t in pairs:
+                        if s1 < s < h < t < t1:
+                            break
+                    else:  # the horizontal resolution alone re-sorts
+                        out.append(tuple(sorted(
+                            [p for p in pairs if p[0] not in (s1, m)]
+                            + [(s1, h), (h, t1)])))
     return frozenset(out)
 
 
-def _differential(alg, pairs):
-    out = alg.differentials.get(pairs)
-    if out is None:
-        out = alg.differentials[pairs] = _differential_pairs(alg.pmc, pairs)
-    return out
-
-
 def differential_basis(x):
-    return StrandsElement(x.pmc, _differential(_algebra(x.pmc), x.pairs))
+    return StrandsElement(x.pmc, _algebra(x.pmc).differentials[x.pairs])
 
 
 def differential(x):
-    alg = _algebra(x.pmc)
-    acc = set()
+    table = _algebra(x.pmc).differentials
+    acc = frozenset()
     for p in x.terms:
-        acc ^= _differential(alg, p)
-    return StrandsElement(x.pmc, frozenset(acc))
+        acc ^= table[p]
+    return StrandsElement(x.pmc, acc)
 
 
 # Reeb chords ------------------------------------------------------------

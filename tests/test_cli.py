@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -332,6 +333,21 @@ def test_knot_from_plucker_degree_zero_point_is_an_input_error(capsys,
                          "--omega", str(ofile))
     assert (code, out) == (2, "")
     assert err == "input error: no kernel rows to split into A and B\n"
+
+
+def test_knot_from_plucker_takes_the_two_factor_point(capsys, tmp_path):
+    # the golden plucker is the two-factor point that decat psi prints
+    golden = json.loads(cli.data_path("golden_trefoil.json").read_text())
+    pfile = tmp_path / "plucker.json"
+    pfile.write_text(json.dumps(golden["plucker"]))
+    omega = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+        __file__))), "perfbench", "inputs", "trefoil_omega.json")
+    code, payload, err = run_json(capsys, "knot", "from-plucker", str(pfile),
+                                  "--omega", omega)
+    assert (code, err) == (0, "")
+    assert payload["seifert"] == golden["seifert"]
+    assert payload["alexander"] == golden["alexander_from_presentation"]
+    assert payload["content"] == golden["kernel_content"]
 
 
 @pytest.mark.parametrize("file", ["module_solid_torus_a.json",

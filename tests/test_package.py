@@ -133,3 +133,18 @@ def test_benchmark_tracing_targets_resolve():
     names = proc.stdout.split()
     assert names.count("structures.validate") == 5
     assert "structures.box_tensor" in names
+
+
+def test_benchmark_smoke_iteration_gives_the_expected_answers():
+    # the algebra-g3 iteration at its smoke size (genus-2 split) checks the
+    # basis dimensions and the number of terms of d against
+    # perfbench/expected.json, d^2 = 0, gr-additivity, and products against
+    # multiply_basis_raw
+    spec = {"mode": "iteration", "workload": "algebra-g3", "size": "smoke",
+            "seed": 1, "trace": 0}
+    child = os.path.join(os.path.dirname(SRC), "perfbench", "child.py")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, child, json.dumps(spec)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["errors"] == []

@@ -80,6 +80,45 @@ def test_fast_product_matches_raw_genus2_sampled():
             assert slow == {fast.pairs}
 
 
+def test_fast_product_matches_raw_genus3_split_sampled():
+    # seeded class-composable pairs: x's target classes are y's source classes
+    b0 = strands.basis(Z3, 0)
+    by_source = collections.defaultdict(list)
+    for y in b0:
+        by_source[frozenset(Z3.cls(s) for s, _ in y.pairs)].append(y)
+    rng = random.Random(1501)
+    nonzero = 0
+    for _ in range(2000):
+        x = rng.choice(b0)
+        y = rng.choice(by_source[frozenset(Z3.cls(t) for _, t in x.pairs)])
+        fast = strands.multiply_basis(x, y)
+        slow = strands.multiply_basis_raw(x, y)
+        assert slow == (set() if fast is None else {fast.pairs})
+        nonzero += fast is not None
+    assert nonzero > 200
+
+
+def gr_by_definition(z, pairs):
+    """gr read off its definition, sharing no code with strands: the
+    orientations of the points of S and of T, plus the inversions of the map
+    from source classes to target classes, mod 2."""
+    point_class = dict(enumerate(z.matching, start=1))
+    total = sum(z.orientation[s - 1] + z.orientation[t - 1] for s, t in pairs)
+    class_map = sorted((point_class[s], point_class[t]) for s, t in pairs)
+    total += sum(1 for (_, t1), (_, t2) in itertools.combinations(class_map, 2)
+                 if t1 > t2)
+    return total % 2
+
+
+@pytest.mark.parametrize("z, top", [(Z1, 1), (Z2, 2), (Z2_ANTIPODAL, 2), (Z3, 0)],
+                         ids=["genus1", "genus2_split", "genus2_antipodal",
+                              "genus3_split"])
+def test_gr_matches_its_definition(z, top):
+    for i in range(-z.k, top + 1):
+        for x in strands.basis(z, i):
+            assert x.gr == gr_by_definition(z, x.pairs)
+
+
 def test_associativity_genus1():
     elts = strands.all_basis(Z1)
     for x, y, z in itertools.product(elts, repeat=3):
