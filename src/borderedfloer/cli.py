@@ -64,18 +64,13 @@ def cmd_pmc_validate(args):
 
 def cmd_pmc_reverse(args):
     from . import pmc
-    z = pmc.PointedMatchedCircle.from_json(load_json(args.file))
-    pmc.validate(z)
-    emit(args, pmc.reverse(z).to_json())
+    emit(args, pmc.reverse(pmc.load(load_json(args.file))).to_json())
     return 0
 
 
 def cmd_pmc_consum(args):
     from . import pmc
-    z1 = pmc.PointedMatchedCircle.from_json(load_json(args.file1))
-    z2 = pmc.PointedMatchedCircle.from_json(load_json(args.file2))
-    pmc.validate(z1)
-    pmc.validate(z2)
+    z1, z2 = (pmc.load(load_json(f)) for f in (args.file1, args.file2))
     emit(args, pmc.connected_sum(z1, z2).to_json())
     return 0
 
@@ -83,9 +78,12 @@ def cmd_pmc_consum(args):
 # alg ----------------------------------------------------------------------
 def cmd_alg_basis(args):
     from . import pmc, strands
-    z = pmc.PointedMatchedCircle.from_json(load_json(args.pmc))
-    pmc.validate(z)
-    elts = strands.basis(z, args.strands)
+    from .errors import StrandsGradingOutOfRange
+    z = pmc.load(load_json(args.pmc))
+    try:
+        elts = strands.basis(z, args.strands)
+    except StrandsGradingOutOfRange as exc:
+        raise SchemaViolation(str(exc), "--strands") from exc
     rows = [dict(e.to_json(), gr=e.gr) if args.grading else e.to_json()
             for e in elts]
     lines = [(" ".join(f"{s}->{t}" for s, t in row["map"]) or "(empty)")
@@ -98,9 +96,7 @@ def cmd_alg_basis(args):
 
 def cmd_alg_check_gradings(args):
     from . import gradings, pmc
-    z = pmc.PointedMatchedCircle.from_json(load_json(args.pmc))
-    pmc.validate(z)
-    report = gradings.verify_grading_equivalence(z)
+    report = gradings.verify_grading_equivalence(pmc.load(load_json(args.pmc)))
     counts = {str(t): c for t, c in sorted(report["per_grading"].items())}
     emit(args, {"ok": report["ok"], "per_grading": counts,
                 "counterexample": report["counterexample"]},

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one JSON input check."""
+"""Exception types shared across the package, the one JSON input check, and
+the base of its immutable values."""
 
 import json
 
@@ -79,6 +80,44 @@ def unique(values, path):
         if value in seen:
             raise SchemaViolation(f"repeats {show(value)}", f"{path}[{i}]")
         seen.add(value)
+
+
+class Record:
+    """Base of the package's immutable values.  A subclass names its fields
+    in ``_fields`` (its ``__slots__`` may add caches): two instances are
+    equal, and hash alike, when they share a class and their fields are
+    equal.  Assigning an attribute raises AttributeError, so ``__init__``
+    and the caches write through ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {self._fields}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 # pointed matched circles

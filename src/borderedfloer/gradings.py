@@ -6,14 +6,13 @@ names); no floating point appears anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import sub
 
 from . import strands
 from .errors import (FlavorViolation, NotInRefinedSubgroup, NotSubordinate,
-                     SizeMismatch)
+                     Record, SizeMismatch)
 
 
 def inv_seq(seq):
@@ -22,8 +21,7 @@ def inv_seq(seq):
                if seq[i] > seq[j])
 
 
-@dataclass(frozen=True)
-class BorderedPartialPermutation:
+class BorderedPartialPermutation(Record):
     """(g, k_l, k_r, sigma): an injection sigma = (sigma(1), ..., sigma(g))
     into [g + k_l + k_r].
 
@@ -33,20 +31,17 @@ class BorderedPartialPermutation:
     D block is [1, 2k_l], the A block the last 2k_r positions, and every
     position outside both blocks is hit.
     """
-    g: int
-    k_l: int | None
-    k_r: int | None
-    sigma: tuple
+    __slots__ = _fields = ("g", "k_l", "k_r", "sigma")
 
-    def __post_init__(self):
-        g, sig = self.g, self.sigma
-        if len(sig) != g or len(set(sig)) != g:
+    def __init__(self, g, k_l, k_r, sigma):
+        Record.__init__(self, g, k_l, k_r, sigma)
+        if len(sigma) != g or len(set(sigma)) != g:
             raise FlavorViolation("sigma must be an injection defined on [g]")
-        if any(not 1 <= x <= self.n for x in sig):
+        if any(not 1 <= x <= self.n for x in sigma):
             raise FlavorViolation("sigma image out of range")
-        if g < (self.k_l or 0) + (self.k_r or 0):
+        if g < (k_l or 0) + (k_r or 0):
             raise FlavorViolation("D and A blocks overlap (need g >= k_l + k_r)")
-        blocks = set(self.d_block) | set(self.a_block) | set(sig)
+        blocks = set(self.d_block) | set(self.a_block) | set(sigma)
         missing = [x for x in range(1, self.n + 1) if x not in blocks]
         if missing:
             raise FlavorViolation(
@@ -144,21 +139,18 @@ def hochschild_closure(bpp):
 
 
 # the unrefined grading group -------------------------------------------
-@dataclass(frozen=True)
-class GradingGroupElement:
+class GradingGroupElement(Record):
     """(j, eta) with j a half-integer (stored doubled) and eta a multiplicity
     vector over the 4k-1 intervals between consecutive marked points."""
-    num_points: int
-    j2: int
-    eta: tuple
+    __slots__ = _fields = ("num_points", "j2", "eta")
 
-    def __post_init__(self):
-        if len(self.eta) != self.num_points - 1:
+    def __init__(self, num_points, j2, eta):
+        if len(eta) != num_points - 1:
             raise SizeMismatch("eta must have 4k-1 entries")
-        pc = _parity_changes(self.eta)
-        if (2 * self.j2 - pc) % 4 != 0:
-            raise SizeMismatch(
-                f"j = {self.j2}/2 incompatible with {pc} parity changes")
+        pc = _parity_changes(eta)
+        if (2 * j2 - pc) % 4 != 0:
+            raise SizeMismatch(f"j = {j2}/2 incompatible with {pc} parity changes")
+        Record.__init__(self, num_points, j2, eta)
 
     def __mul__(self, other):
         if self.num_points != other.num_points:
@@ -278,13 +270,11 @@ def chord_linking(pmc):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class RefinementData:
-    pmc: object
-    t: int
-    base: tuple  # the base idempotent s_0, ascending class indices
-    psi: dict  # frozenset of classes -> GradingGroupElement
-    psi_inv: dict  # the inverses of psi, built once
+class RefinementData(Record):
+    """``base`` is the base idempotent s_0 (ascending class indices), ``psi``
+    maps a frozenset of classes to a GradingGroupElement, and ``psi_inv``
+    holds the inverses of psi, built once."""
+    __slots__ = _fields = ("pmc", "t", "base", "psi", "psi_inv")
 
 
 @lru_cache(maxsize=None)

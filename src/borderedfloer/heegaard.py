@@ -17,22 +17,19 @@ its sign plus the local signs give the Z/2 grading.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from . import pmc as pmc_mod
 from .errors import (FlavorOrderViolation, FlavorViolation, InvalidDiagram,
-                     SchemaViolation, check)
+                     Record, SchemaViolation, check)
 from .gradings import BorderedPartialPermutation, sum_permutations
 
 
-@dataclass(frozen=True)
-class IntersectionPoint:
-    name: str
-    beta: int  # 1-based beta circle index
-    alpha_kind: str  # "circle", "arc", "arc_left", "arc_right"
-    alpha: int  # 1-based index within its kind
-    sign: int  # 0 or 1
+class IntersectionPoint(Record):
+    """A point on beta circle ``beta`` and on alpha ``alpha`` of kind
+    ``alpha_kind`` ("circle", "arc", "arc_left" or "arc_right"), both
+    1-based, with local sign 0 or 1."""
+    __slots__ = _fields = ("name", "beta", "alpha_kind", "alpha", "sign")
 
     def to_json(self):
         return {"name": self.name, "beta": self.beta,
@@ -65,14 +62,14 @@ _SPECS = {flavor: {"flavor": str, "genus": int, "name?": str, "points": [dict],
           for flavor, sides in _SIDES.items()}
 
 
-@dataclass(frozen=True)
-class BorderedDiagram:
-    flavor: str  # "A", "D", "DA" or "closed"; names the sides
-    genus: int
-    pmc_left: object  # the D boundary, None when absent
-    pmc_right: object  # the A boundary, None when absent
-    points: tuple
-    name: str = ""
+class BorderedDiagram(Record):
+    """``flavor`` ("A", "D", "DA" or "closed") names the sides: ``pmc_left``
+    is the D boundary and ``pmc_right`` the A boundary, None when absent.
+    No ``__slots__``: the cached ``slots`` table lives in ``__dict__``."""
+    _fields = ("flavor", "genus", "pmc_left", "pmc_right", "points", "name")
+
+    def __init__(self, flavor, genus, pmc_left, pmc_right, points, name=""):
+        Record.__init__(self, flavor, genus, pmc_left, pmc_right, points, name)
 
     @property
     def k_l(self):
@@ -165,10 +162,9 @@ class BorderedDiagram:
         return diag
 
 
-@dataclass(frozen=True)
-class DiagramGenerator:
-    diagram: BorderedDiagram
-    points: tuple  # one IntersectionPoint per beta, ordered by beta
+class DiagramGenerator(Record):
+    """One IntersectionPoint of ``diagram`` per beta, ordered by beta."""
+    __slots__ = _fields = ("diagram", "points")
 
     @property
     def name(self):

@@ -2,24 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import BoundaryMismatch, NotAComplex, check, unique
+from .errors import BoundaryMismatch, NotAComplex, Record, check, unique
 from .laurent import LaurentPolynomial
 from .pmc import reverse
 
 
-@dataclass(frozen=True)
-class HochschildGenerator:
-    name: str
-    idem: frozenset  # the common left/right idempotent class set
-    grading: int  # gr_DA(x) + i
-    strands_grading: int  # i = |s| - k
+class HochschildGenerator(Record):
+    """``idem`` is the common left/right idempotent class set, ``grading``
+    is gr_DA(x) + i and ``strands_grading`` is i = |s| - k."""
+    __slots__ = _fields = ("name", "idem", "grading", "strands_grading")
 
 
-@dataclass(frozen=True)
-class HochschildChainGroup:
-    generators: tuple
+class HochschildChainGroup(Record):
+    __slots__ = _fields = ("generators",)
 
     def by_strands_grading(self):
         out = {}

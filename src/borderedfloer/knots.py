@@ -4,21 +4,19 @@ and kernel-basis reconstruction from Plucker points."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import factorial, gcd
 
 from . import decat, strands
 from .decat import ExteriorElement, det, plucker
-from .errors import (NotDecomposable, NotUnimodular, SchemaViolation,
+from .errors import (NotDecomposable, NotUnimodular, Record, SchemaViolation,
                      SeifertConsistencyFailure, ZeroPoint, check)
 from .laurent import LaurentPolynomial
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """A + tB presents the Alexander module in a doubled surface basis."""
-    a: tuple  # 2k x 2k integer matrix, as tuple of tuples
-    b: tuple
+class Presentation(Record):
+    """A + tB presents the Alexander module in a doubled surface basis; a
+    and b are 2k x 2k integer matrices, as tuples of tuples."""
+    __slots__ = _fields = ("a", "b")
 
     @classmethod
     def make(cls, a, b):

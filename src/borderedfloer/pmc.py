@@ -10,47 +10,44 @@ connected 1-manifold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .errors import (BadOrientationPair, DisconnectedSurgery,
-                     NonSurjectiveMatching, SchemaViolation, check)
+                     NonSurjectiveMatching, Record, SchemaViolation, check)
 
 NEG, POS = 1, 0
 
 
-@dataclass(frozen=True, slots=True)
-class PointedMatchedCircle:
+class PointedMatchedCircle(Record):
     """A pointed matched circle with its lookup tables.
 
     The tables are built once, when the circle is made, and hold whatever the
     fields say even when the circle is invalid, so that ``validate`` can still
     name what is wrong.  Tuples indexed by point have a ``None`` at index 0.
+    ``matching[p-1]`` is the class of point p (1-based), ``orientation[p-1]``
+    its orientation, 1 ("-") or 0 ("+"); ``low_table`` holds class minima,
+    and ``algebra`` the strands algebra's tables, filled in by strands.py.
     """
-    matching: tuple  # point p (1-based) -> class, as matching[p-1]
-    orientation: tuple  # point p -> 1 ("-") or 0 ("+")
-    n: int = field(init=False, compare=False, repr=False)
-    cls_table: tuple = field(init=False, compare=False, repr=False)
-    partner_table: tuple = field(init=False, compare=False, repr=False)
-    low_table: tuple = field(init=False, compare=False, repr=False)  # class minimum
-    _points: dict = field(init=False, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
-    # the strands algebra's per-circle tables, filled in by strands.py
-    algebra: object = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("matching", "orientation")
+    __slots__ = _fields + ("n", "cls_table", "partner_table", "low_table",
+                           "_points", "_hash", "algebra")
 
-    def __post_init__(self):
+    def __init__(self, matching, orientation):
         points = {}
-        for p, c in enumerate(self.matching, start=1):
+        for p, c in enumerate(matching, start=1):
             points.setdefault(c, []).append(p)
         points = {c: tuple(pts) for c, pts in points.items()}
         set_ = object.__setattr__
-        set_(self, "n", len(self.matching))
-        set_(self, "cls_table", (None,) + tuple(self.matching))
+        set_(self, "matching", matching)
+        set_(self, "orientation", orientation)
+        set_(self, "n", len(matching))
+        set_(self, "cls_table", (None,) + tuple(matching))
         set_(self, "partner_table", (None,) + tuple(
             sum(points[c]) - p if len(points[c]) == 2 else None
-            for p, c in enumerate(self.matching, start=1)))
-        set_(self, "low_table", (None,) + tuple(points[c][0] for c in self.matching))
+            for p, c in enumerate(matching, start=1)))
+        set_(self, "low_table", (None,) + tuple(points[c][0] for c in matching))
         set_(self, "_points", points)
-        set_(self, "_hash", hash((self.matching, self.orientation)))
+        set_(self, "_hash", hash((matching, orientation)))
+        set_(self, "algebra", None)
 
     def __hash__(self):
         return self._hash

@@ -22,11 +22,10 @@ and stays as an independent cross-check of ``multiply_basis``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import (AlgebraMismatch, InconsistentChordSet, SchemaViolation,
-                     StrandsGradingOutOfRange, check)
+from .errors import (AlgebraMismatch, InconsistentChordSet, Record,
+                     SchemaViolation, StrandsGradingOutOfRange, check)
 
 # a strand diagram is a tuple of (source, target) pairs sorted by source
 
@@ -105,11 +104,23 @@ def _algebra(pmc):
     return alg
 
 
-@dataclass(frozen=True, slots=True)
-class StrandsBasisElement:
-    pmc: object
-    pairs: tuple
-    _gr: int = field(default=None, init=False, compare=False, repr=False)
+class StrandsBasisElement(Record):
+    _fields = ("pmc", "pairs")
+    __slots__ = _fields + ("_gr",)  # _gr: gr, memoised
+
+    def __init__(self, pmc, pairs):
+        set_ = object.__setattr__
+        set_(self, "pmc", pmc)
+        set_(self, "pairs", pairs)
+        set_(self, "_gr", None)
+
+    def __eq__(self, other):
+        if other.__class__ is not StrandsBasisElement:
+            return NotImplemented
+        return (self.pmc, self.pairs) == (other.pmc, other.pairs)
+
+    def __hash__(self):
+        return hash((self.pmc, self.pairs))
 
     @classmethod
     def make(cls, pmc, pairs):
@@ -143,10 +154,12 @@ class StrandsBasisElement:
                 "map": [list(p) for p in self.pairs]}
 
 
-@dataclass(frozen=True)
-class StrandsElement:
-    pmc: object
-    terms: frozenset  # of pairs-tuples (canonical)
+class StrandsElement(Record):
+    __slots__ = _fields = ("pmc", "terms")  # terms: a frozenset of canonical pairs
+
+    def __init__(self, pmc, terms):
+        object.__setattr__(self, "pmc", pmc)
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def zero(cls, pmc):

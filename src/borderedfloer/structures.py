@@ -25,20 +25,17 @@ A-side input.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 
 from . import pmc as pmc_mod, strands
-from .errors import (AlgebraMismatch, BothUnbounded, SchemaViolation, check,
-                     unique)
+from .errors import (AlgebraMismatch, BothUnbounded, Record, SchemaViolation,
+                     check, unique)
 from .pmc import PointedMatchedCircle
 
 
-@dataclass(frozen=True)
-class ModuleGenerator:
-    name: str
-    idem_left: frozenset  # classes of the left idempotent, or None
-    idem_right: frozenset  # classes of the right idempotent, or None
-    grading: int  # Z/2
+class ModuleGenerator(Record):
+    """``idem_left``/``idem_right``: the classes of the left/right
+    idempotent, or None; ``grading`` is in Z/2."""
+    __slots__ = _fields = ("name", "idem_left", "idem_right", "grading")
 
     def to_json(self):
         obj = {"name": self.name, "grading": self.grading}
@@ -358,7 +355,8 @@ def elementary_da(pmc_left, pmc_right, idem_left, idem_right, grading, name="e")
 
 def shift(s):
     """Grading flip on every generator."""
-    flipped = [replace(g, grading=(g.grading + 1) % 2)
+    flipped = [ModuleGenerator(g.name, g.idem_left, g.idem_right,
+                               (g.grading + 1) % 2)
                for g in s.generators.values()]
     return type(s)(s.pmc_left, s.pmc_right, flipped, s.ops, name=s.name)
 
@@ -377,7 +375,8 @@ def direct_sum(a, b):
         rename[x] = new
         seen.add(new)
     gens = list(a.generators.values()) + [
-        replace(g, name=rename[g.name]) for g in b.generators.values()]
+        ModuleGenerator(rename[g.name], g.idem_left, g.idem_right, g.grading)
+        for g in b.generators.values()]
     ops = dict(a.ops)
     for (x, seq), terms in b.ops.items():
         ops[(rename[x], seq)] = frozenset((c, rename[y]) for c, y in terms)

@@ -3,7 +3,6 @@ import io
 import itertools
 import json
 import os
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -86,6 +85,15 @@ def test_alg_basis(capsys):
         assert all("gr" in row for row in payload["basis"])
 
 
+def test_alg_basis_grading_out_of_range_is_an_input_error(capsys):
+    code, out, err = run(capsys, "alg", "basis", "--pmc",
+                         data("pmc_genus1.json"), "--strands", "5")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "input error: --strands: strands grading 5 outside [-1,1]"]
+
+
 def test_alg_check_gradings(capsys):
     code, payload, _ = run_json(capsys, "alg", "check-gradings",
                                 "--pmc", data("pmc_genus1.json"))
@@ -155,8 +163,13 @@ def test_mod_validate_bad_op(capsys, tmp_path, file, field, value):
 @pytest.mark.parametrize("command, file, where", [
     ("mod validate", "module_solid_torus_d.json", ("algebra", "pmc")),
     ("mod validate", "module_dehn_twist_da.json", ("algebra_right", "pmc")),
-    ("diagrams generators", "diagram_solid_torus_a.json", ("boundary",))],
-    ids=["d-module", "da-module", "diagram"])
+    ("diagrams generators", "diagram_solid_torus_a.json", ("boundary",)),
+    ("alg basis --strands 0 --pmc", "pmc_genus1.json", ()),
+    ("alg check-gradings --pmc", "pmc_genus1.json", ()),
+    ("pmc reverse", "pmc_genus1.json", ()),
+    (f"pmc consum {data('pmc_genus1.json')}", "pmc_genus1.json", ())],
+    ids=["d-module", "da-module", "diagram", "alg-basis", "alg-check-gradings",
+         "pmc-reverse", "pmc-consum"])
 def test_invalid_circle_in_input_file(capsys, tmp_path, command, file, where):
     with open(data(file)) as fh:
         obj = json.load(fh)
@@ -374,8 +387,11 @@ def test_run_knot_cross_checks_agree_on_every_sign_pattern():
         cli.load_json(data("diagram_trefoil.json")))
     agree = []
     for signs in itertools.product((0, 1), repeat=len(base.points)):
-        diagram = replace(base, points=tuple(
-            replace(p, sign=s) for p, s in zip(base.points, signs)))
+        diagram = heegaard.BorderedDiagram(
+            base.flavor, base.genus, base.pmc_left, base.pmc_right,
+            tuple(heegaard.IntersectionPoint(p.name, p.beta, p.alpha_kind,
+                                             p.alpha, s)
+                  for p, s in zip(base.points, signs)), base.name)
         try:
             report = cli.run_knot(diagram)
         except (NotUnimodular, SeifertConsistencyFailure):

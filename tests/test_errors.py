@@ -1,6 +1,8 @@
 import pytest
 
-from borderedfloer.errors import NATURAL, SchemaViolation, check, unique
+from borderedfloer import (gradings, heegaard, hochschild, knots, pmc, strands,
+                           structures)
+from borderedfloer.errors import NATURAL, Record, SchemaViolation, check, unique
 
 
 def message(value, spec):
@@ -50,3 +52,53 @@ def test_unique_names_the_repeat():
     unique(["a", "b"], "names")
     with pytest.raises(SchemaViolation, match=r'^names\[2\]: repeats "a"$'):
         unique(["a", "b", "a"], "names")
+
+
+def _point():
+    return heegaard.IntersectionPoint("x", 1, "arc", 1, 0)
+
+
+def _diagram():
+    return heegaard.BorderedDiagram("A", 1, None, pmc.genus1(), (_point(),), "d")
+
+
+# each record class: a function giving fresh field values (equal ones on
+# every call, but distinct objects where the fields are records), and
+# another value for its last field; psi and psi_inv are dicts in use, and
+# the record does not look at field types
+RECORDS = {
+    pmc.PointedMatchedCircle: (lambda: [(1, 2, 1, 2), (1, 1, 0, 0)], (1, 0, 1, 0)),
+    strands.StrandsBasisElement: (lambda: [pmc.genus1(), ((1, 3),)], ((2, 4),)),
+    strands.StrandsElement: (lambda: [pmc.genus1(), frozenset({((1, 3),)})],
+                             frozenset()),
+    gradings.BorderedPartialPermutation: (lambda: [2, None, None, (2, 1)], (1, 2)),
+    gradings.GradingGroupElement: (lambda: [4, 0, (0, 0, 0)], (2, 0, 0)),
+    gradings.RefinementData: (lambda: [pmc.genus1(), 0, (1,), (), ()], (1,)),
+    heegaard.IntersectionPoint: (lambda: ["x", 1, "arc", 1, 0], 1),
+    heegaard.BorderedDiagram: (lambda: ["A", 1, None, pmc.genus1(), (_point(),),
+                                        "d"], "e"),
+    heegaard.DiagramGenerator: (lambda: [_diagram(), (_point(),)], ()),
+    hochschild.HochschildGenerator: (lambda: ["x", frozenset({1}), 0, 0], 1),
+    hochschild.HochschildChainGroup: (
+        lambda: [(hochschild.HochschildGenerator("x", frozenset({1}), 0, 0),)], ()),
+    knots.Presentation: (lambda: [((1,),), ((0,),)], ((1,),)),
+    structures.ModuleGenerator: (lambda: ["x", frozenset({1}), None, 0], 1),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_semantics(cls):
+    fields, other = RECORDS[cls]
+    a, b = cls(*fields()), cls(*fields())
+    assert a == b and not a != b and hash(a) == hash(b)
+    changed = fields()[:-1] + [other]
+    assert cls(*changed) != a and a != cls(*changed)
+    twin = type("Twin", (Record,),
+                {"__slots__": cls._fields, "_fields": cls._fields})
+    assert a != tuple(fields()) and a != twin(*fields()) and twin(*fields()) != a
+    for name in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(b, name, None))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == b

@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -239,7 +238,8 @@ def test_identity_da_box_d_is_d(da, d):
     assert product.flavor == "D" and product.pmc_left == d.pmc_left
     name = {f"x{min(g.idem_left)}*{g.name}": g.name
             for g in d.generators.values()}
-    assert {name[n]: replace(g, name=name[n])
+    assert {name[n]: ModuleGenerator(name[n], g.idem_left, g.idem_right,
+                                     g.grading)
             for n, g in product.generators.items()} == d.generators
     assert {(name[x], seq): frozenset((b, name[y]) for b, y in terms)
             for (x, seq), terms in product.ops.items()} == d.ops
