@@ -231,15 +231,6 @@ def g_prime(pmc, elt):
     return GradingGroupElement(pmc.n, iota2, eta)
 
 
-def in_small_group(pmc, x):
-    """M_*(boundary eta) = 0, the test of chord_decomposition."""
-    try:
-        chord_decomposition(pmc, x.eta)
-    except NotInRefinedSubgroup:
-        return False
-    return True
-
-
 def chord_decomposition(pmc, eta):
     """Write eta as an integer combination of the class chords, read off the
     boundary.

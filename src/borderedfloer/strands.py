@@ -53,11 +53,6 @@ def canonicalize(pmc, pairs):
     return tuple(sorted((low[s], low[s]) if s == t else (s, t) for s, t in pairs))
 
 
-def is_canonical(pmc, pairs):
-    low = pmc.low_table
-    return all(s == low[s] for s, t in pairs if s == t)
-
-
 def raw_expand(pmc, pairs):
     """All representatives obtained by toggling horizontal strands."""
     reps = [[]]
@@ -471,9 +466,3 @@ def reeb_element(pmc, chords):
             if _admissible(pmc, sources(pairs)) and _admissible(pmc, targets(pairs)):
                 raw.add(pairs)
     return StrandsElement(pmc, frozenset(_collect_orbits(pmc, raw)))
-
-
-def matched_chord(pmc, j):
-    """The Reeb chord running across matched class j."""
-    lo, hi = pmc.class_points(j)
-    return (lo, hi)

@@ -10,9 +10,9 @@ pairs of a D-side output (or None) and a target generator.
 Validation checks the generators' idempotents, idempotent compatibility of
 every op, the grading-flip rule (an op with i A-side inputs flips the total
 grading by i + 1), that no input is an idempotent (the unit is implicit),
-the one DA structure relation, whose degenerate cases are d^2 = 0 for type
-D and the A-infinity relation for type A, and boundedness of the
-delta-transition graph for type D.
+the one DA structure relation on every composable word of basis elements,
+whose degenerate cases are d^2 = 0 for type D and the A-infinity relation
+for type A, and boundedness of the delta-transition graph for type D.
 
 One box tensor product, `box_tensor(left, right)`, pairs A (x) D into a
 chain complex and DA (x) D, AA (x) D and AA (x) DD into D, A and DA
@@ -28,7 +28,7 @@ import itertools
 
 from . import pmc as pmc_mod, strands
 from .errors import (AlgebraMismatch, BothUnbounded, Record, SchemaViolation,
-                     check, unique)
+                     check, show, unique)
 from .pmc import PointedMatchedCircle
 
 
@@ -52,16 +52,6 @@ def _source_classes(a):
 
 def _target_classes(a):
     return frozenset(a.pmc.cls(t) for _, t in a.pairs)
-
-
-def _factor_pairs(c):
-    """The pairs (a, b) of non-idempotent basis elements with a * b = c."""
-    elts = [a for a in strands.basis(c.pmc, c.strands_grading)
-            if not a.is_idempotent]
-    lefts = [a for a in elts if _source_classes(a) == _source_classes(c)]
-    rights = [b for b in elts if _target_classes(b) == _target_classes(c)]
-    return [(a, b) for a in lefts for b in rights
-            if strands.multiply_basis(a, b) is c]
 
 
 def _idempotent(pmc, classes):
@@ -117,8 +107,8 @@ class Structure:
     m_{i+1} of a type A structure (D-side output None) and, with i = 0,
     delta^1 of a type D structure.  The unit delta^1(x, I) = I (x) x is
     implicit; `delta` adds it.  DD and AA structures carry generator data
-    only.  Generator names are distinct: a repeated one raises
-    SchemaViolation.
+    only.  Generator names are distinct, and every op source and target is
+    one of them: a repeated or unknown name raises SchemaViolation.
     """
 
     left = None  # "D", "A" or None
@@ -140,6 +130,10 @@ class Structure:
         self.generators = {g.name: g for g in generators}
         self.ops = {(x, tuple(seq)): frozenset(v)
                     for (x, seq), v in (ops or {}).items()}
+        for (x, _), terms in self.ops.items():
+            for y in (x, *(t for _, t in terms)):
+                if y not in self.generators:
+                    raise SchemaViolation(f"unknown generator {show(y)}", "ops")
         self.name = name
 
     def validate(self):
@@ -197,31 +191,37 @@ class Structure:
                      if self.left == "D" else None, x)}
         return out
 
-    def _alphabet(self):
-        """Algebra elements worth feeding to the structure relation check."""
-        alpha = {a for (_, seq) in self.ops for a in seq}
-        alpha.update(_idempotent(self.pmc_right, g.idem_right)
-                     for g in self.generators.values())
-        products = {strands.multiply_basis(a, b) for a in alpha for b in alpha}
-        differentials = {c for a in alpha
-                         for c in strands.differential_basis(a).basis_terms()}
-        alpha = (alpha | products | differentials) - {None}
-        # the factors of each element, so that a dropped op on a factor
-        # shows in the word of the two factors
-        factors = {e for c in alpha for pair in _factor_pairs(c) for e in pair}
-        return sorted(alpha | factors, key=lambda e: e.pairs)
+    def _letters(self, letters, classes):
+        """The basis elements of the right algebra that start at classes, in
+        basis order; letters holds them per strands grading."""
+        i = len(classes) - self.pmc_right.k
+        if i not in letters:
+            letters[i] = {}
+            for a in strands.basis(self.pmc_right, i):
+                letters[i].setdefault(_source_classes(a), []).append(a)
+        return letters[i].get(classes, ())
 
     def _check_relation(self):
         """The DA structure relation (Lipshitz-Ozsvath-Thurston,
-        arXiv:1003.0598, 2.2) at each generator and word of at most 3 A-side
-        inputs, over GF(2).  With no A side the one word is empty and this is
-        d^2 = 0 of type D; with no D-side output it is the A-infinity
-        relation of type A.  A failure names the word's strand maps."""
+        arXiv:1003.0598, 2.2) at each generator x and every composable word
+        of at most min(max_arity, 3) basis elements of the right algebra,
+        over GF(2): the first letter starts at x's right idempotent and each
+        later one where the one before it ends.  A word that does not
+        compose contributes nothing, since the inputs of a valid op compose
+        and d and mu_2 keep the class sets.  With no A side the one word is
+        empty and this is d^2 = 0 of type D; with no D-side output it is the
+        A-infinity relation of type A.  A failure names the word's strand
+        maps."""
         errors = []
-        alpha = self._alphabet() if self.right == "A" else []
-        for x in self.generators:
-            for n in range(min(self.max_arity, 3) + 1):
-                for seq in itertools.product(alpha, repeat=n):
+        depth = min(self.max_arity, 3) if self.right == "A" else 0
+        letters = {}  # strands grading -> {source classes: basis elements}
+        for x, g in self.generators.items():
+            words = [()]
+            for n in range(depth + 1):
+                if n:  # each word of n - 1 letters, extended by one letter
+                    words = [w + (a,) for w in words for a in self._letters(
+                        letters, _target_classes(w[-1]) if w else g.idem_right)]
+                for seq in words:
                     acc = set()
                     # two delta^1 composed, mu_2 on their D-side outputs
                     for i in range(n + 1):

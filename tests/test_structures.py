@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 
 import pytest
@@ -16,6 +18,7 @@ from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
 import importlib.resources as resources
 
 Z1 = pmc_mod.genus1()
+Z2 = pmc_mod.genus2_split()
 
 
 def data_json(name):
@@ -69,18 +72,24 @@ def test_d_squared_detection():
     assert any("d^2" in e for e in report["errors"])
 
 
-def identity_da(drop=()):
-    """The genus-1 identity DA bimodule, without the ops of the chords in
-    drop: generators x1 and x2 over the two classes, and
-    delta^1_2(x_s, a) = a (x) x_t for each chord a from class s to class t."""
-    gens = [ModuleGenerator(f"x{j}", frozenset({j}), frozenset({j}), 0)
-            for j in (1, 2)]
+def gen_name(classes):
+    return "x" + "".join(str(j) for j in sorted(classes))
+
+
+def identity_da(pmc=Z1, drop=()):
+    """The identity DA bimodule of pmc, without the ops of the elements in
+    drop: a generator x_s over each set s of k classes, and
+    delta^1_2(x_s, a) = a (x) x_t for each non-idempotent basis element a of
+    strands grading 0 from s to t."""
+    gens = [ModuleGenerator(gen_name(s), frozenset(s), frozenset(s), 0)
+            for s in itertools.combinations(range(1, pmc.num_classes + 1),
+                                            pmc.k)]
     ops = {}
-    for a in strands.basis(Z1, 0):
+    for a in strands.basis(pmc, 0):
         if not a.is_idempotent and a not in drop:
-            (s, t), = a.pairs
-            ops[(f"x{Z1.cls(s)}", (a,))] = {(a, f"x{Z1.cls(t)}")}
-    return TypeDAStructure(Z1, Z1, gens, ops, name="identity_da")
+            ops[(gen_name({pmc.cls(s) for s, _ in a.pairs}), (a,))] = {
+                (a, gen_name({pmc.cls(t) for _, t in a.pairs}))}
+    return TypeDAStructure(pmc, pmc, gens, ops, name="identity_da")
 
 
 def test_identity_da_satisfies_the_structure_relation():
@@ -90,24 +99,90 @@ def test_identity_da_satisfies_the_structure_relation():
     assert report["ok"], report["errors"]
 
 
-@pytest.mark.parametrize("pairs", [[(1, 2)], [(2, 3)], [(3, 4)]],
-                         ids=["rho12", "rho23", "rho34"])
-def test_identity_da_without_a_generator_chord_fails(pairs):
-    # no op input is a product with this chord as a factor, so only the
-    # factor pairs of the alphabet put it into a word of the check
-    rho = strands.StrandsBasisElement.make(Z1, pairs)
-    report = identity_da(drop=(rho,)).validate()
+def test_genus2_identity_da_satisfies_the_structure_relation():
+    da = identity_da(Z2)
+    assert len(da.generators) == 6 and len(da.ops) == 232
+    report = da.validate()
+    assert report["ok"], report["errors"]
+
+
+@pytest.mark.parametrize("pmc, pairs", [
+    (Z1, [(1, 2)]), (Z1, [(2, 3)]), (Z1, [(3, 4)]),
+    (Z2, [(1, 2), (5, 5)]), (Z2, [(1, 1), (4, 5)]), (Z2, [(2, 2), (7, 8)])],
+    ids=["rho12", "rho23", "rho34", "genus2-rho12", "genus2-rho45",
+         "genus2-rho78"])
+def test_identity_da_without_a_generator_chord_fails(pmc, pairs):
+    # no op input is a product with this chord as a factor, so only a word
+    # of two letters, the chord and a letter it multiplies with, sees the
+    # dropped op
+    rho = strands.StrandsBasisElement.make(pmc, pairs)
+    report = identity_da(pmc, drop=(rho,)).validate()
     assert not report["ok"]
     assert all("structure relation" in e for e in report["errors"])
+    assert any(f" {list(rho.pairs)}" in e for e in report["errors"])
 
 
 def test_identity_da_without_rho13_fails_the_structure_relation():
-    # rho_13 is rho_12 rho_23, so it is in the alphabet of the check
+    # rho_13 is rho_12 rho_23, so the words (rho_12, rho_23) and
+    # (rho_13, rho_34) multiply into the dropped op
     rho13 = strands.StrandsBasisElement.make(Z1, [(1, 3)])
     report = identity_da(drop=(rho13,)).validate()
     assert report["errors"] == [
         "structure relation (d^2 = 0) fails at x1, 2 inputs: [(1, 2)] [(2, 3)]",
         "structure relation (d^2 = 0) fails at x1, 2 inputs: [(1, 3)] [(3, 4)]"]
+
+
+def relation_errors(m):
+    """The structure relation at every word of at most min(max_arity, 3)
+    basis elements of the right algebra, composable or not, counted term by
+    term over GF(2), with validate's messages: the reference for validate,
+    which walks only the composable words."""
+    letters = strands.all_basis(m.pmc_right) if m.right == "A" else []
+    errors = []
+    for x in m.generators:
+        for n in range(min(m.max_arity, 3) + 1):
+            for seq in itertools.product(letters, repeat=n):
+                count = collections.Counter()
+                for i in range(n + 1):
+                    for b, y in m.delta(x, seq[:i]):
+                        for c, z in m.delta(y, seq[i:]):
+                            if b is None:  # no D side
+                                count[None, z] += 1
+                            elif strands.multiply_basis(b, c) is not None:
+                                count[strands.multiply_basis(b, c), z] += 1
+                for b, y in m.delta(x, seq):
+                    if b is not None:
+                        count.update((c, y) for c in
+                                     strands.differential_basis(b).basis_terms())
+                for i, a in enumerate(seq):
+                    for c in strands.differential_basis(a).basis_terms():
+                        count.update(m.delta(x, seq[:i] + (c,) + seq[i + 1:]))
+                for i in range(n - 1):
+                    c = strands.multiply_basis(seq[i], seq[i + 1])
+                    if c is not None:
+                        count.update(m.delta(x, seq[:i] + (c,) + seq[i + 2:]))
+                if any(v % 2 for v in count.values()):
+                    word = "".join(f" {list(a.pairs)}" for a in seq)
+                    errors.append(f"structure relation (d^2 = 0) fails at {x}, "
+                                  f"{n} inputs{':' if seq else ''}{word}")
+    return errors
+
+
+CHORDS = list(itertools.combinations(range(1, 5), 2))  # the chords of Z1
+
+
+@pytest.mark.parametrize(
+    "make", [solid_torus_d, solid_torus_a, dehn_twist_da] + [
+        functools.partial(identity_da, drop=(
+            strands.StrandsBasisElement.make(Z1, [chord]),))
+        for chord in CHORDS],
+    ids=["d", "a", "da"] + [f"identity-da-without-rho{s}{t}"
+                            for s, t in CHORDS])
+def test_validate_matches_the_relation_on_every_word(make):
+    m = make()
+    errors = relation_errors(m)
+    assert m.validate()["errors"] == errors
+    assert bool(errors) == isinstance(make, functools.partial)
 
 
 def test_da_zero_input_ops_that_compose_fail_d_squared():
@@ -221,6 +296,16 @@ def test_identity_aa_box_d_keeps_the_unit_term():
     assert report["ok"], report["errors"]
 
 
+def genus2_d():
+    """A genus-2 type D structure with one op: delta^1(a) = rho (x) b for the
+    chord rho from point 1 to point 2 beside a strand at class 3."""
+    rho = strands.StrandsBasisElement.make(Z2, [(1, 2), (5, 5)])
+    return TypeDStructure(Z2, None, [
+        ModuleGenerator("a", frozenset({1, 3}), None, 0),
+        ModuleGenerator("b", frozenset({2, 3}), None, 1)],
+        {("a", ()): {(rho, "b")}})
+
+
 def opless_da():
     """A DA structure with one generator x1 over class 1 and no ops: the
     identity on a D structure whose generators all lie over class 1."""
@@ -229,14 +314,16 @@ def opless_da():
 
 @pytest.mark.parametrize("da, d", [(identity_da, solid_torus_d),
                                    (identity_da, unit_output_d),
-                                   (opless_da, unit_output_d)],
-                         ids=["solid-torus", "unit-output", "opless-da"])
+                                   (opless_da, unit_output_d),
+                                   (lambda: identity_da(Z2), genus2_d)],
+                         ids=["solid-torus", "unit-output", "opless-da",
+                              "genus2"])
 def test_identity_da_box_d_is_d(da, d):
     d = d()
     assert d.validate()["ok"]
     product = box_tensor(da(), d)
     assert product.flavor == "D" and product.pmc_left == d.pmc_left
-    name = {f"x{min(g.idem_left)}*{g.name}": g.name
+    name = {f"{gen_name(g.idem_left)}*{g.name}": g.name
             for g in d.generators.values()}
     assert {name[n]: ModuleGenerator(name[n], g.idem_left, g.idem_right,
                                      g.grading)
@@ -409,6 +496,16 @@ def test_constructor_rejects_a_repeated_generator_name():
              ModuleGenerator("x", frozenset({2}), None, 1)]
     with pytest.raises(SchemaViolation, match="generators\\[1\\]: repeats"):
         TypeDStructure(Z1, None, twins)
+
+
+@pytest.mark.parametrize("source, target", [("zz", "b"), ("a", "zz")],
+                         ids=["source", "target"])
+def test_constructor_rejects_an_op_on_an_unknown_generator(source, target):
+    rho12 = strands.StrandsBasisElement.make(Z1, [(1, 2)])
+    gens = [ModuleGenerator("a", frozenset({1}), None, 0),
+            ModuleGenerator("b", frozenset({2}), None, 1)]
+    with pytest.raises(SchemaViolation, match='ops: unknown generator "zz"'):
+        TypeDStructure(Z1, None, gens, {(source, ()): {(rho12, target)}})
 
 
 def test_box_tensor_rejects_colliding_product_names():
