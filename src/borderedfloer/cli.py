@@ -7,10 +7,11 @@ uses, so a call loads only those.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
+from types import SimpleNamespace
 
 from .errors import BorderedFloerError, SchemaViolation, show
 
@@ -317,86 +318,122 @@ def cmd_trefoil(args):
     return 1 if mismatches else 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="borderedfloer",
-        description="bordered Floer mod-2 gradings, decategorification, "
-                    "and knot invariants")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    sub = parser.add_subparsers(dest="command")
+# the command line ----------------------------------------------------------
+# command words -> (function, positional fields, {option: kind}), where a kind
+# is bool for a flag, str or int for a required value, or a tuple of choices;
+# an option --name sets the field name
+COMMANDS = {
+    ("pmc", "validate"): (cmd_pmc_validate, ("file",), {}),
+    ("pmc", "reverse"): (cmd_pmc_reverse, ("file",), {}),
+    ("pmc", "consum"): (cmd_pmc_consum, ("file1", "file2"), {}),
+    ("alg", "basis"): (cmd_alg_basis, (), {"--pmc": str, "--strands": int,
+                                           "--grading": bool}),
+    ("alg", "check-gradings"): (cmd_alg_check_gradings, (), {"--pmc": str}),
+    ("diagrams", "list-builtin"): (cmd_diagrams_list, (), {}),
+    ("diagrams", "generators"): (cmd_diagrams_generators, ("file",),
+                                 {"--flavor": ("A", "D", "DA", "closed")}),
+    ("mod", "validate"): (cmd_mod_validate, ("file",), {}),
+    ("mod", "box"): (cmd_mod_box, ("a", "d"), {}),
+    ("hh", "euler"): (cmd_hh_euler, ("file",), {}),
+    ("hh", "homology"): (cmd_hh_homology, ("file",), {}),
+    ("decat", "psi"): (cmd_decat_psi, ("file",), {}),
+    ("decat", "upsilon"): (cmd_decat_upsilon, ("file",), {}),
+    ("decat", "trace"): (cmd_decat_trace, ("file",), {}),
+    ("knot", "alexander"): (cmd_knot_alexander, (), {"--presentation": str}),
+    ("knot", "seifert"): (cmd_knot_seifert, (), {"--presentation": str,
+                                                 "--omega": str}),
+    ("knot", "from-plucker"): (cmd_knot_from_plucker, ("file",),
+                               {"--omega": str}),
+    ("knot", "trefoil"): (cmd_trefoil, (), {}),
+    ("trefoil",): (cmd_trefoil, (), {}),
+}
+HELP = {"-h": bool, "--help": bool}
 
-    p = sub.add_parser("pmc")
-    ps = p.add_subparsers(dest="subcommand")
-    q = ps.add_parser("validate"); q.add_argument("file"); q.set_defaults(func=cmd_pmc_validate)
-    q = ps.add_parser("reverse"); q.add_argument("file"); q.set_defaults(func=cmd_pmc_reverse)
-    q = ps.add_parser("consum"); q.add_argument("file1"); q.add_argument("file2")
-    q.set_defaults(func=cmd_pmc_consum)
 
-    p = sub.add_parser("alg")
-    ps = p.add_subparsers(dest="subcommand")
-    q = ps.add_parser("basis")
-    q.add_argument("--pmc", required=True)
-    q.add_argument("--strands", type=int, required=True)
-    q.add_argument("--grading", action="store_true")
-    q.set_defaults(func=cmd_alg_basis)
-    q = ps.add_parser("check-gradings")
-    q.add_argument("--pmc", required=True)
-    q.set_defaults(func=cmd_alg_check_gradings)
+def cmd_help(args):
+    print("usage: borderedfloer [-h] [--json] COMMAND ...\n\nbordered Floer "
+          "mod-2 gradings, decategorification, and knot invariants\n")
+    for words, (_, fields, options) in COMMANDS.items():
+        print(" ", *words, *map(str.upper, fields), *(
+            f"[{o}]" if k is bool else f"{o} {o[2:].upper()}" if k in (str, int)
+            else f"[{o} {{{','.join(k)}}}]" for o, k in options.items()))
+    return 0
 
-    p = sub.add_parser("diagrams")
-    ps = p.add_subparsers(dest="subcommand")
-    q = ps.add_parser("list-builtin"); q.set_defaults(func=cmd_diagrams_list)
-    q = ps.add_parser("generators")
-    q.add_argument("file")
-    q.add_argument("--flavor", choices=("A", "D", "DA", "closed"))
-    q.set_defaults(func=cmd_diagrams_generators)
 
-    p = sub.add_parser("mod")
-    ps = p.add_subparsers(dest="subcommand")
-    q = ps.add_parser("validate"); q.add_argument("file"); q.set_defaults(func=cmd_mod_validate)
-    q = ps.add_parser("box"); q.add_argument("a"); q.add_argument("d")
-    q.set_defaults(func=cmd_mod_box)
+def _option(token, known):
+    """None when token is a positional, else (option, value): the option of
+    known it names, in full, by a unique prefix or as -hVALUE ("" for none),
+    and its value after "=" or None.  "-", a negative number and a phrase
+    with a space are positionals."""
+    head, eq, value = token.partition("=")
+    if head in known:
+        return head, value if eq else None
+    if token[:2] in known:
+        return token[:2], token[2:]
+    hits = [o for o in known if head[:2] == "--" != token and o.startswith(head)]
+    if len(hits) > 1:
+        raise SchemaViolation(f"ambiguous option {show(head)}: {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    if token[:1] == "-" and token not in ("-", "--") and " " not in token \
+            and not re.match(r"^-\d+$|^-\d*\.\d+$", token):  # not a number
+        return "", None
 
-    p = sub.add_parser("hh")
-    ps = p.add_subparsers(dest="subcommand")
-    q = ps.add_parser("euler"); q.add_argument("file"); q.set_defaults(func=cmd_hh_euler)
-    q = ps.add_parser("homology"); q.add_argument("file"); q.set_defaults(func=cmd_hh_homology)
 
-    p = sub.add_parser("decat")
-    ps = p.add_subparsers(dest="subcommand")
-    q = ps.add_parser("psi"); q.add_argument("file"); q.set_defaults(func=cmd_decat_psi)
-    q = ps.add_parser("upsilon"); q.add_argument("file"); q.set_defaults(func=cmd_decat_upsilon)
-    q = ps.add_parser("trace"); q.add_argument("file"); q.set_defaults(func=cmd_decat_trace)
-
-    p = sub.add_parser("knot")
-    ps = p.add_subparsers(dest="subcommand")
-    q = ps.add_parser("alexander")
-    q.add_argument("--presentation", required=True)
-    q.set_defaults(func=cmd_knot_alexander)
-    q = ps.add_parser("seifert")
-    q.add_argument("--presentation", required=True)
-    q.add_argument("--omega", required=True)
-    q.set_defaults(func=cmd_knot_seifert)
-    q = ps.add_parser("from-plucker")
-    q.add_argument("file")
-    q.add_argument("--omega", required=True)
-    q.set_defaults(func=cmd_knot_from_plucker)
-    q = ps.add_parser("trefoil"); q.set_defaults(func=cmd_trefoil)
-
-    p = sub.add_parser("trefoil"); p.set_defaults(func=cmd_trefoil)
-    return parser
+def parse(argv):
+    """(command function, args) for argv: the function is None when argv
+    names no command and cmd_help on -h.  A malformed argv raises
+    SchemaViolation, but an unknown option or a wrong count of positionals
+    is reported at the end, so that a later -h still prints the usage."""
+    args, func, fields, words = SimpleNamespace(json=False), None, [], ()
+    known, late, dashed, tokens = {**HELP, "--json": bool}, None, False, iter(argv)
+    for token in tokens:
+        opt = None if dashed else _option(token, known)
+        if token == "--" and func and not dashed:  # the rest are positionals
+            dashed = True
+            late = late or (not COMMANDS[words][1] and 'unknown argument "--"')
+        elif opt is None and func is None:  # a command word
+            words += (token,)
+            if not any(w[:len(words)] == words for w in COMMANDS):
+                raise SchemaViolation(f"unknown command {show(' '.join(words))}")
+            func, fields, options = COMMANDS.get(words, (None, (), {}))
+            fields, known = list(fields), {**HELP, **options}
+            vars(args).update((o[2:], False if k is bool else None)
+                              for o, k in options.items())
+        elif opt is None and fields:
+            setattr(args, fields.pop(0), token)
+        elif opt is None or not opt[0]:
+            late = late or f"unknown {'option' if opt else 'argument'} {show(token)}"
+        elif opt[0] in HELP and (opt[1] is None or opt[0] == "-h"
+                                 and set(opt[1]) == {"h"}):  # or -hh
+            return cmd_help, args
+        else:
+            (option, value), kind = opt, known[opt[0]]
+            if kind is bool and value is not None:
+                raise SchemaViolation("takes no value", option)
+            if kind is not bool and value is None:
+                value = next(tokens, "--")
+                if value == "--" or _option(value, known):
+                    raise SchemaViolation("needs a value", option)
+            try:  # True for a flag, int(value), or the choice equal to value
+                value = kind is bool or (kind(value) if kind in (str, int)
+                                         else kind[kind.index(value)])
+            except ValueError:
+                want = "an integer" if kind is int else "one of " + ", ".join(kind)
+                raise SchemaViolation(f"expected {want}, got {show(value)}",
+                                      option) from None
+            setattr(args, option[2:], value)
+    missing = [f.upper() for f in fields] + [
+        o for o, k in known.items() if k in (str, int) and getattr(args, o[2:]) is None]
+    if late or missing:
+        raise SchemaViolation(late or "missing " + " ".join(missing))
+    return func, args
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    func = getattr(args, "func", None)
-    if func is None:
-        parser.print_help()
-        return 2
     try:
-        return func(args)
+        func, args = parse(sys.argv[1:] if argv is None else argv)
+        return func(args) if func else cmd_help(args) + 2  # no command: 2
     except SchemaViolation as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

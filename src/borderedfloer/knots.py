@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 from math import factorial, gcd
 
-from . import decat, strands
+from . import decat
 from .decat import ExteriorElement, det, plucker
 from .errors import (NotDecomposable, NotUnimodular, Record, SchemaViolation,
                      SeifertConsistencyFailure, ZeroPoint, check)
@@ -137,6 +137,7 @@ def intersection_from_pmc(pmc):
 def intersection_from_algebra(pmc):
     """Entry (j, j') = the graded Euler characteristic of the single-strand
     space I_j A(Z, 1-k) I_{j'}."""
+    from . import strands
     n2k = pmc.num_classes
     out = [[0] * n2k for _ in range(n2k)]
     for elt in strands.basis(pmc, 1 - pmc.k):

@@ -79,7 +79,7 @@ KNOT_FILES = {"presentation.json": {"A": [[-1, -1], [-1, 0]],
               "omega.json": {"matrix": [[0, 1], [-1, 0]]}}
 
 
-SLOW_IMPORTS = {"dataclasses", "inspect"}
+SLOW_IMPORTS = {"dataclasses", "inspect", "argparse", "gettext"}
 
 
 @pytest.mark.parametrize("argv, loaded, absent", [
@@ -90,7 +90,7 @@ SLOW_IMPORTS = {"dataclasses", "inspect"}
       "--omega", "{tmp}/omega.json"], None,
      {"borderedfloer.structures", "borderedfloer.heegaard",
       "borderedfloer.gradings", "borderedfloer.hochschild",
-      "importlib.resources", *SLOW_IMPORTS}),
+      "borderedfloer.strands", "importlib.resources", *SLOW_IMPORTS}),
     (["--json", "alg", "check-gradings", "--pmc",
       "{data}/pmc_genus2_split.json"], None,
      {"borderedfloer.structures", "borderedfloer.heegaard",
@@ -114,6 +114,26 @@ def test_cli_call_loads_only_what_it_uses(tmp_path, argv, loaded, absent):
     assert not absent & set(modules)
     # only the trefoil command reads bundled data
     assert ("importlib.resources" in modules) == (argv[-1] == "trefoil")
+
+
+@pytest.mark.parametrize("argv, code, errors", [
+    (["--json", "trefoil"], 0, []),
+    (["-h"], 0, []),
+    (["pmc", "nosuch"], 2, ['input error: unknown command "pmc nosuch"']),
+])
+def test_module_entry_point_exits_with_mains_code(argv, code, errors):
+    # the console script calls main() with no argv, as python -m does
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-S", "-m", "borderedfloer.cli",
+                           *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr.splitlines()) == (code, errors)
+    if code:
+        assert proc.stdout == ""
+    elif argv == ["-h"]:
+        assert proc.stdout.startswith("usage: borderedfloer")
+    else:
+        assert json.loads(proc.stdout)["mismatches"] == []
 
 
 def test_benchmark_tracing_targets_resolve():
