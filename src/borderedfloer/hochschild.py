@@ -16,12 +16,6 @@ class HochschildGenerator(Record):
 class HochschildChainGroup(Record):
     __slots__ = _fields = ("generators",)
 
-    def by_strands_grading(self):
-        out = {}
-        for g in self.generators:
-            out.setdefault(g.strands_grading, []).append(g)
-        return out
-
 
 def hochschild_generators(n):
     """Generators x with equal left/right idempotent classes, gradings

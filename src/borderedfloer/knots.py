@@ -3,11 +3,10 @@ and kernel-basis reconstruction from Plucker points."""
 
 from __future__ import annotations
 
-import itertools
 from math import factorial, gcd
 
 from . import decat
-from .decat import ExteriorElement, det, plucker
+from .decat import ExteriorElement, det
 from .errors import (NotDecomposable, NotUnimodular, Record, SchemaViolation,
                      SeifertConsistencyFailure, ZeroPoint, check)
 from .laurent import LaurentPolynomial
@@ -215,10 +214,15 @@ def left_kernel(rows):
 
 
 def kernel_basis_from_plucker(p):
-    """(content, rows): the primitive subgroup whose Plucker point matches.
+    """(content, rows): the primitive subgroup W of Z^m whose Plucker point
+    is +-q, q = p/content, read off one nonzero coordinate q_I.
 
-    Solves v ^ (p/content) = 0 as an integer linear system, canonicalizes by
-    Hermite normal form, and re-verifies by wedging the rows.
+    Row j is the contraction of q by the dual of e_{I - i_j}; its entry at i
+    is +-q_{I - i_j + i}.  When q is decomposable these rows lie in W, and on
+    the columns of I they are +-q_I times the identity, so they have rank r
+    and span W over Q.  The annihilator of their annihilator saturates them
+    to W, and Hermite normal form makes the rows canonical.  Their wedge is
+    +-q exactly when q is decomposable.
     """
     if p.factors != 1:
         raise SchemaViolation("expected a single-factor element")
@@ -228,30 +232,23 @@ def kernel_basis_from_plucker(p):
     degrees = {len(k) for k in p.terms}
     if len(degrees) != 1:
         raise NotDecomposable("mixed-degree element")
-    r = degrees.pop()
     content = 0
     for c in p.terms.values():
         content = gcd(content, abs(c))
     q = {k: c // content for k, c in p.terms.items()}
-    # v in W  iff  v ^ q = 0: one constraint per (r+1)-subset w, with
-    # coefficient of v_i equal to +-q_{w - i}
-    constraints = []
-    for w in itertools.combinations(range(1, m + 1), r + 1):
-        row = [0] * m
-        for pos, i in enumerate(w):
-            rest = w[:pos] + w[pos + 1:]
-            sign = -1 if pos % 2 else 1  # moving e_i to the front of rest
-            row[i - 1] = sign * q.get(rest, 0)
-        constraints.append(row)
-    # left kernel of the transposed constraint matrix
-    transposed = [[constraints[c][i] for c in range(len(constraints))]
-                  for i in range(m)]
-    basis = left_kernel(transposed)
-    rows = _hnf(basis)
-    if len(rows) != r:
-        raise NotDecomposable(
-            f"solution space has rank {len(rows)}, expected {r}")
-    check = plucker(rows)
+    pivot = min(q)
+    contractions = []
+    for pos in range(len(pivot)):
+        rest = pivot[:pos] + pivot[pos + 1:]
+        # e_{rest + i} = (-1)^{#{x in rest : x > i}} e_rest ^ e_i
+        contractions.append([
+            0 if i in rest else (-1) ** sum(x > i for x in rest)
+            * q.get(tuple(sorted(rest + (i,))), 0) for i in range(1, m + 1)])
+    annihilator = left_kernel([[row[i] for row in contractions]
+                               for i in range(m)])
+    rows = _hnf(left_kernel([[row[i] for row in annihilator]
+                             for i in range(m)]))
+    check = decat.wedge_rows(rows, m)
     target = ExteriorElement.single(m, q)
     if check != target and check != -target:
         raise NotDecomposable("wedge of the recovered rows differs from the point")

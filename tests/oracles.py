@@ -1,0 +1,47 @@
+"""Test-side reference implementations: slower algorithms, independent of
+the ones they check, that the library's results are compared against."""
+
+import itertools
+from math import gcd
+
+from borderedfloer.decat import ExteriorElement, plucker
+from borderedfloer.errors import NotDecomposable
+from borderedfloer.knots import _hnf, left_kernel
+
+
+def kernel_rows_by_constraints(p):
+    """(content, rows) of a single-factor Plucker point p, by solving
+    v ^ (p/content) = 0 as an integer linear system: one constraint per
+    (r+1)-subset of 1..m, so C(m, r+1) rows, then a re-check by all C(m, r)
+    maximal minors.  Exponential in m; a reference for small points."""
+    m = p.dims[0]
+    degrees = {len(k) for k in p.terms}
+    if len(degrees) != 1:
+        raise NotDecomposable("mixed-degree element")
+    r = degrees.pop()
+    content = 0
+    for c in p.terms.values():
+        content = gcd(content, abs(c))
+    q = {k: c // content for k, c in p.terms.items()}
+    # v in W  iff  v ^ q = 0: one constraint per (r+1)-subset w, with
+    # coefficient of v_i equal to +-q_{w - i}
+    constraints = []
+    for w in itertools.combinations(range(1, m + 1), r + 1):
+        row = [0] * m
+        for pos, i in enumerate(w):
+            rest = w[:pos] + w[pos + 1:]
+            sign = -1 if pos % 2 else 1  # moving e_i to the front of rest
+            row[i - 1] = sign * q.get(rest, 0)
+        constraints.append(row)
+    # left kernel of the transposed constraint matrix
+    transposed = [[constraints[c][i] for c in range(len(constraints))]
+                  for i in range(m)]
+    rows = _hnf(left_kernel(transposed))
+    if len(rows) != r:
+        raise NotDecomposable(
+            f"solution space has rank {len(rows)}, expected {r}")
+    check = plucker(rows)
+    target = ExteriorElement.single(m, q)
+    if check != target and check != -target:
+        raise NotDecomposable("wedge of the recovered rows differs from the point")
+    return content, tuple(tuple(row) for row in rows)

@@ -348,6 +348,17 @@ def test_knot_from_plucker_degree_zero_point_is_an_input_error(capsys,
     assert err == "input error: no kernel rows to split into A and B\n"
 
 
+def test_knot_from_plucker_rejects_a_non_decomposable_point(capsys, tmp_path):
+    pfile, ofile = tmp_path / "point.json", tmp_path / "omega.json"
+    pfile.write_text(json.dumps({"dimension": 4, "terms": [
+        {"indices": [1, 2], "coeff": 1}, {"indices": [3, 4], "coeff": 1}]}))
+    ofile.write_text(json.dumps({"matrix": [[0, 1], [-1, 0]]}))
+    code, out, err = run(capsys, "knot", "from-plucker", str(pfile),
+                         "--omega", str(ofile))
+    assert (code, out) == (1, "")
+    assert err == "error: wedge of the recovered rows differs from the point\n"
+
+
 def test_knot_from_plucker_takes_the_two_factor_point(capsys, tmp_path):
     # the golden plucker is the two-factor point that decat psi prints
     golden = json.loads(cli.data_path("golden_trefoil.json").read_text())

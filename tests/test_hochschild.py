@@ -61,15 +61,6 @@ def test_hochschild_boundary_mismatch():
             elementary_da(Z1, Z1, frozenset({1}), frozenset({1}), 0))
 
 
-def test_by_strands_grading():
-    a = elementary_da(RZ1, Z1, frozenset(), frozenset(), 0, name="p")
-    b = elementary_da(RZ1, Z1, frozenset({1}), frozenset({1}), 0, name="q")
-    ch = hochschild_generators(direct_sum(a, b))
-    buckets = ch.by_strands_grading()
-    assert set(buckets) == {-1, 0}
-    assert [g.name for g in buckets[-1]] == ["p"]
-
-
 def test_complex_homology():
     cx = F2ChainComplex(["a", "b", "c"], {"a": 0, "b": 1, "c": 0},
                         {"a": {"b"}})

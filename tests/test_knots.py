@@ -4,11 +4,13 @@ import pytest
 from sympy import Matrix, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from borderedfloer import pmc as pmc_mod
-from borderedfloer.decat import ExteriorElement, plucker
+from borderedfloer import cli, pmc as pmc_mod
+from borderedfloer.decat import (ExteriorElement, combine_factors, plucker,
+                                 wedge_rows)
 from borderedfloer.errors import (NotDecomposable, NotUnimodular,
-                                  SchemaViolation, SeifertConsistencyFailure,
-                                  ZeroPoint)
+                                  RankDeficient, SchemaViolation,
+                                  SeifertConsistencyFailure, ZeroPoint)
+from borderedfloer.heegaard import BorderedDiagram, IntersectionPoint
 from borderedfloer.knots import (Presentation, alexander_from_seifert,
                                  intersection_from_algebra,
                                  intersection_from_pmc,
@@ -19,7 +21,8 @@ from borderedfloer.knots import (Presentation, alexander_from_seifert,
 from borderedfloer.laurent import LaurentPolynomial
 
 from oracle_constants import (TREFOIL_ALEXANDER, TREFOIL_KERNEL_ROWS,
-                              TREFOIL_OMEGA, TREFOIL_SEIFERT)
+                              TREFOIL_OMEGA, TREFOIL_PLUCKER, TREFOIL_SEIFERT)
+from oracles import kernel_rows_by_constraints
 
 DELTA = LaurentPolynomial(TREFOIL_ALEXANDER)
 
@@ -185,3 +188,130 @@ def test_round_trip_random_decomposables():
         scaled = ExteriorElement.single(4, {k: content * c
                                             for k, c in q.terms.items()})
         assert scaled == p or scaled == -p
+
+
+def test_kernel_basis_matches_the_constraint_oracle_on_random_points():
+    rng = random.Random(29)
+    done = 0
+    while done < 300:
+        m = rng.randint(1, 8)
+        rows = [[rng.randint(-3, 3) for _ in range(m)]
+                for _ in range(rng.randint(1, min(4, m)))]
+        try:
+            p = plucker(rows)
+        except RankDeficient:
+            continue
+        done += 1
+        p = rng.choice((-1, 1)) * rng.randint(1, 6) * p
+        assert kernel_basis_from_plucker(p) == kernel_rows_by_constraints(p)
+
+
+def unimodular_mixes(rows, count, seed):
+    """count images of two rows under random matrices of det +-1."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
+        if abs(a * d - b * c) == 1:
+            out.append([[a * x + b * y for x, y in zip(*rows)],
+                        [c * x + d * y for x, y in zip(*rows)]])
+    return out
+
+
+def test_kernel_basis_matches_the_constraint_oracle_on_trefoil_points():
+    joint = combine_factors(ExteriorElement.two(2, 2, TREFOIL_PLUCKER))
+    points = [joint] + [plucker(rows) for rows in
+                        unimodular_mixes(TREFOIL_KERNEL_ROWS, 100, 41)]
+    for p in points:
+        assert kernel_basis_from_plucker(p) == kernel_rows_by_constraints(p)
+
+
+def block_sum_rows(rows, n):
+    """n copies of kernel rows (A | B) of width 2k, copy j's A and B blocks
+    on columns j of the left and right halves of width 2kn."""
+    width = len(rows[0]) // 2
+    out = []
+    for j in range(n):
+        for row in rows:
+            out.append([0] * (2 * width * n))
+            out[-1][j * width:(j + 1) * width] = row[:width]
+            out[-1][(n + j) * width:(n + j + 1) * width] = row[width:]
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_basis_of_block_sums(n):
+    rows = block_sum_rows(TREFOIL_KERNEL_ROWS, n)
+    # at n = 4 the 12,870 minors of plucker and the constraint oracle take
+    # about 0.6 and 0.8 s; the wedge of the sparse rows takes milliseconds
+    p = plucker(rows) if n < 4 else wedge_rows(rows, 4 * n)
+    got = kernel_basis_from_plucker(p)
+    assert got == (1, tuple(map(tuple, _hnf(rows))))
+    if n < 4:
+        assert got == kernel_rows_by_constraints(p)
+
+
+def test_kernel_basis_saturates_the_contraction_rows():
+    # the contraction rows for I = (1, 3) span an index-2 sublattice
+    p = plucker([[2, 1, 0, 0], [0, 0, 1, 1]])
+    assert kernel_basis_from_plucker(p) == (1, ((2, 1, 0, 0), (0, 0, 1, 1)))
+
+
+def test_kernel_basis_rejects_a_sum_of_disjoint_monomials():
+    with pytest.raises(NotDecomposable):
+        kernel_basis_from_plucker(
+            ExteriorElement.single(6, {(1, 2, 3): 1, (4, 5, 6): 1}))
+
+
+# genus ladder: boundary sums of the bundled knot-complement diagram --------
+def boundary_sum(n):
+    """n copies of the bundled trefoil diagram side by side, on the boundary
+    (Z # ... # Z) # -(Z # ... # Z).  Copy j's Z-side arcs 1, 2 go to classes
+    2j-1, 2j; its -Z-side arcs 3, 4 go to 2n+2j-1, 2n+2j, the labels of copy
+    j in reverse(Z # ... # Z) shifted by 2n; its betas become 2j-1, 2j and
+    its point names get the suffix j."""
+    base = BorderedDiagram.from_json(
+        cli.load_json(cli.data_path("diagram_trefoil.json")))
+    z = pmc_mod.genus1()
+    for _ in range(n - 1):
+        z = pmc_mod.connected_sum(z, pmc_mod.genus1())
+    points = []
+    for j in range(1, n + 1):
+        arcs = {1: 2 * j - 1, 2: 2 * j, 3: 2 * n + 2 * j - 1, 4: 2 * n + 2 * j}
+        points += [IntersectionPoint(f"{p.name}{j}", 2 * j - 2 + p.beta, "arc",
+                                     arcs[p.alpha], p.sign)
+                   for p in base.points]
+    return BorderedDiagram("D", 2 * n, pmc_mod.connected_sum(
+        z, pmc_mod.reverse(z)), None, tuple(points))
+
+
+def block_sum(blocks):
+    size = sum(len(b) for b in blocks)
+    out, at = [[0] * size for _ in range(size)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def test_boundary_sum_of_one_copy_is_the_bundled_diagram():
+    bundled = BorderedDiagram.from_json(
+        cli.load_json(cli.data_path("diagram_trefoil.json")))
+    one = boundary_sum(1)
+    assert one.pmc_left == bundled.pmc_left
+    assert [(p.beta, p.alpha, p.sign) for p in one.points] == \
+        [(p.beta, p.alpha, p.sign) for p in bundled.points]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_knot_pipeline_on_boundary_sums(n):
+    report = cli.run_knot(boundary_sum(n))
+    assert len(report["table"]) == 7 ** n
+    delta = LaurentPolynomial.monomial(0)
+    for _ in range(n):
+        delta = delta * DELTA
+    assert report["alexander"] == delta.to_json()
+    assert report["alexander_from_presentation"] == delta.to_json()
+    assert report["seifert"] == block_sum([TREFOIL_SEIFERT] * n)
+    assert report["kernel_content"] == 1
