@@ -21,6 +21,14 @@ def inv_seq(seq):
                if seq[i] > seq[j])
 
 
+def blocks(g, k_l, k_r):
+    """The positions 1..g + k_l + k_r as the D block [1, 2k_l], the middle
+    and the A block (the last 2k_r), as ranges; None for an absent side."""
+    kl, kr = k_l or 0, k_r or 0
+    return (range(1, 2 * kl + 1), range(2 * kl + 1, g + kl - kr + 1),
+            range(g + kl - kr + 1, g + kl + kr + 1))
+
+
 class BorderedPartialPermutation(Record):
     """(g, k_l, k_r, sigma): an injection sigma = (sigma(1), ..., sigma(g))
     into [g + k_l + k_r].
@@ -28,8 +36,7 @@ class BorderedPartialPermutation(Record):
     k_l is the genus of the D (left) boundary and k_r that of the A (right)
     boundary, None for an absent side; the flavor ("A", "D", "DA", or
     "closed" for an honest permutation of [g]) only names the sides.  The
-    D block is [1, 2k_l], the A block the last 2k_r positions, and every
-    position outside both blocks is hit.
+    positions split into ``blocks``, and every middle position is hit.
     """
     __slots__ = _fields = ("g", "k_l", "k_r", "sigma")
 
@@ -41,8 +48,7 @@ class BorderedPartialPermutation(Record):
             raise FlavorViolation("sigma image out of range")
         if g < (k_l or 0) + (k_r or 0):
             raise FlavorViolation("D and A blocks overlap (need g >= k_l + k_r)")
-        blocks = set(self.d_block) | set(self.a_block) | set(sigma)
-        missing = [x for x in range(1, self.n + 1) if x not in blocks]
+        missing = sorted(set(blocks(g, k_l, k_r)[1]).difference(sigma))
         if missing:
             raise FlavorViolation(
                 f"positions outside the boundary blocks must be hit: {missing}")
@@ -77,25 +83,23 @@ class BorderedPartialPermutation(Record):
     @property
     def d_block(self):
         """The D block as a range of positions, or empty."""
-        return range(1, 2 * (self.k_l or 0) + 1)
+        return blocks(self.g, self.k_l, self.k_r)[0]
 
     @property
     def a_block(self):
-        kr = self.k_r or 0
-        return range(self.n - 2 * kr + 1, self.n + 1)
+        return blocks(self.g, self.k_l, self.k_r)[2]
 
     # signs ---------------------------------------------------------------
     @property
     def t(self):
         """|Im(sigma) cap A|."""
-        return sum(1 for x in self.sigma if x in self.a_block)
+        return len(set(self.sigma).intersection(self.a_block))
 
     def sgn(self):
         """inv(sigma), plus the unhit D positions above each image point,
         plus t(g - k_l - k_r) when both sides are present."""
-        im = set(self.sigma)
-        d_extra = sum(1 for i in im for j in self.d_block
-                      if j > i and j not in im)
+        im, d_block = set(self.sigma), self.d_block
+        d_extra = sum(1 for i in im for j in d_block if j > i and j not in im)
         both = self.k_l is not None and self.k_r is not None
         shape = self.t * (self.g - self.k_l - self.k_r) if both else 0
         return (inv_seq(self.sigma) + d_extra + shape) % 2

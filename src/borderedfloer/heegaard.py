@@ -7,22 +7,22 @@ and one alpha (a circle, or an arc labelled by the matched class of its
 boundary endpoints: kind "arc" on a one-sided diagram, "arc_left" or
 "arc_right" on a two-sided one), and carries a local sign in {0, 1}.
 
-One slot table per diagram orders the alphas: left arcs from slot 0, circles
-from 2k_l, right arcs from g + k_l - k_r (Lipshitz-Ozsvath-Thurston,
-arXiv:0810.0687).  Generators pick one point per beta with distinct alphas;
-the induced injection into the slots is a bordered partial permutation, and
-its sign plus the local signs give the Z/2 grading.
+One slot table per diagram orders the alphas by the block layout of a
+bordered partial permutation: left arcs fill the D block, circles the
+middle, right arcs the A block.  A generator picks one point per beta, no
+two on one alpha, and covers every alpha circle (Lipshitz-Ozsvath-Thurston,
+arXiv:0810.0687); it stores the injection into the slots as a bordered
+partial permutation, whose sign plus the local signs give the Z/2 grading.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property
 
 from . import pmc as pmc_mod
-from .errors import (FlavorOrderViolation, FlavorViolation, InvalidDiagram,
-                     Record, SchemaViolation, check)
-from .gradings import BorderedPartialPermutation, sum_permutations
+from .errors import (FlavorOrderViolation, InvalidDiagram, Record,
+                     SchemaViolation, check)
+from .gradings import BorderedPartialPermutation, blocks, sum_permutations
 
 
 class IntersectionPoint(Record):
@@ -91,17 +91,12 @@ class BorderedDiagram(Record):
 
     @cached_property
     def slots(self):
-        """alpha kind -> (slot offset, count) in the flavor's alpha order:
-        left arcs from slot 0, circles from 2k_l, right arcs from
-        g + k_l - k_r."""
-        g, kl, kr = self.genus, self.k_l or 0, self.k_r or 0
-        left, right = self.arc_kinds
-        table = {"circle": (2 * kl, g - kl - kr)}
-        if self.pmc_left is not None:
-            table[left] = (0, 2 * kl)
-        if self.pmc_right is not None:
-            table[right] = (g + kl - kr, 2 * kr)
-        return table
+        """alpha kind -> its range of slots in ``gradings.blocks``: left arcs
+        on the D block, circles on the middle, right arcs on the A block."""
+        kinds = (self.arc_kinds[0], "circle", self.arc_kinds[1])
+        sides = (self.pmc_left is not None, True, self.pmc_right is not None)
+        return {kind: slots for kind, slots, side in
+                zip(kinds, blocks(self.genus, self.k_l, self.k_r), sides) if side}
 
     def validate(self):
         if self.flavor not in _SIDES:
@@ -110,7 +105,7 @@ class BorderedDiagram(Record):
                                    self.pmc_right is not None):
             raise InvalidDiagram(f"flavor {self.flavor!r} does not match the "
                                  "boundary circles")
-        if self.slots["circle"][1] < 0:
+        if self.genus < (self.k_l or 0) + (self.k_r or 0):
             raise InvalidDiagram("genus: too small for the boundary circles")
         names = [p.name for p in self.points]
         if len(set(names)) != len(names):
@@ -124,12 +119,12 @@ class BorderedDiagram(Record):
                 raise FlavorOrderViolation(
                     f"points[{i}].alpha.kind: no {p.alpha_kind!r} alphas on a "
                     f"{self.flavor} diagram")
-            if not 1 <= p.alpha <= self.slots[p.alpha_kind][1]:
+            if not 1 <= p.alpha <= len(self.slots[p.alpha_kind]):
                 raise InvalidDiagram(f"points[{i}].alpha.index: out of range")
         return True
 
     def alpha_slot(self, point):
-        return self.slots[point.alpha_kind][0] + point.alpha
+        return self.slots[point.alpha_kind][point.alpha - 1]
 
     # JSON ----------------------------------------------------------------
     def to_json(self):
@@ -163,18 +158,13 @@ class BorderedDiagram(Record):
 
 
 class DiagramGenerator(Record):
-    """One IntersectionPoint of ``diagram`` per beta, ordered by beta."""
-    __slots__ = _fields = ("diagram", "points")
+    """One IntersectionPoint of ``diagram`` per beta, ordered by beta, and
+    ``sigma``, the BorderedPartialPermutation of their alpha slots."""
+    __slots__ = _fields = ("diagram", "points", "sigma")
 
     @property
     def name(self):
         return "".join(p.name for p in self.points)
-
-    @property
-    def sigma(self):
-        d = self.diagram
-        return BorderedPartialPermutation(
-            d.genus, d.k_l, d.k_r, tuple(d.alpha_slot(p) for p in self.points))
 
     @property
     def grading(self):
@@ -207,21 +197,20 @@ class DiagramGenerator(Record):
 
 
 def enumerate_generators(diagram):
-    """All ways to pick one point per beta covering every alpha circle and
-    the right number of arcs."""
+    """All generators: one point per beta, no two on one alpha, every alpha
+    circle covered.  Picks grow one beta at a time, taking each beta's
+    points in file order; only a kept pick builds its permutation."""
     diagram.validate()
-    per_beta = [[] for _ in range(diagram.genus)]
-    for p in diagram.points:
-        per_beta[p.beta - 1].append(p)
-    out = []
-    for combo in itertools.product(*per_beta):
-        gen = DiagramGenerator(diagram, tuple(combo))
-        try:
-            gen.sigma  # an injection that hits every circle
-        except FlavorViolation:
-            continue
-        out.append(gen)
-    return out
+    picks = [((), ())]  # (points, their alpha slots)
+    for beta in range(1, diagram.genus + 1):
+        on_beta = [(p, diagram.alpha_slot(p)) for p in diagram.points
+                   if p.beta == beta]
+        picks = [(points + (p,), used + (slot,)) for points, used in picks
+                 for p, slot in on_beta if slot not in used]
+    circles = set(diagram.slots["circle"])
+    return [DiagramGenerator(diagram, points, BorderedPartialPermutation(
+                diagram.genus, diagram.k_l, diagram.k_r, used))
+            for points, used in picks if circles.issubset(used)]
 
 
 def glued_grading(left_gen, right_gen):

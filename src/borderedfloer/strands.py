@@ -275,17 +275,6 @@ def idempotent(pmc, s):
     return StrandsElement(pmc, frozenset([pairs]))
 
 
-def idempotent_sum(pmc, i=None):
-    """The sum of minimal idempotents (of strands grading i, or all)."""
-    gradings = range(-pmc.k, pmc.k + 1) if i is None else [i]
-    out = StrandsElement.zero(pmc)
-    for g in gradings:
-        size = pmc.k + g
-        for s in combinations(range(1, pmc.num_classes + 1), size):
-            out = out + idempotent(pmc, s)
-    return out
-
-
 # multiplication ---------------------------------------------------------
 def _raw_multiply(pa, pb):
     """Product in the big strands algebra; None when zero."""

@@ -5,7 +5,9 @@ import itertools
 from math import gcd
 
 from borderedfloer.decat import ExteriorElement, plucker
-from borderedfloer.errors import NotDecomposable
+from borderedfloer.errors import FlavorViolation, NotDecomposable
+from borderedfloer.gradings import BorderedPartialPermutation
+from borderedfloer.heegaard import DiagramGenerator
 from borderedfloer.knots import _hnf, left_kernel
 
 
@@ -45,3 +47,31 @@ def kernel_rows_by_constraints(p):
     if check != target and check != -target:
         raise NotDecomposable("wedge of the recovered rows differs from the point")
     return content, tuple(tuple(row) for row in rows)
+
+
+def generators_by_product(diagram):
+    """The generators of a diagram by brute force: every pick of one point
+    per beta (betas in order, each beta's points in file order), kept when
+    the BorderedPartialPermutation constructor accepts its alpha slots.
+    The slots come from their own offsets (left arcs from 0, circles from
+    2k_l, right arcs from g + k_l - k_r), not from the diagram's table."""
+    diagram.validate()
+    g, kl, kr = diagram.genus, diagram.k_l or 0, diagram.k_r or 0
+    left, right = diagram.arc_kinds
+    offset = {"circle": 2 * kl}
+    if diagram.pmc_left is not None:
+        offset[left] = 0
+    if diagram.pmc_right is not None:
+        offset[right] = g + kl - kr
+    per_beta = [[p for p in diagram.points if p.beta == beta]
+                for beta in range(1, g + 1)]
+    out = []
+    for combo in itertools.product(*per_beta):
+        try:
+            sigma = BorderedPartialPermutation(
+                g, diagram.k_l, diagram.k_r,
+                tuple(offset[p.alpha_kind] + p.alpha for p in combo))
+        except FlavorViolation:
+            continue
+        out.append(DiagramGenerator(diagram, combo, sigma))
+    return out

@@ -1,6 +1,5 @@
 import contextlib
 import io
-import itertools
 import json
 import os
 
@@ -9,10 +8,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from borderedfloer import cli, heegaard, pmc, strands, structures
 from borderedfloer.decat import ExteriorElement, combine_factors
-from borderedfloer.errors import NotUnimodular, SeifertConsistencyFailure
 from borderedfloer.knots import alexander_from_seifert
 from borderedfloer.laurent import LaurentPolynomial
 
+from knot_diagrams import sign_pattern_reports, trefoil
 from oracle_constants import (STRANDS_DIMS_GENUS1, TREFOIL_ALEXANDER,
                               TREFOIL_SEIFERT, TREFOIL_TABLE)
 
@@ -394,25 +393,13 @@ def test_trefoil_end_to_end(capsys):
 
 
 def test_run_knot_cross_checks_agree_on_every_sign_pattern():
-    base = heegaard.BorderedDiagram.from_json(
-        cli.load_json(data("diagram_trefoil.json")))
-    agree = []
-    for signs in itertools.product((0, 1), repeat=len(base.points)):
-        diagram = heegaard.BorderedDiagram(
-            base.flavor, base.genus, base.pmc_left, base.pmc_right,
-            tuple(heegaard.IntersectionPoint(p.name, p.beta, p.alpha_kind,
-                                             p.alpha, s)
-                  for p, s in zip(base.points, signs)), base.name)
-        try:
-            report = cli.run_knot(diagram)
-        except (NotUnimodular, SeifertConsistencyFailure):
-            continue
+    reports = sign_pattern_reports()
+    for signs, report in reports.items():
         seifert = tuple(map(tuple, report["seifert"]))
         assert report["alexander"] == report["alexander_from_presentation"] \
             == alexander_from_seifert(seifert).to_json(), signs
-        agree.append(signs)
-    assert len(agree) == 16
-    assert tuple(p.sign for p in base.points) in agree
+    assert len(reports) == 16
+    assert tuple(p.sign for p in trefoil().points) in reports
 
 
 def test_builtin_list_names_the_bundled_diagrams():

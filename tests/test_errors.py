@@ -77,7 +77,10 @@ RECORDS = {
     heegaard.IntersectionPoint: (lambda: ["x", 1, "arc", 1, 0], 1),
     heegaard.BorderedDiagram: (lambda: ["A", 1, None, pmc.genus1(), (_point(),),
                                         "d"], "e"),
-    heegaard.DiagramGenerator: (lambda: [_diagram(), (_point(),)], ()),
+    heegaard.DiagramGenerator: (
+        lambda: [_diagram(), (_point(),),
+                 gradings.BorderedPartialPermutation(1, None, 1, (1,))],
+        gradings.BorderedPartialPermutation(1, None, 1, (2,))),
     hochschild.HochschildGenerator: (lambda: ["x", frozenset({1}), 0, 0], 1),
     hochschild.HochschildChainGroup: (
         lambda: [(hochschild.HochschildGenerator("x", frozenset({1}), 0, 0),)], ()),

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,7 +11,9 @@ from borderedfloer.heegaard import (BorderedDiagram, IntersectionPoint,
 from borderedfloer.structures import (ModuleGenerator, TypeDStructure,
                                       identity_aa, induct_dd, theta)
 
+from knot_diagrams import boundary_sum, trefoil
 from oracle_constants import TREFOIL_TABLE
+from oracles import generators_by_product
 
 
 def bundled(name):
@@ -130,3 +133,62 @@ def test_json_roundtrip():
         [g.to_json() for g in enumerate_generators(d)]
     with pytest.raises(SchemaViolation):
         BorderedDiagram.from_json({"flavor": "A", "genus": 1})
+
+
+def test_a_generator_covers_every_alpha_circle():
+    """Picks on distinct alphas that miss a circle are no generators."""
+    z = pmc_mod.genus1()
+    # one circle, two arcs: x-z and x-w cover the circle; y-z share arc 1,
+    # and y-w has distinct alphas but misses the circle
+    d = BorderedDiagram("A", 2, None, z, (
+        IntersectionPoint("x", 1, "circle", 1, 0),
+        IntersectionPoint("y", 1, "arc", 1, 0),
+        IntersectionPoint("z", 2, "arc", 1, 1),
+        IntersectionPoint("w", 2, "arc", 2, 0)))
+    assert [g.name for g in enumerate_generators(d)] == ["xz", "xw"]
+    closed = BorderedDiagram("closed", 2, None, None, (
+        IntersectionPoint("a", 1, "circle", 1, 0),
+        IntersectionPoint("b", 1, "circle", 2, 0),
+        IntersectionPoint("c", 2, "circle", 1, 1)))
+    [gen] = enumerate_generators(closed)
+    assert (gen.name, gen.sigma.sigma, gen.grading) == ("bc", (2, 1), 0)
+
+
+def generator_data(gens):
+    return [(g.name, g.sigma, g.grading, g.idempotent_left, g.idempotent_right)
+            for g in gens]
+
+
+def random_diagram(rng, circles):
+    """A diagram of a random flavor on boundary circles drawn from circles,
+    with 0-3 alpha circles; each beta meets 0-3 points on random alphas, so
+    some betas are empty and some meet one alpha twice."""
+    flavor = rng.choice(("A", "D", "DA", "closed"))
+    left = rng.choice(circles) if flavor in ("D", "DA") else None
+    right = rng.choice(circles) if flavor in ("A", "DA") else None
+    kl, kr = (left.k if left else 0), (right.k if right else 0)
+    genus = kl + kr + rng.randint(0, 3)
+    arcs = ("arc_left", "arc_right") if flavor == "DA" else ("arc", "arc")
+    alphas = [("circle", i) for i in range(1, genus - kl - kr + 1)] \
+        + [(arcs[0], i) for i in range(1, 2 * kl + 1)] \
+        + [(arcs[1], i) for i in range(1, 2 * kr + 1)]
+    points = []
+    for beta in range(1, genus + 1):
+        for _ in range(rng.choice((0,) + (1, 2, 3) * 3)):
+            kind, index = rng.choice(alphas)
+            points.append(IntersectionPoint(f"p{len(points)}", beta, kind,
+                                            index, rng.randint(0, 1)))
+    return BorderedDiagram(flavor, genus, left, right, tuple(points))
+
+
+def test_generators_match_the_product_oracle():
+    diagrams = [bundled(name) for name in cli.BUILTIN_DIAGRAMS]
+    diagrams += [heegaard.identity_aa_diagram(z)
+                 for z in (pmc_mod.genus1(), pmc_mod.genus2_split())]
+    diagrams += [boundary_sum(*[trefoil()] * n) for n in (1, 2, 3)]
+    rng = random.Random(20261019)
+    circles = (pmc_mod.genus1(), pmc_mod.genus2_split())
+    diagrams += [random_diagram(rng, circles) for _ in range(1200)]
+    for d in diagrams:
+        assert generator_data(enumerate_generators(d)) == \
+            generator_data(generators_by_product(d)), d

@@ -10,7 +10,6 @@ from borderedfloer.decat import (ExteriorElement, combine_factors, plucker,
 from borderedfloer.errors import (NotDecomposable, NotUnimodular,
                                   RankDeficient, SchemaViolation,
                                   SeifertConsistencyFailure, ZeroPoint)
-from borderedfloer.heegaard import BorderedDiagram, IntersectionPoint
 from borderedfloer.knots import (Presentation, alexander_from_seifert,
                                  intersection_from_algebra,
                                  intersection_from_pmc,
@@ -20,6 +19,8 @@ from borderedfloer.knots import (Presentation, alexander_from_seifert,
                                  _unimodular_inverse)
 from borderedfloer.laurent import LaurentPolynomial
 
+from knot_diagrams import (boundary_sum, sign_pattern_reports, trefoil,
+                           with_signs)
 from oracle_constants import (TREFOIL_ALEXANDER, TREFOIL_KERNEL_ROWS,
                               TREFOIL_OMEGA, TREFOIL_PLUCKER, TREFOIL_SEIFERT)
 from oracles import kernel_rows_by_constraints
@@ -264,27 +265,6 @@ def test_kernel_basis_rejects_a_sum_of_disjoint_monomials():
 
 
 # genus ladder: boundary sums of the bundled knot-complement diagram --------
-def boundary_sum(n):
-    """n copies of the bundled trefoil diagram side by side, on the boundary
-    (Z # ... # Z) # -(Z # ... # Z).  Copy j's Z-side arcs 1, 2 go to classes
-    2j-1, 2j; its -Z-side arcs 3, 4 go to 2n+2j-1, 2n+2j, the labels of copy
-    j in reverse(Z # ... # Z) shifted by 2n; its betas become 2j-1, 2j and
-    its point names get the suffix j."""
-    base = BorderedDiagram.from_json(
-        cli.load_json(cli.data_path("diagram_trefoil.json")))
-    z = pmc_mod.genus1()
-    for _ in range(n - 1):
-        z = pmc_mod.connected_sum(z, pmc_mod.genus1())
-    points = []
-    for j in range(1, n + 1):
-        arcs = {1: 2 * j - 1, 2: 2 * j, 3: 2 * n + 2 * j - 1, 4: 2 * n + 2 * j}
-        points += [IntersectionPoint(f"{p.name}{j}", 2 * j - 2 + p.beta, "arc",
-                                     arcs[p.alpha], p.sign)
-                   for p in base.points]
-    return BorderedDiagram("D", 2 * n, pmc_mod.connected_sum(
-        z, pmc_mod.reverse(z)), None, tuple(points))
-
-
 def block_sum(blocks):
     size = sum(len(b) for b in blocks)
     out, at = [[0] * size for _ in range(size)], 0
@@ -296,9 +276,8 @@ def block_sum(blocks):
 
 
 def test_boundary_sum_of_one_copy_is_the_bundled_diagram():
-    bundled = BorderedDiagram.from_json(
-        cli.load_json(cli.data_path("diagram_trefoil.json")))
-    one = boundary_sum(1)
+    bundled = trefoil()
+    one = boundary_sum(bundled)
     assert one.pmc_left == bundled.pmc_left
     assert [(p.beta, p.alpha, p.sign) for p in one.points] == \
         [(p.beta, p.alpha, p.sign) for p in bundled.points]
@@ -306,7 +285,7 @@ def test_boundary_sum_of_one_copy_is_the_bundled_diagram():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_knot_pipeline_on_boundary_sums(n):
-    report = cli.run_knot(boundary_sum(n))
+    report = cli.run_knot(boundary_sum(*[trefoil()] * n))
     assert len(report["table"]) == 7 ** n
     delta = LaurentPolynomial.monomial(0)
     for _ in range(n):
@@ -315,3 +294,19 @@ def test_knot_pipeline_on_boundary_sums(n):
     assert report["alexander_from_presentation"] == delta.to_json()
     assert report["seifert"] == block_sum([TREFOIL_SEIFERT] * n)
     assert report["kernel_content"] == 1
+
+
+def test_knot_pipeline_on_mixed_boundary_sums():
+    """The golden pattern summed with each agreeing sign pattern: Delta
+    multiplies and V is the block sum."""
+    golden = trefoil()
+    patterns = sign_pattern_reports()
+    assert len(patterns) == 16
+    for signs, alone in patterns.items():
+        report = cli.run_knot(boundary_sum(golden, with_signs(golden, signs)))
+        delta = DELTA * LaurentPolynomial(
+            {int(e): c for e, c in alone["alexander"].items()})
+        assert report["alexander"] == report["alexander_from_presentation"] \
+            == delta.to_json(), signs
+        assert report["seifert"] == \
+            block_sum([TREFOIL_SEIFERT, alone["seifert"]]), signs
