@@ -41,6 +41,8 @@ def load_json(path):
     except json.JSONDecodeError as exc:
         raise SchemaViolation(f"{path}: invalid JSON at line {exc.lineno}, "
                               f"column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise SchemaViolation(f"{path}: nested too deeply") from exc
 
 
 def emit(args, payload, text=None):

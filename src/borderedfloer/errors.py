@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the one JSON input check, and
-the base of its immutable values."""
+"""Exception types shared across the package, the one JSON input check and
+its per-side key names, and the base of its immutable values."""
 
 import json
 
@@ -71,6 +71,12 @@ def check(value, spec, path=""):
                 raise SchemaViolation("unknown key", f"{path}.{key}" if
                                       key.isidentifier() else f"{path}[{show(key)}]")
     return value
+
+
+def sided(base, two_sided):
+    """The left and right names of a per-side key: "arc" -> "arc_left" and
+    "arc_right" when both sides are present, "arc" for the one side otherwise."""
+    return (base + "_left", base + "_right") if two_sided else (base, base)
 
 
 def unique(values, path):

@@ -36,19 +36,24 @@ class BorderedPartialPermutation(Record):
     k_l is the genus of the D (left) boundary and k_r that of the A (right)
     boundary, None for an absent side; the flavor ("A", "D", "DA", or
     "closed" for an honest permutation of [g]) only names the sides.  The
-    positions split into ``blocks``, and every middle position is hit.
+    positions split into ``blocks``, kept as ``d_block`` and ``a_block``,
+    and every middle position is hit.
     """
-    __slots__ = _fields = ("g", "k_l", "k_r", "sigma")
+    _fields = ("g", "k_l", "k_r", "sigma")
+    __slots__ = _fields + ("d_block", "a_block")
 
     def __init__(self, g, k_l, k_r, sigma):
         Record.__init__(self, g, k_l, k_r, sigma)
+        d_block, middle, a_block = blocks(g, k_l, k_r)
+        object.__setattr__(self, "d_block", d_block)
+        object.__setattr__(self, "a_block", a_block)
         if len(sigma) != g or len(set(sigma)) != g:
             raise FlavorViolation("sigma must be an injection defined on [g]")
         if any(not 1 <= x <= self.n for x in sigma):
             raise FlavorViolation("sigma image out of range")
         if g < (k_l or 0) + (k_r or 0):
             raise FlavorViolation("D and A blocks overlap (need g >= k_l + k_r)")
-        missing = sorted(set(blocks(g, k_l, k_r)[1]).difference(sigma))
+        missing = sorted(set(middle).difference(sigma))
         if missing:
             raise FlavorViolation(
                 f"positions outside the boundary blocks must be hit: {missing}")
@@ -80,20 +85,18 @@ class BorderedPartialPermutation(Record):
     def n(self):
         return self.g + (self.k_l or 0) + (self.k_r or 0)
 
-    @property
-    def d_block(self):
-        """The D block as a range of positions, or empty."""
-        return blocks(self.g, self.k_l, self.k_r)[0]
-
-    @property
-    def a_block(self):
-        return blocks(self.g, self.k_l, self.k_r)[2]
+    def occupied(self):
+        """The D positions sigma hits, and the A positions it hits numbered
+        from 1, as frozensets."""
+        shift = self.a_block.start - 1
+        return (frozenset(x for x in self.sigma if x in self.d_block),
+                frozenset(x - shift for x in self.sigma if x in self.a_block))
 
     # signs ---------------------------------------------------------------
     @property
     def t(self):
         """|Im(sigma) cap A|."""
-        return len(set(self.sigma).intersection(self.a_block))
+        return len(self.occupied()[1])
 
     def sgn(self):
         """inv(sigma), plus the unhit D positions above each image point,
@@ -116,12 +119,10 @@ def sum_permutations(left, right):
         raise FlavorViolation(f"cannot glue {left.flavor}+{right.flavor}")
     if left.k_r != right.k_l:
         raise FlavorViolation("middle genus mismatch")
-    k_mid = left.k_r
-    shift = left.n - 2 * k_mid
-    occ_left = {i - shift for i in left.sigma if i in left.a_block}
-    occ_right = {i for i in right.sigma if i in right.d_block}
-    if occ_left & occ_right or occ_left | occ_right != set(range(1, 2 * k_mid + 1)):
+    occ_left, occ_right = left.occupied()[1], right.occupied()[0]
+    if occ_left & occ_right or occ_left | occ_right != set(right.d_block):
         return None
+    shift = left.a_block.start - 1
     glued = tuple(left.sigma) + tuple(x + shift for x in right.sigma)
     return BorderedPartialPermutation(left.g + right.g, left.k_l, right.k_r,
                                       glued)
@@ -131,10 +132,8 @@ def hochschild_closable(bpp):
     """Whether the DA permutation closes up (left/right occupancies complement)."""
     if bpp.k_l is None or bpp.k_l != bpp.k_r:
         raise FlavorViolation("Hochschild closure needs a DA shape with k_l = k_r")
-    k = bpp.k_l
-    folded = {x - bpp.g for x in bpp.sigma if x in bpp.a_block}
-    kept = {x for x in bpp.sigma if x in bpp.d_block}
-    return not (folded & kept) and folded | kept == set(range(1, 2 * k + 1))
+    kept, folded = bpp.occupied()
+    return not (folded & kept) and folded | kept == set(bpp.d_block)
 
 
 def hochschild_closure(bpp):

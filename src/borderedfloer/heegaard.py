@@ -17,11 +17,9 @@ partial permutation, whose sign plus the local signs give the Z/2 grading.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from . import pmc as pmc_mod
 from .errors import (FlavorOrderViolation, InvalidDiagram, Record,
-                     SchemaViolation, check)
+                     SchemaViolation, check, sided)
 from .gradings import BorderedPartialPermutation, blocks, sum_permutations
 
 
@@ -49,27 +47,34 @@ _SIDES = {"A": (False, True), "D": (True, False), "DA": (True, True),
           "closed": (False, False)}
 
 
-def _sided(base, two_sided):
-    """The left and right names of a per-side key: "arc" -> "arc_left" and
-    "arc_right" on a two-sided diagram, "arc" for the one side otherwise."""
-    return (base + "_left", base + "_right") if two_sided else (base, base)
-
-
 # the diagram file of each flavor; points are checked one by one
 _SPECS = {flavor: {"flavor": str, "genus": int, "name?": str, "points": [dict],
                    **{key: dict for key, side in
-                      zip(_sided("boundary", all(sides)), sides) if side}}
+                      zip(sided("boundary", all(sides)), sides) if side}}
           for flavor, sides in _SIDES.items()}
 
 
 class BorderedDiagram(Record):
-    """``flavor`` ("A", "D", "DA" or "closed") names the sides: ``pmc_left``
-    is the D boundary and ``pmc_right`` the A boundary, None when absent.
-    No ``__slots__``: the cached ``slots`` table lives in ``__dict__``."""
-    _fields = ("flavor", "genus", "pmc_left", "pmc_right", "points", "name")
+    """``pmc_left`` is the D boundary and ``pmc_right`` the A boundary, None
+    when absent; ``flavor`` ("A", "D", "DA" or "closed") names the sides.
+    ``slots`` maps each alpha kind to its range of slots in
+    ``gradings.blocks``: left arcs on the D block, circles on the middle,
+    right arcs on the A block."""
+    _fields = ("genus", "pmc_left", "pmc_right", "points", "name")
+    __slots__ = _fields + ("slots",)
 
-    def __init__(self, flavor, genus, pmc_left, pmc_right, points, name=""):
-        Record.__init__(self, flavor, genus, pmc_left, pmc_right, points, name)
+    def __init__(self, genus, pmc_left, pmc_right, points, name=""):
+        Record.__init__(self, genus, pmc_left, pmc_right, points, name)
+        kinds = (self.arc_kinds[0], "circle", self.arc_kinds[1])
+        sides = (pmc_left is not None, True, pmc_right is not None)
+        object.__setattr__(self, "slots", {
+            kind: slots for kind, slots, side in
+            zip(kinds, blocks(genus, self.k_l, self.k_r), sides) if side})
+
+    @property
+    def flavor(self):
+        sides = (self.pmc_left is not None, self.pmc_right is not None)
+        return next(flavor for flavor, s in _SIDES.items() if s == sides)
 
     @property
     def k_l(self):
@@ -87,24 +92,9 @@ class BorderedDiagram(Record):
     @property
     def arc_kinds(self):
         """The alpha kinds of the left and right arcs."""
-        return _sided("arc", self.two_sided)
-
-    @cached_property
-    def slots(self):
-        """alpha kind -> its range of slots in ``gradings.blocks``: left arcs
-        on the D block, circles on the middle, right arcs on the A block."""
-        kinds = (self.arc_kinds[0], "circle", self.arc_kinds[1])
-        sides = (self.pmc_left is not None, True, self.pmc_right is not None)
-        return {kind: slots for kind, slots, side in
-                zip(kinds, blocks(self.genus, self.k_l, self.k_r), sides) if side}
+        return sided("arc", self.two_sided)
 
     def validate(self):
-        if self.flavor not in _SIDES:
-            raise InvalidDiagram(f"unknown flavor {self.flavor!r}")
-        if _SIDES[self.flavor] != (self.pmc_left is not None,
-                                   self.pmc_right is not None):
-            raise InvalidDiagram(f"flavor {self.flavor!r} does not match the "
-                                 "boundary circles")
         if self.genus < (self.k_l or 0) + (self.k_r or 0):
             raise InvalidDiagram("genus: too small for the boundary circles")
         names = [p.name for p in self.points]
@@ -132,7 +122,7 @@ class BorderedDiagram(Record):
                "points": [p.to_json() for p in self.points]}
         if self.name:
             obj["name"] = self.name
-        keys = _sided("boundary", self.two_sided)
+        keys = sided("boundary", self.two_sided)
         for key, circle in zip(keys, (self.pmc_left, self.pmc_right)):
             if circle is not None:
                 obj[key] = circle.to_json()
@@ -146,10 +136,10 @@ class BorderedDiagram(Record):
         check(obj, _SPECS[flavor])
         sides = _SIDES[flavor]
         left, right = (pmc_mod.load(obj[key], key) if side else None
-                       for key, side in zip(_sided("boundary", all(sides)), sides))
+                       for key, side in zip(sided("boundary", all(sides)), sides))
         points = tuple(IntersectionPoint.from_json(p, f"points[{i}]")
                        for i, p in enumerate(obj["points"]))
-        diag = cls(flavor, obj["genus"], left, right, points, obj.get("name", ""))
+        diag = cls(obj["genus"], left, right, points, obj.get("name", ""))
         try:
             diag.validate()
         except (InvalidDiagram, FlavorOrderViolation) as exc:
@@ -176,19 +166,16 @@ class DiagramGenerator(Record):
     @property
     def idempotent_left(self):
         """D side: the classes of the unoccupied left arcs."""
-        d = self.diagram
-        if d.pmc_left is None:
+        if self.sigma.k_l is None:
             return None
-        return frozenset(range(1, 2 * d.k_l + 1)) - \
-            self.occupied_arcs(d.arc_kinds[0])
+        return frozenset(self.sigma.d_block) - self.sigma.occupied()[0]
 
     @property
     def idempotent_right(self):
         """A side: the classes of the occupied right arcs."""
-        d = self.diagram
-        if d.pmc_right is None:
+        if self.sigma.k_r is None:
             return None
-        return self.occupied_arcs(d.arc_kinds[1])
+        return self.sigma.occupied()[1]
 
     def to_json(self):
         return {"name": self.name,
@@ -239,7 +226,6 @@ def identity_aa_diagram(z):
     for j in range(1, n2k + 1):
         pts.append(IntersectionPoint(f"b{j}", j, "arc", j, 0))
         pts.append(IntersectionPoint(f"t{j}", j, "arc", n2k + j, 1))
-    d = BorderedDiagram("A", n2k, None, boundary, tuple(pts),
-                        name="identity_aa")
+    d = BorderedDiagram(n2k, None, boundary, tuple(pts), name="identity_aa")
     d.validate()
     return d

@@ -28,7 +28,7 @@ import itertools
 
 from . import pmc as pmc_mod, strands
 from .errors import (AlgebraMismatch, BothUnbounded, Record, SchemaViolation,
-                     check, show, unique)
+                     check, show, sided, unique)
 from .pmc import PointedMatchedCircle
 
 
@@ -59,18 +59,19 @@ def _idempotent(pmc, classes):
 
 
 def _is_dag(edges, nodes):
-    """No directed cycle among the given edge set."""
-    color = {n: 0 for n in nodes}
-
-    def visit(n):
-        color[n] = 1
+    """No directed cycle among the given edge set: drop a node that no edge
+    enters until none is left (Kahn), without recursion."""
+    entering = dict.fromkeys(nodes, 0)
+    for n in nodes:
         for m in edges.get(n, ()):
-            if color[m] == 1 or (color[m] == 0 and not visit(m)):
-                return False
-        color[n] = 2
-        return True
-
-    return all(color[n] or visit(n) for n in nodes)
+            entering[m] += 1
+    free = [n for n, count in entering.items() if not count]
+    for n in free:
+        for m in edges.get(n, ()):
+            entering[m] -= 1
+            if not entering[m]:
+                free.append(m)
+    return len(free) == len(entering)
 
 
 def _generator_errors(pmc_left, pmc_right, generators):
@@ -466,10 +467,9 @@ def _algebra_keys(cls):
     """(JSON key, side name, side index) of each side a flavor has; a
     one-sided structure names its one side "algebra"."""
     kinds = (cls.left, cls.right)
-    return [("algebra" if None in kinds else key,
-             "left" if kind == "D" else "right", i)
-            for i, (key, kind) in enumerate(zip(("algebra_left", "algebra_right"),
-                                                kinds)) if kind]
+    keys = sided("algebra", None not in kinds)
+    return [(key, "left" if kind == "D" else "right", i)
+            for i, (key, kind) in enumerate(zip(keys, kinds)) if kind]
 
 
 # the module file of each flavor; generators and ops are checked one by one

@@ -18,7 +18,7 @@ def trefoil():
 def with_signs(diagram, signs):
     """diagram with the local signs of its points replaced by signs."""
     return BorderedDiagram(
-        diagram.flavor, diagram.genus, diagram.pmc_left, diagram.pmc_right,
+        diagram.genus, diagram.pmc_left, diagram.pmc_right,
         tuple(IntersectionPoint(p.name, p.beta, p.alpha_kind, p.alpha, s)
               for p, s in zip(diagram.points, signs)), diagram.name)
 
@@ -54,5 +54,5 @@ def boundary_sum(*diagrams):
         points += [IntersectionPoint(f"{p.name}{j}", 2 * j - 2 + p.beta, "arc",
                                      arcs[p.alpha], p.sign)
                    for p in diagram.points]
-    return BorderedDiagram("D", 2 * n, pmc_mod.connected_sum(
+    return BorderedDiagram(2 * n, pmc_mod.connected_sum(
         z, pmc_mod.reverse(z)), None, tuple(points))

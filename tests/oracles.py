@@ -50,11 +50,14 @@ def kernel_rows_by_constraints(p):
 
 
 def generators_by_product(diagram):
-    """The generators of a diagram by brute force: every pick of one point
-    per beta (betas in order, each beta's points in file order), kept when
-    the BorderedPartialPermutation constructor accepts its alpha slots.
-    The slots come from their own offsets (left arcs from 0, circles from
-    2k_l, right arcs from g + k_l - k_r), not from the diagram's table."""
+    """(name, sigma, grading, idempotent_left, idempotent_right) of each
+    generator of a diagram, by brute force: every pick of one point per
+    beta (betas in order, each beta's points in file order), kept when the
+    BorderedPartialPermutation constructor accepts its alpha slots.  The
+    slots come from their own offsets (left arcs from 0, circles from 2k_l,
+    right arcs from g + k_l - k_r), not from the diagram's table, and the
+    idempotents from the picked points' arcs, not from sigma: the D side is
+    1..2k_l less the left arcs, the A side the right arcs."""
     diagram.validate()
     g, kl, kr = diagram.genus, diagram.k_l or 0, diagram.k_r or 0
     left, right = diagram.arc_kinds
@@ -73,5 +76,11 @@ def generators_by_product(diagram):
                 tuple(offset[p.alpha_kind] + p.alpha for p in combo))
         except FlavorViolation:
             continue
-        out.append(DiagramGenerator(diagram, combo, sigma))
+        gen = DiagramGenerator(diagram, combo, sigma)
+        arcs = [frozenset(p.alpha for p in combo if p.alpha_kind == kind)
+                for kind in (left, right)]
+        out.append((gen.name, sigma, gen.grading,
+                    None if diagram.pmc_left is None
+                    else frozenset(range(1, 2 * kl + 1)) - arcs[0],
+                    None if diagram.pmc_right is None else arcs[1]))
     return out

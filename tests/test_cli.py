@@ -644,6 +644,30 @@ def test_repeated_json_key_is_an_input_error(capsys, tmp_path):
     assert err == f'input error: {f}: repeated key "grading"\n'
 
 
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    f = tmp_path / "nested.json"
+    f.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "pmc", "validate", str(f))
+    assert (code, out) == (2, "")
+    assert err == f"input error: {f}: nested too deeply\n"
+
+
+def test_mod_validate_walks_a_long_chain_without_recursion(capsys, tmp_path):
+    """A chain of 3,000 generators, x_i -> rho_2 (x) x_(i+1), is bounded; a
+    back edge from its last generator to its first makes it unbounded."""
+    z = pmc.genus1()
+    rho = strands.StrandsBasisElement.make(z, [(2, 4)])
+    gens = [structures.ModuleGenerator(f"x{i}", frozenset({2}), None, 0)
+            for i in range(3000)]
+    ops = {(f"x{i}", ()): {(rho, f"x{i + 1}")} for i in range(2999)}
+    f = tmp_path / "chain.json"
+    f.write_text(json.dumps(structures.TypeDStructure(z, None, gens, ops).to_json()))
+    assert run(capsys, "mod", "validate", str(f)) == (0, "ok\n", "")
+    ops[("x2999", ())] = {(rho, "x0")}
+    assert structures.TypeDStructure(z, None, gens, ops).validate() == {
+        "ok": False, "errors": ["delta-transition graph has a cycle (unbounded)"]}
+
+
 def test_mod_validate_fails_a_da_module_that_breaks_its_relation(capsys,
                                                                  tmp_path):
     z = pmc.genus1()

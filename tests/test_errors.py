@@ -59,7 +59,7 @@ def _point():
 
 
 def _diagram():
-    return heegaard.BorderedDiagram("A", 1, None, pmc.genus1(), (_point(),), "d")
+    return heegaard.BorderedDiagram(1, None, pmc.genus1(), (_point(),), "d")
 
 
 # each record class: a function giving fresh field values (equal ones on
@@ -75,8 +75,8 @@ RECORDS = {
     gradings.GradingGroupElement: (lambda: [4, 0, (0, 0, 0)], (2, 0, 0)),
     gradings.RefinementData: (lambda: [pmc.genus1(), 0, (1,), (), ()], (1,)),
     heegaard.IntersectionPoint: (lambda: ["x", 1, "arc", 1, 0], 1),
-    heegaard.BorderedDiagram: (lambda: ["A", 1, None, pmc.genus1(), (_point(),),
-                                        "d"], "e"),
+    heegaard.BorderedDiagram: (lambda: [1, None, pmc.genus1(), (_point(),), "d"],
+                                "e"),
     heegaard.DiagramGenerator: (
         lambda: [_diagram(), (_point(),),
                  gradings.BorderedPartialPermutation(1, None, 1, (1,))],
@@ -94,6 +94,7 @@ def test_record_semantics(cls):
     fields, other = RECORDS[cls]
     a, b = cls(*fields()), cls(*fields())
     assert a == b and not a != b and hash(a) == hash(b)
+    assert not hasattr(a, "__dict__")
     changed = fields()[:-1] + [other]
     assert cls(*changed) != a and a != cls(*changed)
     twin = type("Twin", (Record,),
