@@ -31,7 +31,7 @@ _EXPORTS = {
     **dict.fromkeys(("F2ChainComplex", "graded_euler",
                      "hochschild_generators"), "hochschild"),
     **dict.fromkeys(("ExteriorElement", "GradedEndomorphism", "graded_trace",
-                     "hodge_eta", "k0_of_da", "plucker", "psi_K0",
+                     "hodge_eta", "k0_of_da", "psi_K0",
                      "tqft_compose", "upsilon"), "decat"),
     **dict.fromkeys(("Presentation", "intersection_from_algebra",
                      "intersection_from_pmc", "kernel_basis_from_plucker",

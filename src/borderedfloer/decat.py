@@ -10,7 +10,7 @@ import itertools
 from math import comb
 
 from .errors import (BasisMismatch, DegreeMismatch, DimensionMismatch,
-                     DimensionOdd, RankDeficient, SchemaViolation, check, show,
+                     DimensionOdd, SchemaViolation, check, show,
                      unique)
 from .laurent import LaurentPolynomial
 
@@ -181,21 +181,6 @@ def det(m):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1] if n else 1
-
-
-def plucker(rows):
-    """Maximal minors of an r x m integer matrix, as a degree-r element."""
-    rows = [list(map(int, r)) for r in rows]
-    r = len(rows)
-    m = len(rows[0]) if rows else 0
-    out = {}
-    for cols in itertools.combinations(range(m), r):
-        out[tuple(c + 1 for c in cols)] = det([[row[c] for c in cols]
-                                               for row in rows])
-    elt = ExteriorElement.single(m, out)
-    if not elt:
-        raise RankDeficient("rows are linearly dependent")
-    return elt
 
 
 def hodge_eta(v):

@@ -100,9 +100,16 @@ class BorderedPartialPermutation(Record):
 
     def sgn(self):
         """inv(sigma), plus the unhit D positions above each image point,
-        plus t(g - k_l - k_r) when both sides are present."""
-        im, d_block = set(self.sigma), self.d_block
-        d_extra = sum(1 for i in im for j in d_block if j > i and j not in im)
+        plus t(g - k_l - k_r) when both sides are present.
+
+        The m image points x in the D block 1..d have d - x positions of
+        the block above them; the hit ones among these are one per pair of
+        the m points.
+        """
+        d = len(self.d_block)
+        hit = [x for x in self.sigma if x <= d]
+        m = len(hit)
+        d_extra = d * m - sum(hit) - m * (m - 1) // 2
         both = self.k_l is not None and self.k_r is not None
         shape = self.t * (self.g - self.k_l - self.k_r) if both else 0
         return (inv_seq(self.sigma) + d_extra + shape) % 2

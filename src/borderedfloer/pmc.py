@@ -60,26 +60,37 @@ class PointedMatchedCircle(Record):
     def num_classes(self):
         return self.n // 2
 
+    # a point p < 1 would index a table from its end, and p > n runs off it:
+    # the guard and the IndexError give the same SchemaViolation
     def _outside(self, p):
         return SchemaViolation(f"point {p} outside 1..{self.n}")
 
     def cls(self, p):
-        if not 1 <= p <= self.n:
-            raise self._outside(p)
-        return self.matching[p - 1]
+        if p > 0:
+            try:
+                return self.cls_table[p]
+            except IndexError:
+                pass
+        raise self._outside(p)
 
     def o(self, p):
-        if not 1 <= p <= self.n:
-            raise self._outside(p)
-        return self.orientation[p - 1]
+        if p > 0:
+            try:
+                return self.orientation[p - 1]
+            except IndexError:
+                pass
+        raise self._outside(p)
 
     def class_points(self, j):
         return self._points.get(j, ())
 
     def partner(self, p):
-        if not 1 <= p <= self.n:
-            raise self._outside(p)
-        return self.partner_table[p]
+        if p > 0:
+            try:
+                return self.partner_table[p]
+            except IndexError:
+                pass
+        raise self._outside(p)
 
     def class_min(self, j):
         return self._points[j][0]

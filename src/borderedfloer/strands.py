@@ -9,7 +9,11 @@ its class.
 Each circle carries the tables of its algebra, filled as they are read: the
 basis per strands grading, one interned ``StrandsBasisElement`` per canonical
 pairs tuple, and the product and the differential of each basis element (pair)
-met so far; looking up a missing entry computes it.  ``basis``,
+met so far; looking up a missing entry computes it.  The tables hold one
+copy of each strand diagram: the circle keeps one ``(s, t)`` tuple per
+strand, which every pairs tuple built here shares, and a differential entry
+is a tuple of its terms' interned pairs (``()`` when d = 0), which
+``differential_basis`` wraps in a frozenset.  ``basis``,
 ``multiply_basis`` and ``differential_basis(...).basis_terms()`` return the
 interned instances.  The kernels loop over canonical representatives and the
 circle's per-point tables (class, partner, class minimum): d resolves a
@@ -49,8 +53,9 @@ def _admissible(pmc, pts):
 
 
 def canonicalize(pmc, pairs):
-    low = pmc.low_table
-    return tuple(sorted((low[s], low[s]) if s == t else (s, t) for s, t in pairs))
+    low, strand = pmc.low_table, _algebra(pmc).strand
+    return tuple(sorted(strand[low[s]][low[s]] if s == t else strand[s][t]
+                        for s, t in pairs))
 
 
 def raw_expand(pmc, pairs):
@@ -81,14 +86,19 @@ class _Table(dict):
 class _Algebra:
     """The tables of one circle's algebra; they live on the circle itself."""
 
-    __slots__ = ("pmc", "elements", "bases", "products", "differentials")
+    __slots__ = ("pmc", "strand", "elements", "bases", "products",
+                 "differentials")
 
     def __init__(self, pmc):
+        points = range(pmc.n + 1)
         self.pmc = pmc
+        # the one (s, t) tuple of each strand, at strand[s][t]
+        self.strand = tuple(tuple((s, t) for t in points) for s in points)
         self.elements = _Table(pmc, StrandsBasisElement)  # pairs -> element
         self.bases = {}  # strands grading -> tuple of basis elements
         self.products = _Table(self, _product)  # (pairs, pairs) -> element or None
-        self.differentials = _Table(pmc, _differential_pairs)  # pairs -> frozenset
+        # pairs -> tuple of the terms' interned pairs
+        self.differentials = _Table(self, _differential_pairs)
 
 
 def _algebra(pmc):
@@ -229,7 +239,7 @@ def _canonical_pairs(pmc, size):
     than it: the sources lie in distinct classes, so do the targets, and a
     horizontal strand sits only at the minimum of its class.
     """
-    n, low = pmc.n, pmc.low_table
+    n, low, strand = pmc.n, pmc.low_table, _algebra(pmc).strand
     bit = [0] + [1 << c for c in pmc.matching]
     out = []
     prefix = []
@@ -242,10 +252,11 @@ def _canonical_pairs(pmc, size):
         for s in range(first, n + 2 - left):
             if src_used & bit[s]:
                 continue
+            row = strand[s]
             for t in range(s if low[s] == s else s + 1, n + 1):
                 if tgt_used & bit[t]:
                     continue
-                prefix.append((s, t))
+                prefix.append(row[t])
                 extend(s + 1, src_used | bit[s], tgt_used | bit[t])
                 prefix.pop()
 
@@ -271,7 +282,8 @@ def all_basis(pmc):
 
 # idempotents ------------------------------------------------------------
 def idempotent(pmc, s):
-    pairs = tuple(sorted((pmc.class_min(j), pmc.class_min(j)) for j in s))
+    strand = _algebra(pmc).strand
+    pairs = tuple(sorted(strand[m][m] for m in map(pmc.class_min, s)))
     return StrandsElement(pmc, frozenset([pairs]))
 
 
@@ -302,7 +314,7 @@ def _product(alg, key):
     a, b = key
     if len(a) != len(b):
         return None
-    partner = alg.pmc.partner_table
+    partner, strand = alg.pmc.partner_table, alg.strand
     leave_b = dict(b)  # start of a strand of b -> its end
     paths = []  # (x, y, z): a runs x -> y, then b runs y -> z
     moved = False  # whether a horizontal strand of a moved to its partner
@@ -322,7 +334,7 @@ def _product(alg, key):
             if (x < x2) == (z < z2) != (y < y2):  # crosses in a and in b
                 return None
         paths.append((x, y, z))
-    out = [(x, z) for x, _, z in paths]
+    out = [strand[x][z] for x, _, z in paths]
     return alg.elements[tuple(sorted(out) if moved else out)]
 
 
@@ -380,8 +392,8 @@ def multiply(x, y):
 
 
 # differential -----------------------------------------------------------
-def _differential_pairs(pmc, pairs):
-    """Canonical pairs of the terms of d of a basis element.
+def _differential_pairs(alg, pairs):
+    """The terms of d of a basis element, as the interned elements' pairs.
 
     Resolves each crossing of the canonical representative: moving strands
     (s1, t1), (s2, t2) with s1 < s2 and t1 > t2 become (s1, t2), (s2, t1); a
@@ -391,9 +403,9 @@ def _differential_pairs(pmc, pairs):
     to inside the target interval (that would leave a double crossing); no
     horizontal strand can, as strands only veer upwards.  This is the sum over
     all representatives, read off one orbit at a time: every resolution gives
-    a different term, so nothing cancels.
+    a different term, so nothing cancels, and the tuple's terms are distinct.
     """
-    partner = pmc.partner_table
+    partner, strand, elements = alg.pmc.partner_table, alg.strand, alg.elements
     n = len(pairs)
     flat = [s for s, t in pairs if s == t]
     out = []
@@ -409,8 +421,8 @@ def _differential_pairs(pmc, pairs):
                 top = t2
                 if s2 != t2:  # swapping two targets keeps the order
                     new = list(pairs)
-                    new[i], new[j] = (s1, t2), (s2, t1)
-                    out.append(tuple(new))
+                    new[i], new[j] = strand[s1][t2], strand[s2][t1]
+                    out.append(elements[tuple(new)].pairs)
         for m in flat:
             for h in (m, partner[m]):
                 if s1 < h < t1:
@@ -418,22 +430,23 @@ def _differential_pairs(pmc, pairs):
                         if s1 < s < h < t < t1:
                             break
                     else:  # the horizontal resolution alone re-sorts
-                        out.append(tuple(sorted(
+                        out.append(elements[tuple(sorted(
                             [p for p in pairs if p[0] not in (s1, m)]
-                            + [(s1, h), (h, t1)])))
-    return frozenset(out)
+                            + [strand[s1][h], strand[h][t1]]))].pairs)
+    return tuple(out)
 
 
 def differential_basis(x):
-    return StrandsElement(x.pmc, _algebra(x.pmc).differentials[x.pairs])
+    return StrandsElement(x.pmc,
+                          frozenset(_algebra(x.pmc).differentials[x.pairs]))
 
 
 def differential(x):
     table = _algebra(x.pmc).differentials
-    acc = frozenset()
+    acc = set()
     for p in x.terms:
-        acc ^= table[p]
-    return StrandsElement(x.pmc, acc)
+        acc.symmetric_difference_update(table[p])
+    return StrandsElement(x.pmc, frozenset(acc))
 
 
 # Reeb chords ------------------------------------------------------------

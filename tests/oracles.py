@@ -4,11 +4,37 @@ the ones they check, that the library's results are compared against."""
 import itertools
 from math import gcd
 
-from borderedfloer.decat import ExteriorElement, plucker
-from borderedfloer.errors import FlavorViolation, NotDecomposable
-from borderedfloer.gradings import BorderedPartialPermutation
+from borderedfloer.decat import ExteriorElement, det
+from borderedfloer.errors import FlavorViolation, NotDecomposable, RankDeficient
+from borderedfloer.gradings import BorderedPartialPermutation, inv_seq
 from borderedfloer.heegaard import DiagramGenerator
 from borderedfloer.knots import _hnf, left_kernel
+
+
+def plucker(rows):
+    """Maximal minors of an r x m integer matrix, as a degree-r element."""
+    rows = [list(map(int, r)) for r in rows]
+    r = len(rows)
+    m = len(rows[0]) if rows else 0
+    out = {}
+    for cols in itertools.combinations(range(m), r):
+        out[tuple(c + 1 for c in cols)] = det([[row[c] for c in cols]
+                                               for row in rows])
+    elt = ExteriorElement.single(m, out)
+    if not elt:
+        raise RankDeficient("rows are linearly dependent")
+    return elt
+
+
+def sgn_by_definition(bpp):
+    """The sign of a BorderedPartialPermutation as its definition reads:
+    inv(sigma), plus one for each (image point, unhit D position above it)
+    pair, plus t(g - k_l - k_r) when both sides are present."""
+    im, d_block = set(bpp.sigma), bpp.d_block
+    d_extra = sum(1 for i in im for j in d_block if j > i and j not in im)
+    both = bpp.k_l is not None and bpp.k_r is not None
+    shape = bpp.t * (bpp.g - bpp.k_l - bpp.k_r) if both else 0
+    return (inv_seq(bpp.sigma) + d_extra + shape) % 2
 
 
 def kernel_rows_by_constraints(p):

@@ -7,7 +7,7 @@ from sympy import Matrix
 from borderedfloer import pmc as pmc_mod
 from borderedfloer.decat import (ExteriorElement, GradedEndomorphism,
                                  combine_factors, det, graded_trace, hodge_eta,
-                                 k0_functional, k0_of_da, plucker, psi_K0,
+                                 k0_functional, k0_of_da, psi_K0,
                                  star_sign, tqft_compose, upsilon, wedge_rows)
 from borderedfloer.errors import (BasisMismatch, DegreeMismatch,
                                   DimensionMismatch, DimensionOdd,
@@ -19,6 +19,7 @@ from borderedfloer.structures import (ModuleGenerator, TypeDStructure,
 
 from oracle_constants import (TREFOIL_ALEXANDER, TREFOIL_MATRIX_BLOCKS,
                               TREFOIL_PLUCKER)
+from oracles import plucker
 
 Z1 = pmc_mod.genus1()
 

@@ -18,6 +18,7 @@ from borderedfloer.errors import (DisconnectedSurgery, FlavorViolation,
                                   NotInRefinedSubgroup, NotSubordinate,
                                   SizeMismatch)
 from oracle_constants import STRANDS_DIMS_GENUS2, SURGERY_N8
+from oracles import sgn_by_definition
 
 Z1 = pmc_mod.genus1()
 Z2 = pmc_mod.genus2_split()
@@ -112,6 +113,22 @@ def test_hochschild_closure_identity():
                 t = x.t - k
                 assert (x.sgn() + k + t) % 2 == inv_seq(closed) % 2
     assert checked > 0
+
+
+def test_sgn_matches_its_definition():
+    # every shape the sign-lemma tests here and in the acceptance gate
+    # enumerate: g <= 4, each side absent or of genus 0, 1 or 2
+    checked = 0
+    for g in range(1, 5):
+        for k_l, k_r in itertools.product((None, 0, 1, 2), repeat=2):
+            for sig in injections(g, g + (k_l or 0) + (k_r or 0)):
+                try:
+                    x = BPP(g, k_l, k_r, sig)
+                except FlavorViolation:
+                    continue
+                checked += 1
+                assert x.sgn() == sgn_by_definition(x), x
+    assert checked == 4236
 
 
 def test_glue_shapes_and_errors():

@@ -5,8 +5,7 @@ from sympy import Matrix, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from borderedfloer import cli, pmc as pmc_mod
-from borderedfloer.decat import (ExteriorElement, combine_factors, plucker,
-                                 wedge_rows)
+from borderedfloer.decat import ExteriorElement, combine_factors, wedge_rows
 from borderedfloer.errors import (NotDecomposable, NotUnimodular,
                                   RankDeficient, SchemaViolation,
                                   SeifertConsistencyFailure, ZeroPoint)
@@ -23,7 +22,7 @@ from knot_diagrams import (boundary_sum, sign_pattern_reports, trefoil,
                            with_signs)
 from oracle_constants import (TREFOIL_ALEXANDER, TREFOIL_KERNEL_ROWS,
                               TREFOIL_OMEGA, TREFOIL_PLUCKER, TREFOIL_SEIFERT)
-from oracles import kernel_rows_by_constraints
+from oracles import kernel_rows_by_constraints, plucker
 
 DELTA = LaurentPolynomial(TREFOIL_ALEXANDER)
 

@@ -82,10 +82,13 @@ def test_validate_rejections():
 
 @pytest.mark.parametrize("p", [0, -1, 5])
 def test_point_lookups_reject_points_outside_the_circle(p):
-    z = pmc.genus1()
-    for lookup in (z.cls, z.o, z.partner):
-        with pytest.raises(SchemaViolation):
-            lookup(p)
+    # p = 5 is one past genus 1's points; on the genus-3 split circle the
+    # point one past its tables is n + 1 = 13
+    z3 = pmc.connected_sum(pmc.genus2_split(), pmc.genus1())
+    for z, q in ((pmc.genus1(), p), (z3, z3.n + 1 if p > 0 else p)):
+        for lookup in (z.cls, z.o, z.partner):
+            with pytest.raises(SchemaViolation, match=f"point {q} outside"):
+                lookup(q)
 
 
 def test_tables_agree_with_the_matching():

@@ -282,6 +282,21 @@ def test_elements_are_interned():
     assert strands.multiply_basis(x, y).pairs == ((1, 3),)
 
 
+@pytest.mark.parametrize("z, top", [(Z1, 1), (Z2, 2), (Z2_ANTIPODAL, 2), (Z3, 0)],
+                         ids=["genus1", "genus2_split", "genus2_antipodal",
+                              "genus3_split"])
+def test_tables_hold_one_copy_of_each_strand_diagram(z, top):
+    alg = strands._algebra(z)
+    for i in range(-z.k, top + 1):
+        for x in strands.basis(z, i):
+            assert all(p is alg.strand[p[0]][p[1]] for p in x.pairs), x.pairs
+            entry = alg.differentials[x.pairs]
+            # differential xors entries through a set: terms must be distinct
+            assert len(set(entry)) == len(entry), x.pairs
+            assert all(t is alg.elements[t].pairs for t in entry), x.pairs
+            assert type(strands.differential_basis(x).terms) is frozenset
+
+
 def test_genus3_split_gate():
     dims = {i: len(strands.basis(Z3, i)) for i in range(-Z3.k, Z3.k + 1)}
     assert dims == STRANDS_DIMS_GENUS3_SPLIT
