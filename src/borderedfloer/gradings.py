@@ -6,7 +6,6 @@ names); no floating point appears anywhere.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from operator import sub
 
@@ -15,10 +14,7 @@ from .errors import (FlavorViolation, NotInRefinedSubgroup, NotSubordinate,
                      Record, SizeMismatch)
 
 
-def inv_seq(seq):
-    """Inversions of a sequence (strict; ties not counted)."""
-    return sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-               if seq[i] > seq[j])
+inv_seq = strands.inv_seq  # inversions of a sequence
 
 
 def blocks(g, k_l, k_r):
@@ -237,7 +233,7 @@ def g_prime(pmc, elt):
     """The unrefined group grading of a basis element (canonical rep)."""
     pairs = elt.pairs
     eta = strand_eta(pmc, pairs)
-    iota2 = 2 * strands._inv(pairs) - sum(m2(eta, s) for s, _ in pairs)
+    iota2 = 2 * inv_seq([t for _, t in pairs]) - sum(m2(eta, s) for s, _ in pairs)
     return GradingGroupElement(pmc.n, iota2, eta)
 
 
@@ -257,7 +253,7 @@ def chord_decomposition(pmc, eta):
     return tuple(-bd[lo - 1] for lo, _ in ends)
 
 
-@lru_cache(maxsize=None)
+@strands.per_circle
 def chord_linking(pmc):
     """The nonzero doubled chord linkings L2(chord a, chord b), a < b, as
     0-based (a, b, l2) triples; built once per circle."""
@@ -278,7 +274,7 @@ class RefinementData(Record):
     __slots__ = _fields = ("pmc", "t", "base", "psi", "psi_inv")
 
 
-@lru_cache(maxsize=None)
+@strands.per_circle
 def refinement(pmc, t):
     """Refinement data built from the inversion-free elements."""
     if not pmc.subordinate:

@@ -6,26 +6,30 @@ completions of fixed (horizontal) strands across their matched class.  The
 canonical representative keeps every horizontal strand at the smaller point of
 its class.
 
-Each circle carries the tables of its algebra, filled as they are read: the
-basis per strands grading, one interned ``StrandsBasisElement`` per canonical
-pairs tuple, and the product and the differential of each basis element (pair)
-met so far; looking up a missing entry computes it.  The tables hold one
-copy of each strand diagram: the circle keeps one ``(s, t)`` tuple per
-strand, which every pairs tuple built here shares, and a differential entry
-is a tuple of its terms' interned pairs (``()`` when d = 0), which
-``differential_basis`` wraps in a frozenset.  ``basis``,
-``multiply_basis`` and ``differential_basis(...).basis_terms()`` return the
-interned instances.  The kernels loop over canonical representatives and the
-circle's per-point tables (class, partner, class minimum): d resolves a
-crossing by swapping two targets, which keeps the source order, and re-sorts
-only after resolving a horizontal strand; a product stops at the first two
-strands that cross in both factors; ``gr`` counts class inversions unsorted.
-``multiply_basis_raw`` expands every representative in the big strands algebra
-and stays as an independent cross-check of ``multiply_basis``.
+Each circle carries tables bounded by its algebra, filled as they are read:
+one ``(s, t)`` tuple per strand, shared by every pairs tuple built here; one
+interned ``StrandsBasisElement`` per canonical pairs tuple; the basis per
+strands grading; and d of each basis element, as a tuple of its terms'
+interned pairs (``()`` when d = 0).  A structure relation check reads each
+d entry dozens of times but asks for each product about twice, so products
+are computed on every call and never stored: a product table would grow
+with the pairs asked, not with the algebra.  Other modules read the
+tables only through this one: ``differential_terms`` hands out the interned
+terms of d, and ``per_circle`` memoises other values of a circle (the
+grading refinement) on the same tables.  The kernels loop over canonical
+representatives and the circle's per-point tables (class, partner, class
+minimum): d resolves a crossing by swapping two targets, which keeps the
+source order, and re-sorts only after resolving a horizontal strand; a
+product stops at the first two strands that cross in both factors; ``gr``
+counts class inversions unsorted.
+``multiply_basis_raw`` expands every representative in the big strands
+algebra and stays as an independent cross-check of ``multiply_basis``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
+from functools import wraps
 from itertools import combinations
 
 from .errors import (AlgebraMismatch, InconsistentChordSet, Record,
@@ -34,9 +38,14 @@ from .errors import (AlgebraMismatch, InconsistentChordSet, Record,
 # a strand diagram is a tuple of (source, target) pairs sorted by source
 
 
-def _inv(pairs):
-    return sum(1 for i in range(len(pairs)) for j in range(i + 1, len(pairs))
-               if pairs[i][1] > pairs[j][1])
+def inv_seq(seq):
+    """Inversions of a sequence (strict; ties not counted): each entry adds
+    the earlier entries above it, counted in a sorted list of them."""
+    before, total = [], 0
+    for x in seq:
+        total += len(before) - bisect_right(before, x)
+        insort(before, x)
+    return total
 
 
 def sources(pairs):
@@ -86,8 +95,7 @@ class _Table(dict):
 class _Algebra:
     """The tables of one circle's algebra; they live on the circle itself."""
 
-    __slots__ = ("pmc", "strand", "elements", "bases", "products",
-                 "differentials")
+    __slots__ = ("pmc", "strand", "elements", "bases", "differentials", "memo")
 
     def __init__(self, pmc):
         points = range(pmc.n + 1)
@@ -95,10 +103,11 @@ class _Algebra:
         # the one (s, t) tuple of each strand, at strand[s][t]
         self.strand = tuple(tuple((s, t) for t in points) for s in points)
         self.elements = _Table(pmc, StrandsBasisElement)  # pairs -> element
-        self.bases = {}  # strands grading -> tuple of basis elements
-        self.products = _Table(self, _product)  # (pairs, pairs) -> element or None
+        self.bases = _Table(self, _basis)  # strands grading -> basis elements
         # pairs -> tuple of the terms' interned pairs
         self.differentials = _Table(self, _differential_pairs)
+        # (fn, *args) -> fn(pmc, *args), for ``per_circle``
+        self.memo = _Table(pmc, lambda pmc, key: key[0](pmc, *key[1:]))
 
 
 def _algebra(pmc):
@@ -107,6 +116,13 @@ def _algebra(pmc):
         alg = _Algebra(pmc)
         object.__setattr__(pmc, "algebra", alg)
     return alg
+
+
+def per_circle(fn):
+    """``fn(pmc, *args)``, memoised on the circle's tables: the value goes
+    when the circle does, and equal circles that are distinct objects each
+    compute their own."""
+    return wraps(fn)(lambda pmc, *args: _algebra(pmc).memo[(fn, *args)])
 
 
 class StrandsBasisElement(Record):
@@ -232,14 +248,16 @@ def gr_pairs(pmc, pairs):
 
 
 # basis enumeration ------------------------------------------------------
-def _canonical_pairs(pmc, size):
-    """Every canonical pairs tuple with `size` strands, in increasing order.
+def _basis(alg, i):
+    """The interned basis elements of strands grading i, in increasing order
+    of their canonical pairs tuples.
 
     Backtracks over sources in increasing order, giving each a target no lower
     than it: the sources lie in distinct classes, so do the targets, and a
     horizontal strand sits only at the minimum of its class.
     """
-    n, low, strand = pmc.n, pmc.low_table, _algebra(pmc).strand
+    pmc, strand, elements = alg.pmc, alg.strand, alg.elements
+    n, low, size = pmc.n, pmc.low_table, pmc.k + i
     bit = [0] + [1 << c for c in pmc.matching]
     out = []
     prefix = []
@@ -247,7 +265,7 @@ def _canonical_pairs(pmc, size):
     def extend(first, src_used, tgt_used):
         left = size - len(prefix)
         if not left:
-            out.append(tuple(prefix))
+            out.append(elements[tuple(prefix)])
             return
         for s in range(first, n + 2 - left):
             if src_used & bit[s]:
@@ -261,19 +279,14 @@ def _canonical_pairs(pmc, size):
                 prefix.pop()
 
     extend(1, 0, 0)
-    return out
+    return tuple(out)
 
 
 def basis(pmc, i):
     k = pmc.k
     if not -k <= i <= k:
         raise StrandsGradingOutOfRange(f"strands grading {i} outside [{-k},{k}]")
-    alg = _algebra(pmc)
-    out = alg.bases.get(i)
-    if out is None:
-        out = alg.bases[i] = tuple(map(alg.elements.__getitem__,
-                                       _canonical_pairs(pmc, k + i)))
-    return out
+    return _algebra(pmc).bases[i]
 
 
 def all_basis(pmc):
@@ -294,13 +307,14 @@ def _raw_multiply(pa, pb):
         return None
     lookup = dict(pb)
     composed = tuple(sorted((s, lookup[t]) for s, t in pa))
-    if _inv(composed) != _inv(pa) + _inv(pb):
+    inv = [inv_seq([t for _, t in p]) for p in (composed, pa, pb)]
+    if inv[0] != inv[1] + inv[2]:
         return None
     return composed
 
 
-def _product(alg, key):
-    """The interned product of the basis elements with pairs key; None for 0.
+def _product(alg, a, b):
+    """The interned product of the basis elements with pairs a, b; None for 0.
 
     Picks the one pair of raw representatives that compose: each strand x -> y
     of a meets the strand of b leaving y.  A horizontal strand of b moves to
@@ -311,7 +325,6 @@ def _product(alg, key):
     once (the strands of a meet strands of b in distinct classes, so equal
     counts suffice) and no two strands cross in both factors.
     """
-    a, b = key
     if len(a) != len(b):
         return None
     partner, strand = alg.pmc.partner_table, alg.strand
@@ -342,7 +355,7 @@ def multiply_basis(x, y):
     """Product of two basis elements: a basis element or None."""
     if x.pmc is not y.pmc and x.pmc != y.pmc:
         raise AlgebraMismatch("different ambient circles")
-    return _algebra(x.pmc).products[x.pairs, y.pairs]
+    return _product(_algebra(x.pmc), x.pairs, y.pairs)
 
 
 def multiply_basis_raw(x, y):
@@ -381,11 +394,11 @@ def multiply(x, y):
     """Bilinear product of StrandsElements."""
     if x.pmc is not y.pmc and x.pmc != y.pmc:
         raise AlgebraMismatch("different ambient circles")
-    products = _algebra(x.pmc).products
+    alg = _algebra(x.pmc)
     acc = set()
     for pa in x.terms:
         for pb in y.terms:
-            p = products[pa, pb]
+            p = _product(alg, pa, pb)
             if p is not None:
                 acc ^= {p.pairs}
     return StrandsElement(x.pmc, frozenset(acc))
@@ -434,6 +447,12 @@ def _differential_pairs(alg, pairs):
                             [p for p in pairs if p[0] not in (s1, m)]
                             + [strand[s1][h], strand[h][t1]]))].pairs)
     return tuple(out)
+
+
+def differential_terms(x):
+    """The interned basis elements of d of a basis element, unsorted."""
+    alg = _algebra(x.pmc)
+    return map(alg.elements.__getitem__, alg.differentials[x.pairs])
 
 
 def differential_basis(x):

@@ -217,10 +217,6 @@ class Structure:
         depth = min(self.max_arity, 3) if self.right == "A" else 0
         letters = {}  # strands grading -> {source classes: basis elements}
 
-        def d_terms(a):  # the interned terms of d(a), off its circle's tables
-            alg = a.pmc.algebra
-            return map(alg.elements.__getitem__, alg.differentials[a.pairs])
-
         for x, g in self.generators.items():
             words = [()]
             for n in range(depth + 1):
@@ -240,9 +236,9 @@ class Structure:
                     # d of the D-side output
                     for b, y in self.delta(x, seq):
                         if b is not None:
-                            acc ^= {(c, y) for c in d_terms(b)}
+                            acc ^= {(c, y) for c in strands.differential_terms(b)}
                     for i in range(n):  # d of one input
-                        for c in d_terms(seq[i]):
+                        for c in strands.differential_terms(seq[i]):
                             acc ^= self.delta(x, seq[:i] + (c,) + seq[i + 1:])
                     for i in range(n - 1):  # two adjacent inputs multiplied
                         c = strands.multiply_basis(seq[i], seq[i + 1])

@@ -6,7 +6,7 @@ from math import gcd
 
 from borderedfloer.decat import ExteriorElement, det
 from borderedfloer.errors import FlavorViolation, NotDecomposable, RankDeficient
-from borderedfloer.gradings import BorderedPartialPermutation, inv_seq
+from borderedfloer.gradings import BorderedPartialPermutation
 from borderedfloer.heegaard import DiagramGenerator
 from borderedfloer.knots import _hnf, left_kernel
 
@@ -26,6 +26,12 @@ def plucker(rows):
     return elt
 
 
+def inversions_by_definition(seq):
+    """The pairs of positions i < j with seq[i] > seq[j], one by one."""
+    return sum(1 for i, j in itertools.combinations(range(len(seq)), 2)
+               if seq[i] > seq[j])
+
+
 def sgn_by_definition(bpp):
     """The sign of a BorderedPartialPermutation as its definition reads:
     inv(sigma), plus one for each (image point, unhit D position above it)
@@ -34,7 +40,7 @@ def sgn_by_definition(bpp):
     d_extra = sum(1 for i in im for j in d_block if j > i and j not in im)
     both = bpp.k_l is not None and bpp.k_r is not None
     shape = bpp.t * (bpp.g - bpp.k_l - bpp.k_r) if both else 0
-    return (inv_seq(bpp.sigma) + d_extra + shape) % 2
+    return (inversions_by_definition(bpp.sigma) + d_extra + shape) % 2
 
 
 def kernel_rows_by_constraints(p):

@@ -18,7 +18,7 @@ from borderedfloer.errors import (DisconnectedSurgery, FlavorViolation,
                                   NotInRefinedSubgroup, NotSubordinate,
                                   SizeMismatch)
 from oracle_constants import STRANDS_DIMS_GENUS2, SURGERY_N8
-from oracles import sgn_by_definition
+from oracles import inversions_by_definition, sgn_by_definition
 
 Z1 = pmc_mod.genus1()
 Z2 = pmc_mod.genus2_split()
@@ -455,6 +455,16 @@ def test_grading_determined_by_seed_sets():
     for x in elts:
         assert x.pairs in known, f"grading not determined at {x.pairs}"
         assert known[x.pairs] == x.gr
+
+
+def test_inv_seq_matches_its_definition():
+    rng = random.Random(20)
+    for n in range(13):
+        for _ in range(40):
+            ties = [rng.randrange(5) for _ in range(n)]
+            distinct = rng.sample(range(30), n)
+            for seq in (ties, distinct, tuple(distinct)):
+                assert inv_seq(seq) == inversions_by_definition(seq), seq
 
 
 def test_chord_linking_table_matches_pairwise_linking():
