@@ -1,4 +1,7 @@
-"""Command-line front end.
+"""Command-line front end: it parses argv, loads the JSON files (bundled
+data included) and prints; the library modules compute.  The trefoil
+command runs the knot pipeline of ``knots`` on the bundled diagram and
+judges its report against the bundled golden record.
 
 Exit codes: 0 success, 1 assertion/verification failure, 2 input error.
 All numeric output is exact.  Each command imports the library modules it
@@ -10,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-import time
 from types import SimpleNamespace
 
 from .errors import BorderedFloerError, SchemaViolation, show
@@ -229,75 +231,14 @@ def cmd_knot_from_plucker(args):
     return 0
 
 
-# the knot pipeline and its worked example ---------------------------------
-def run_knot(diagram):
-    """The knot pipeline on a type D diagram of a knot complement, whose
-    boundary Z # -Z gives the split into a DD structure and the intersection
-    form omega of Z; returns the report."""
-    from . import decat, heegaard, knots, structures
-    start = time.monotonic()
-    gens = sorted(heegaard.enumerate_generators(diagram), key=lambda g: g.name)
-    d_struct = structures.TypeDStructure(
-        diagram.pmc_left, None,
-        [structures.ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
-         for g in gens], name=diagram.name)
-    dd = structures.induct_dd(d_struct, diagram.pmc_left.k // 2)
-    gamma = decat.psi_K0(dd)
-    matrix = decat.upsilon(gamma)
-    omega = knots.intersection_from_pmc(dd.pmc_left)
-    content, rows, seifert, delta_pres = knots.knot_from_plucker(gamma, omega)
-    return {
-        "table": [{"name": g.name, "grading": g.grading,
-                   "idem_left": sorted(g.idem_left),
-                   "idem_right": sorted(g.idem_right)}
-                  for g in dd.generators.values()],
-        "plucker": gamma.to_json(),
-        "matrix": matrix.to_json(),
-        "alexander": knots.symmetrized_or_raw(
-            decat.graded_trace(matrix)).to_json(),
-        "alexander_from_presentation": delta_pres.to_json(),
-        "omega": [list(r) for r in omega],
-        "seifert": [list(r) for r in seifert],
-        "kernel_content": content,
-        "seconds": time.monotonic() - start,
-    }
-
-
-def run_trefoil():
-    """run_knot on the bundled trefoil diagram; returns (report, golden,
-    mismatches)."""
-    from .heegaard import BorderedDiagram
-    report = run_knot(BorderedDiagram.from_json(
-        load_json(data_path("diagram_trefoil.json"))))
-    golden = load_json(data_path("golden_trefoil.json"))
-    return report, golden, _diff_golden(report, golden)
-
-
-def _equal_up_to_sign(cls, a, b):
-    a, b = cls.from_json(a), cls.from_json(b)
-    return a == b or a == -b
-
-
-def _diff_golden(report, golden):
-    from . import decat
-    mism = []
-    if report["table"] != golden["table"]:
-        mism.append("table")
-    for key, cls in (("plucker", decat.ExteriorElement),
-                     ("matrix", decat.GradedEndomorphism)):
-        if not _equal_up_to_sign(cls, report[key], golden[key]):
-            mism.append(key)
-    for key in ("alexander", "alexander_from_presentation", "omega",
-                "seifert", "kernel_content"):
-        if report[key] != golden[key]:
-            mism.append(key)
-    return mism
-
-
 def cmd_trefoil(args):
-    from . import decat
+    from . import decat, knots
+    from .heegaard import BorderedDiagram
     from .laurent import LaurentPolynomial
-    report, golden, mismatches = run_trefoil()
+    report = knots.run_knot(BorderedDiagram.from_json(
+        load_json(data_path("diagram_trefoil.json"))))
+    mismatches = knots.diff_golden(
+        report, load_json(data_path("golden_trefoil.json")))
     if args.json:
         report["mismatches"] = mismatches
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -334,22 +334,19 @@ def psi_K0(structure):
     """[N] in the exterior algebra: one factor for a type D structure, two
     for a DD structure; each generator contributes (-1)^gr on its stored
     idempotent monomial(s)."""
-    if structure.flavor == "D":
-        n = structure.pmc_left.num_classes
-        out = {}
-        for g in structure.generators.values():
-            key = tuple(sorted(g.idem_left))
-            out[key] = out.get(key, 0) + (-1 if g.grading % 2 else 1)
-        return ExteriorElement.single(n, out)
-    if structure.flavor == "DD":
-        n0 = structure.pmc_left.num_classes
-        n1 = structure.pmc_right.num_classes
-        out = {}
-        for g in structure.generators.values():
-            key = (tuple(sorted(g.idem_left)), tuple(sorted(g.idem_right)))
-            out[key] = out.get(key, 0) + (-1 if g.grading % 2 else 1)
-        return ExteriorElement.two(n0, n1, out)
-    raise BasisMismatch(f"psi_K0 expects a D or DD structure, got {structure.flavor}")
+    if structure.flavor not in ("D", "DD"):
+        raise BasisMismatch(
+            f"psi_K0 expects a D or DD structure, got {structure.flavor}")
+    two = structure.flavor == "DD"
+    out = {}
+    for g in structure.generators.values():
+        key = tuple(sorted(g.idem_left))
+        if two:
+            key = (key, tuple(sorted(g.idem_right)))
+        out[key] = out.get(key, 0) + (-1 if g.grading % 2 else 1)
+    n = structure.pmc_left.num_classes
+    return ExteriorElement((n, structure.pmc_right.num_classes) if two else n,
+                           out, factors=2 if two else 1)
 
 
 def k0_functional(a_struct):

@@ -26,6 +26,19 @@ def show(value):
 NATURAL = range(1 << 63)  # a spec: a count or dimension
 
 
+class OneOf(tuple):
+    """A spec of allowed values, as a tuple is, whose "in" is one hash lookup
+    rather than a scan: for long lists such as a file's generator names."""
+
+    def __new__(cls, values):
+        self = super().__new__(cls, values)
+        self.lookup = frozenset(self)
+        return self
+
+    def __contains__(self, value):
+        return value in self.lookup
+
+
 def _describe(spec):
     if isinstance(spec, range):
         return "a natural number" if spec == NATURAL else \
@@ -193,10 +206,6 @@ class BothUnbounded(BorderedFloerError):
 
 # exterior algebra / decategorification
 class BasisMismatch(BorderedFloerError):
-    pass
-
-
-class RankDeficient(BorderedFloerError):
     pass
 
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from .errors import BoundaryMismatch, NotAComplex, Record, check, unique
+from .errors import (BoundaryMismatch, NotAComplex, OneOf, Record, check,
+                     unique)
 from .laurent import LaurentPolynomial
 from .pmc import reverse
 
@@ -130,7 +131,7 @@ def complex_from_json(obj):
     homology that ``mod box --json`` adds is allowed and not read."""
     check(obj, {"generators": [{"name": str, "grading": (0, 1)}],
                 "differential?": list, "homology?": {"0": int, "1": int}})
-    names = tuple(g["name"] for g in obj["generators"])
+    names = OneOf(g["name"] for g in obj["generators"])
     unique(names, "generators")
     diff = check(obj.get("differential", []),
                  [{"source": names, "targets": [names]}], "differential")

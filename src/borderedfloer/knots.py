@@ -1,8 +1,11 @@
-"""Alexander-module presentations, Seifert recovery, intersection forms,
-and kernel-basis reconstruction from Plucker points."""
+"""The knot pipeline and its parts: Alexander-module presentations,
+Seifert recovery, intersection forms, kernel-basis reconstruction from
+Plucker points, and the comparison of a report with the golden record.
+The module reads no files; the caller loads the diagram and the record."""
 
 from __future__ import annotations
 
+import time
 from math import factorial, gcd
 
 from . import decat
@@ -113,6 +116,54 @@ def knot_from_plucker(point, omega):
     pres = Presentation.from_rows(rows)
     return (content, rows, recover_seifert(pres, omega),
             presentation_to_alexander(pres))
+
+
+def run_knot(diagram):
+    """The knot pipeline on a type D diagram of a knot complement, whose
+    boundary Z # -Z gives the split into a DD structure and the intersection
+    form omega of Z; returns the report."""
+    from . import heegaard, structures
+    start = time.monotonic()
+    gens = sorted(heegaard.enumerate_generators(diagram), key=lambda g: g.name)
+    d_struct = structures.TypeDStructure(
+        diagram.pmc_left, None,
+        [structures.ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
+         for g in gens], name=diagram.name)
+    dd = structures.induct_dd(d_struct, diagram.pmc_left.k // 2)
+    gamma = decat.psi_K0(dd)
+    matrix = decat.upsilon(gamma)
+    omega = intersection_from_pmc(dd.pmc_left)
+    content, rows, seifert, delta_pres = knot_from_plucker(gamma, omega)
+    return {
+        "table": [{"name": g.name, "grading": g.grading,
+                   "idem_left": sorted(g.idem_left),
+                   "idem_right": sorted(g.idem_right)}
+                  for g in dd.generators.values()],
+        "plucker": gamma.to_json(),
+        "matrix": matrix.to_json(),
+        "alexander": symmetrized_or_raw(decat.graded_trace(matrix)).to_json(),
+        "alexander_from_presentation": delta_pres.to_json(),
+        "omega": [list(r) for r in omega],
+        "seifert": [list(r) for r in seifert],
+        "kernel_content": content,
+        "seconds": time.monotonic() - start,
+    }
+
+
+def diff_golden(report, golden):
+    """The keys of a run_knot report that differ from the golden record, in
+    report order; the Plucker point and the matrix are compared up to sign,
+    as a Plucker point is fixed only up to the orientation of its kernel."""
+    def same(key):
+        cls = {"plucker": ExteriorElement,
+               "matrix": decat.GradedEndomorphism}.get(key)
+        if cls is None:
+            return report[key] == golden[key]
+        a, b = cls.from_json(report[key]), cls.from_json(golden[key])
+        return a == b or a == -b
+    return [key for key in ("table", "plucker", "matrix", "alexander",
+                            "alexander_from_presentation", "omega", "seifert",
+                            "kernel_content") if not same(key)]
 
 
 # intersection forms -------------------------------------------------------

@@ -27,8 +27,8 @@ from __future__ import annotations
 import itertools
 
 from . import pmc as pmc_mod, strands
-from .errors import (AlgebraMismatch, BothUnbounded, Record, SchemaViolation,
-                     check, show, sided, unique)
+from .errors import (AlgebraMismatch, BothUnbounded, OneOf, Record,
+                     SchemaViolation, check, show, sided, unique)
 from .pmc import PointedMatchedCircle
 
 
@@ -499,7 +499,7 @@ def structure_from_json(obj):
     gens = [ModuleGenerator(g["name"], *(frozenset(g[k]) if k in g else None
                                          for k in ("idem_left", "idem_right")),
                             g["grading"]) for g in obj["generators"]]
-    names = tuple(g.name for g in gens)
+    names = OneOf(g.name for g in gens)
     op = {"source": names, **({"inputs": [dict]} if cls.right == "A" else {}),
           **({"output": dict, "target": names} if cls.left == "D"
              else {"targets": [names]})}

@@ -7,12 +7,18 @@ from functools import lru_cache
 from borderedfloer import cli, pmc as pmc_mod
 from borderedfloer.errors import NotUnimodular, SeifertConsistencyFailure
 from borderedfloer.heegaard import BorderedDiagram, IntersectionPoint
+from borderedfloer.knots import run_knot
 
 
 def trefoil():
     """The bundled diagram data/diagram_trefoil.json."""
     return BorderedDiagram.from_json(
         cli.load_json(cli.data_path("diagram_trefoil.json")))
+
+
+def golden_record():
+    """The bundled golden record data/golden_trefoil.json."""
+    return cli.load_json(cli.data_path("golden_trefoil.json"))
 
 
 def with_signs(diagram, signs):
@@ -31,7 +37,7 @@ def sign_pattern_reports():
     base, reports = trefoil(), {}
     for signs in itertools.product((0, 1), repeat=len(base.points)):
         try:
-            reports[signs] = cli.run_knot(with_signs(base, signs))
+            reports[signs] = run_knot(with_signs(base, signs))
         except (NotUnimodular, SeifertConsistencyFailure):
             continue
     return reports

@@ -5,10 +5,14 @@ import itertools
 from math import gcd
 
 from borderedfloer.decat import ExteriorElement, det
-from borderedfloer.errors import FlavorViolation, NotDecomposable, RankDeficient
+from borderedfloer.errors import FlavorViolation, NotDecomposable
 from borderedfloer.gradings import BorderedPartialPermutation
 from borderedfloer.heegaard import DiagramGenerator
 from borderedfloer.knots import _hnf, left_kernel
+
+
+class RankDeficient(Exception):
+    """The rows given to plucker are linearly dependent."""
 
 
 def plucker(rows):

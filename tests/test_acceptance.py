@@ -20,9 +20,10 @@ from borderedfloer.heegaard import (BorderedDiagram, enumerate_generators,
                                     glued_grading, identity_aa_diagram)
 from borderedfloer.hochschild import graded_euler, hochschild_generators
 from borderedfloer.knots import (Presentation, alexander_from_seifert,
-                                 intersection_from_algebra,
+                                 diff_golden, intersection_from_algebra,
                                  intersection_from_pmc,
-                                 presentation_to_alexander, recover_seifert)
+                                 presentation_to_alexander, recover_seifert,
+                                 run_knot)
 from borderedfloer.laurent import LaurentPolynomial
 from borderedfloer.structures import (box_tensor, direct_sum, elementary_d,
                                       elementary_da, identity_aa, shift, theta)
@@ -38,7 +39,10 @@ DELTA = LaurentPolynomial(TREFOIL_ALEXANDER)
 
 def test_criterion_1_trefoil_end_to_end():
     start = time.monotonic()
-    report, golden, mismatches = cli.run_trefoil()
+    report = run_knot(BorderedDiagram.from_json(
+        cli.load_json(cli.data_path("diagram_trefoil.json"))))
+    mismatches = diff_golden(
+        report, cli.load_json(cli.data_path("golden_trefoil.json")))
     elapsed = time.monotonic() - start
     assert mismatches == []
     table = {row["name"]: (row["grading"], tuple(row["idem_left"]),

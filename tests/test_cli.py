@@ -635,6 +635,39 @@ def test_malformed_input_names_its_path(capsys, tmp_path, command, file,
     assert err.startswith(f"input error: {path}: ")
 
 
+@pytest.mark.parametrize("command, file, mutate_input, error", [
+    ("mod validate", "module_solid_torus_a.json",
+     _set(("ops", 0, "source"), "z"),
+     'ops[0].source: expected one of ["x", "y"], got "z"'),
+    ("mod validate", "module_solid_torus_a.json",
+     _set(("ops", 0, "targets"), ["x", "z"]),
+     'ops[0].targets[1]: expected one of ["x", "y"], got "z"'),
+    ("mod validate", "module_solid_torus_a.json",
+     lambda m: (m["generators"].reverse(), m["ops"][0].update(source="z")),
+     'ops[0].source: expected one of ["y", "x"], got "z"'),
+    ("mod validate", "module_solid_torus_d.json",
+     _set(("ops", 0, "source"), "c"),
+     'ops[0].source: expected one of ["a", "b"], got "c"'),
+    ("mod validate", "module_solid_torus_d.json",
+     _set(("ops", 0, "target"), "c"),
+     'ops[0].target: expected one of ["a", "b"], got "c"'),
+    ("mod validate", "module_dehn_twist_da.json",
+     _set(("ops", 0, "target"), "z"),
+     'ops[0].target: expected one of ["x", "y"], got "z"'),
+    ("hh homology", "complex", _set(("differential", 0, "source"), "x*b"),
+     'differential[0].source: expected one of ["x*a", "y*b"], got "x*b"'),
+    ("hh homology", "complex", _set(("differential", 0, "targets"), ["x*b"]),
+     'differential[0].targets[0]: expected one of ["x*a", "y*b"], got "x*b"')],
+    ids=["a-source", "a-targets", "a-file-order", "d-source", "d-target", "da-target",
+         "complex-source", "complex-targets"])
+def test_unknown_generator_name_is_an_input_error(capsys, tmp_path, command,
+                                                  file, mutate_input, error):
+    obj = source(file)
+    mutate_input(obj)
+    assert run_on(capsys, tmp_path, command, obj) == (
+        2, "", f"input error: {error}\n")
+
+
 def test_repeated_json_key_is_an_input_error(capsys, tmp_path):
     text = cli.data_path("module_solid_torus_d.json").read_text()
     f = tmp_path / "module.json"

@@ -11,7 +11,7 @@ from borderedfloer.decat import (ExteriorElement, GradedEndomorphism,
                                  star_sign, tqft_compose, upsilon, wedge_rows)
 from borderedfloer.errors import (BasisMismatch, DegreeMismatch,
                                   DimensionMismatch, DimensionOdd,
-                                  RankDeficient, SchemaViolation)
+                                  SchemaViolation)
 from borderedfloer.laurent import LaurentPolynomial
 from borderedfloer.structures import (ModuleGenerator, TypeDStructure,
                                       direct_sum, elementary_d, elementary_da,
@@ -19,7 +19,7 @@ from borderedfloer.structures import (ModuleGenerator, TypeDStructure,
 
 from oracle_constants import (TREFOIL_ALEXANDER, TREFOIL_MATRIX_BLOCKS,
                               TREFOIL_PLUCKER)
-from oracles import plucker
+from oracles import RankDeficient, plucker
 
 Z1 = pmc_mod.genus1()
 

@@ -4,25 +4,26 @@ import pytest
 from sympy import Matrix, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
-from borderedfloer import cli, pmc as pmc_mod
-from borderedfloer.decat import ExteriorElement, combine_factors, wedge_rows
+from borderedfloer import pmc as pmc_mod
+from borderedfloer.decat import (ExteriorElement, GradedEndomorphism,
+                                 combine_factors, wedge_rows)
 from borderedfloer.errors import (NotDecomposable, NotUnimodular,
-                                  RankDeficient, SchemaViolation,
-                                  SeifertConsistencyFailure, ZeroPoint)
+                                  SchemaViolation, SeifertConsistencyFailure,
+                                  ZeroPoint)
 from borderedfloer.knots import (Presentation, alexander_from_seifert,
-                                 intersection_from_algebra,
+                                 diff_golden, intersection_from_algebra,
                                  intersection_from_pmc,
                                  kernel_basis_from_plucker, left_kernel,
                                  matrix_from_json, presentation_to_alexander,
-                                 recover_seifert, _det_poly, _hnf,
+                                 recover_seifert, run_knot, _det_poly, _hnf,
                                  _unimodular_inverse)
 from borderedfloer.laurent import LaurentPolynomial
 
-from knot_diagrams import (boundary_sum, sign_pattern_reports, trefoil,
-                           with_signs)
+from knot_diagrams import (boundary_sum, golden_record, sign_pattern_reports,
+                           trefoil, with_signs)
 from oracle_constants import (TREFOIL_ALEXANDER, TREFOIL_KERNEL_ROWS,
                               TREFOIL_OMEGA, TREFOIL_PLUCKER, TREFOIL_SEIFERT)
-from oracles import kernel_rows_by_constraints, plucker
+from oracles import RankDeficient, kernel_rows_by_constraints, plucker
 
 DELTA = LaurentPolynomial(TREFOIL_ALEXANDER)
 
@@ -284,7 +285,7 @@ def test_boundary_sum_of_one_copy_is_the_bundled_diagram():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_knot_pipeline_on_boundary_sums(n):
-    report = cli.run_knot(boundary_sum(*[trefoil()] * n))
+    report = run_knot(boundary_sum(*[trefoil()] * n))
     assert len(report["table"]) == 7 ** n
     delta = LaurentPolynomial.monomial(0)
     for _ in range(n):
@@ -302,10 +303,25 @@ def test_knot_pipeline_on_mixed_boundary_sums():
     patterns = sign_pattern_reports()
     assert len(patterns) == 16
     for signs, alone in patterns.items():
-        report = cli.run_knot(boundary_sum(golden, with_signs(golden, signs)))
+        report = run_knot(boundary_sum(golden, with_signs(golden, signs)))
         delta = DELTA * LaurentPolynomial(
             {int(e): c for e, c in alone["alexander"].items()})
         assert report["alexander"] == report["alexander_from_presentation"] \
             == delta.to_json(), signs
         assert report["seifert"] == \
             block_sum([TREFOIL_SEIFERT, alone["seifert"]]), signs
+
+
+def test_diff_golden_names_the_differing_keys_in_report_order():
+    golden = golden_record()
+    report = dict(golden)
+    # the Plucker point and the matrix count up to sign
+    report["plucker"] = (-ExteriorElement.from_json(golden["plucker"])).to_json()
+    report["matrix"] = (-GradedEndomorphism.from_json(golden["matrix"])).to_json()
+    assert diff_golden(report, golden) == []
+    report["kernel_content"] = 2
+    report["omega"] = [[-x for x in row] for row in golden["omega"]]
+    report["plucker"] = (2 * ExteriorElement.from_json(golden["plucker"])).to_json()
+    report["table"] = golden["table"][::-1]
+    assert diff_golden(report, golden) == ["table", "plucker", "omega",
+                                           "kernel_content"]

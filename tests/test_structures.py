@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from borderedfloer import pmc as pmc_mod, strands, structures
+from borderedfloer.decat import ExteriorElement, k0_of_da, psi_K0
 from borderedfloer.errors import (AlgebraMismatch, BothUnbounded,
                                   SchemaViolation)
 from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
@@ -330,6 +331,30 @@ def test_identity_da_box_d_is_d(da, d):
             for n, g in product.generators.items()} == d.generators
     assert {(name[x], seq): frozenset((b, name[y]) for b, y in terms)
             for (x, seq), terms in product.ops.items()} == d.ops
+
+
+def apply_endomorphism(e, v):
+    """e(v) for a GradedEndomorphism e and a one-factor ExteriorElement v:
+    block j maps the lex-ordered degree-j monomials, columns to rows."""
+    out = {}
+    for key, c in v.terms.items():
+        subsets = list(itertools.combinations(range(1, e.n + 1), len(key)))
+        col = subsets.index(key)
+        for row, s in enumerate(subsets):
+            out[s] = out.get(s, 0) + e.blocks[len(key)][row][col] * c
+    return ExteriorElement.single(e.n, out)
+
+
+@pytest.mark.parametrize("da, image", [
+    (dehn_twist_da, {(1,): 1, (2,): 1}), (identity_da, {(1,): -1, (2,): -1})],
+    ids=["dehn-twist", "identity"])
+def test_psi_of_da_box_d_is_k0_of_da_applied_to_psi(da, image):
+    # the gluing law of the decategorification: [M box N] = [M]([N]), with
+    # the rows of [M] indexed by its left idempotent
+    da, d = da(), solid_torus_d()
+    glued = psi_K0(box_tensor(da, d))
+    assert glued == apply_endomorphism(k0_of_da(da), psi_K0(d))
+    assert glued == ExteriorElement.single(2, image)
 
 
 def test_box_tensor_bimodules_aa_dd_shapes():
