@@ -8,20 +8,20 @@ its class.
 
 Each circle carries tables bounded by its algebra, filled as they are read:
 one ``(s, t)`` tuple per strand, shared by every pairs tuple built here; one
-interned ``StrandsBasisElement`` per canonical pairs tuple; the basis per
-strands grading; and d of each basis element, as a tuple of its terms'
-interned pairs (``()`` when d = 0).  A structure relation check reads each
-d entry dozens of times but asks for each product about twice, so products
-are computed on every call and never stored: a product table would grow
-with the pairs asked, not with the algebra.  Other modules read the
-tables only through this one: ``differential_terms`` hands out the interned
-terms of d, and ``per_circle`` memoises other values of a circle (the
-grading refinement) on the same tables.  The kernels loop over canonical
-representatives and the circle's per-point tables (class, partner, class
-minimum): d resolves a crossing by swapping two targets, which keeps the
-source order, and re-sorts only after resolving a horizontal strand; a
-product stops at the first two strands that cross in both factors; ``gr``
-counts class inversions unsorted.
+interned ``StrandsBasisElement`` per canonical pairs tuple; and the basis per
+strands grading.  An interned element memoises its own ``gr`` and its d, as
+a tuple of its terms' interned pairs (``()`` when d = 0), so reading d hashes
+nothing.  A structure relation check reads each d dozens of times but asks
+for each product about twice, so products are computed on every call and
+never stored: a product table would grow with the pairs asked, not with the
+algebra.  Other modules read the tables only through this one:
+``differential_terms`` hands out the interned terms of d, and ``per_circle``
+memoises other values of a circle (the grading refinement) on the same
+tables.  The kernels loop over canonical representatives and the circle's
+per-point tables (class, partner, class minimum): d resolves a crossing by
+swapping two targets, which keeps the source order, and re-sorts only after
+resolving a horizontal strand; a product stops at the first two strands that
+cross in both factors; ``gr`` counts class inversions unsorted.
 ``multiply_basis_raw`` expands every representative in the big strands
 algebra and stays as an independent cross-check of ``multiply_basis``.
 """
@@ -95,7 +95,7 @@ class _Table(dict):
 class _Algebra:
     """The tables of one circle's algebra; they live on the circle itself."""
 
-    __slots__ = ("pmc", "strand", "elements", "bases", "differentials", "memo")
+    __slots__ = ("pmc", "strand", "elements", "bases", "memo")
 
     def __init__(self, pmc):
         points = range(pmc.n + 1)
@@ -104,8 +104,6 @@ class _Algebra:
         self.strand = tuple(tuple((s, t) for t in points) for s in points)
         self.elements = _Table(pmc, StrandsBasisElement)  # pairs -> element
         self.bases = _Table(self, _basis)  # strands grading -> basis elements
-        # pairs -> tuple of the terms' interned pairs
-        self.differentials = _Table(self, _differential_pairs)
         # (fn, *args) -> fn(pmc, *args), for ``per_circle``
         self.memo = _Table(pmc, lambda pmc, key: key[0](pmc, *key[1:]))
 
@@ -122,18 +120,19 @@ def per_circle(fn):
     """``fn(pmc, *args)``, memoised on the circle's tables: the value goes
     when the circle does, and equal circles that are distinct objects each
     compute their own."""
-    return wraps(fn)(lambda pmc, *args: _algebra(pmc).memo[(fn, *args)])
+    return wraps(fn)(lambda pmc, *a: (pmc.algebra or _algebra(pmc)).memo[(fn, *a)])
 
 
 class StrandsBasisElement(Record):
     _fields = ("pmc", "pairs")
-    __slots__ = _fields + ("_gr",)  # _gr: gr, memoised
+    __slots__ = _fields + ("_gr", "_d")  # gr and d's pairs, memoised
 
     def __init__(self, pmc, pairs):
         set_ = object.__setattr__
         set_(self, "pmc", pmc)
         set_(self, "pairs", pairs)
         set_(self, "_gr", None)
+        set_(self, "_d", None)
 
     def __eq__(self, other):
         if other.__class__ is not StrandsBasisElement:
@@ -206,14 +205,15 @@ class StrandsElement(Record):
         return {"terms": [e.to_json() for e in self.basis_terms()]}
 
 
-def element_from_json(pmc, obj, path=""):
-    """The element a JSON object at ``path`` names.  A term gives its map,
-    or its source and target where they force it (one strand, or an
+def json_basis_terms(pmc, obj, path=""):
+    """The set of interned basis elements of the element a JSON object at
+    ``path`` names; a term listed twice cancels.  A term gives its map, or
+    its source and target where they force it (one strand, or an
     idempotent); a source or target next to a map must match the map."""
     point = range(1, pmc.n + 1)
     check(obj, {"terms": [{"source?": [point], "target?": [point],
                            "map?": [[point, point]]}]}, path)
-    out = StrandsElement.zero(pmc)
+    out = set()
     for i, term in enumerate(obj["terms"]):
         src, tgt = (sorted(term[k]) if k in term else None
                     for k in ("source", "target"))
@@ -225,9 +225,14 @@ def element_from_json(pmc, obj, path=""):
                                 for k, ends in enumerate((src, tgt))):
             raise SchemaViolation("expected a map, or a source and a target that "
                                   "force it and match it", f"{path}.terms[{i}]")
-        out = out + StrandsElement(
-            pmc, frozenset([StrandsBasisElement.make(pmc, pairs).pairs]))
+        out ^= {StrandsBasisElement.make(pmc, pairs)}
     return out
+
+
+def element_from_json(pmc, obj, path=""):
+    """The element a JSON object at ``path`` names (see ``json_basis_terms``)."""
+    return StrandsElement(pmc, frozenset(
+        [x.pairs for x in json_basis_terms(pmc, obj, path)]))
 
 
 # gradings ---------------------------------------------------------------
@@ -449,22 +454,27 @@ def _differential_pairs(alg, pairs):
     return tuple(out)
 
 
+def _d_pairs(x):
+    """d of a basis element, as its terms' interned pairs; memoised on x."""
+    if x._d is None:
+        object.__setattr__(x, "_d", _differential_pairs(_algebra(x.pmc), x.pairs))
+    return x._d
+
+
 def differential_terms(x):
     """The interned basis elements of d of a basis element, unsorted."""
-    alg = _algebra(x.pmc)
-    return map(alg.elements.__getitem__, alg.differentials[x.pairs])
+    return map((x.pmc.algebra or _algebra(x.pmc)).elements.__getitem__, _d_pairs(x))
 
 
 def differential_basis(x):
-    return StrandsElement(x.pmc,
-                          frozenset(_algebra(x.pmc).differentials[x.pairs]))
+    return StrandsElement(x.pmc, frozenset(_d_pairs(x)))
 
 
 def differential(x):
-    table = _algebra(x.pmc).differentials
+    elements = _algebra(x.pmc).elements
     acc = set()
     for p in x.terms:
-        acc.symmetric_difference_update(table[p])
+        acc.symmetric_difference_update(_d_pairs(elements[p]))
     return StrandsElement(x.pmc, frozenset(acc))
 
 

@@ -477,10 +477,10 @@ _SPECS = {flavor: {"flavor": str, "name?": str, "generators": [dict],
 
 
 def _single_basis(pmc, obj, path):
-    terms = strands.element_from_json(pmc, obj, path).basis_terms()
+    terms = strands.json_basis_terms(pmc, obj, path)
     if len(terms) != 1:
         raise SchemaViolation("expected one basis element", path)
-    return terms[0]
+    return terms.pop()
 
 
 def structure_from_json(obj):

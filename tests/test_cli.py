@@ -635,6 +635,17 @@ def test_malformed_input_names_its_path(capsys, tmp_path, command, file,
     assert err.startswith(f"input error: {path}: ")
 
 
+@pytest.mark.parametrize("times, want", [
+    (2, (2, "", "input error: ops[0].output: expected one basis element\n")),
+    (3, (0, "ok\n", ""))])
+def test_an_op_output_term_listed_twice_cancels(capsys, tmp_path, times, want):
+    """Over GF(2) an output that lists its one term twice is zero, which is
+    no basis element, and one that lists it three times is that term."""
+    obj = source("module_solid_torus_d.json")
+    obj["ops"][0]["output"]["terms"] *= times
+    assert run_on(capsys, tmp_path, "mod validate", obj) == want
+
+
 @pytest.mark.parametrize("command, file, mutate_input, error", [
     ("mod validate", "module_solid_torus_a.json",
      _set(("ops", 0, "source"), "z"),

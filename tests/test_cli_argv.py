@@ -103,7 +103,8 @@ def build_parser():
 
 def readme_usage():
     """The argvs of the usage lines in README's "Command line" section."""
-    text = open(README).read().split("## Command line", 1)[1]
+    with open(README) as f:
+        text = f.read().split("## Command line", 1)[1]
     block = text.split("```sh", 1)[1].split("```", 1)[0]
     return [line.split("#")[0].split()[1:] for line in block.splitlines()
             if line.startswith("borderedfloer ")]

@@ -295,11 +295,41 @@ def test_tables_hold_one_copy_of_each_strand_diagram(z, top):
     for i in range(-z.k, top + 1):
         for x in strands.basis(z, i):
             assert all(p is alg.strand[p[0]][p[1]] for p in x.pairs), x.pairs
-            entry = alg.differentials[x.pairs]
+            entry = strands._d_pairs(x)
+            assert entry is x._d, x.pairs  # memoised on the element
             # differential xors entries through a set: terms must be distinct
             assert len(set(entry)) == len(entry), x.pairs
             assert all(t is alg.elements[t].pairs for t in entry), x.pairs
             assert type(strands.differential_basis(x).terms) is frozenset
+
+
+def test_memos_change_no_comparison_and_stay_on_their_circle():
+    """An element with its gr and d memos filled equals, hashes and prints
+    like the same element over an equal circle that is another object and
+    has empty memos; filling one circle's memos fills nothing on the
+    other's."""
+    a, b = pmc_mod.genus2_split(), pmc_mod.genus2_split()
+    assert a == b and a is not b
+    pairs = next(x.pairs for x in strands.basis(Z2, 0)
+                 if strands.differential_basis(x))
+    x, y = (strands.StrandsBasisElement.make(z, pairs) for z in (a, b))
+    shown = repr(x)
+    assert (x._gr, x._d) == (None, None)
+    assert x.gr in (0, 1) and strands.differential_basis(x)
+    assert x._gr is not None and x._d
+    assert (y._gr, y._d) == (None, None)
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == shown
+    assert strands._d_pairs(y) == x._d
+    assert all(p is not q and q is b.algebra.elements[q].pairs
+               for p, q in zip(x._d, y._d))
+
+
+@pytest.mark.parametrize("z", [Z2, Z2_ANTIPODAL], ids=["genus2_split",
+                                                       "genus2_antipodal"])
+def test_differential_terms_agree_with_differential_basis(z):
+    for x in strands.all_basis(z):
+        assert set(strands.differential_terms(x)) == set(
+            strands.differential_basis(x).basis_terms()), x.pairs
 
 
 def test_tables_are_bounded_by_the_algebra():
