@@ -65,7 +65,7 @@ def check(value, spec, path=""):
         ok = type(value) is kind and (not isinstance(spec, list)
                                       or len(spec) in (1, len(value)))
     else:  # values of one type: the type test keeps "in" from scanning a range
-        ok = type(value) in {type(v) for v in spec[:1]} and value in spec
+        ok = bool(spec) and type(value) is type(spec[0]) and value in spec
     if not ok:
         raise SchemaViolation(f"expected {_describe(spec)}, got {show(value)}", path)
     if isinstance(spec, list):

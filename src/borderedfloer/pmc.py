@@ -60,37 +60,23 @@ class PointedMatchedCircle(Record):
     def num_classes(self):
         return self.n // 2
 
-    # a point p < 1 would index a table from its end, and p > n runs off it:
-    # the guard and the IndexError give the same SchemaViolation
-    def _outside(self, p):
-        return SchemaViolation(f"point {p} outside 1..{self.n}")
+    # a point p < 1 would index a table from its end, and p > n runs off it
+    def _point(self, p):
+        if 0 < p <= self.n:
+            return p
+        raise SchemaViolation(f"point {p} outside 1..{self.n}")
 
     def cls(self, p):
-        if p > 0:
-            try:
-                return self.cls_table[p]
-            except IndexError:
-                pass
-        raise self._outside(p)
+        return self.cls_table[self._point(p)]
 
     def o(self, p):
-        if p > 0:
-            try:
-                return self.orientation[p - 1]
-            except IndexError:
-                pass
-        raise self._outside(p)
+        return self.orientation[self._point(p) - 1]
 
     def class_points(self, j):
         return self._points.get(j, ())
 
     def partner(self, p):
-        if p > 0:
-            try:
-                return self.partner_table[p]
-            except IndexError:
-                pass
-        raise self._outside(p)
+        return self.partner_table[self._point(p)]
 
     def class_min(self, j):
         return self._points[j][0]

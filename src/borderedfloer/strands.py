@@ -9,21 +9,21 @@ its class.
 Each circle carries tables bounded by its algebra, filled as they are read:
 one ``(s, t)`` tuple per strand, shared by every pairs tuple built here; one
 interned ``StrandsBasisElement`` per canonical pairs tuple; and the basis per
-strands grading.  An interned element memoises its own ``gr`` and its d, as
-a tuple of its terms' interned pairs (``()`` when d = 0), so reading d hashes
-nothing.  A structure relation check reads each d dozens of times but asks
-for each product about twice, so products are computed on every call and
-never stored: a product table would grow with the pairs asked, not with the
-algebra.  Other modules read the tables only through this one:
-``differential_terms`` hands out the interned terms of d, and ``per_circle``
-memoises other values of a circle (the grading refinement) on the same
-tables.  The kernels loop over canonical representatives and the circle's
-per-point tables (class, partner, class minimum): d resolves a crossing by
-swapping two targets, which keeps the source order, and re-sorts only after
-resolving a horizontal strand; a product stops at the first two strands that
-cross in both factors; ``gr`` counts class inversions unsorted.
-``multiply_basis_raw`` expands every representative in the big strands
-algebra and stays as an independent cross-check of ``multiply_basis``.
+strands grading.  The interned element is the one name of a basis element
+outside the kernels: a ``StrandsElement`` holds a set of them, and an element
+memoises its own ``gr`` and its d, as the tuple of its interned terms (``()``
+when d = 0), so reading d looks nothing up.  A structure relation check reads
+each d dozens of times but asks for each product about twice, so products are
+computed on every call and never stored: a product table would grow with the
+pairs asked, not with the algebra.  ``per_circle`` memoises other values of a
+circle (the grading refinement) on the same tables.  The kernels loop over
+canonical pairs tuples and the circle's per-point tables (class, partner,
+class minimum): d resolves a crossing by swapping two targets, which keeps the
+source order, and re-sorts only after resolving a horizontal strand; a product
+stops at the first two strands that cross in both factors; ``gr`` counts class
+inversions unsorted.  ``multiply_basis_raw`` expands every representative in
+the big strands algebra and stays as an independent cross-check of
+``multiply_basis``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from functools import wraps
 from itertools import combinations
+from operator import attrgetter
 
 from .errors import (AlgebraMismatch, InconsistentChordSet, Record,
                      SchemaViolation, StrandsGradingOutOfRange, check)
@@ -125,7 +126,7 @@ def per_circle(fn):
 
 class StrandsBasisElement(Record):
     _fields = ("pmc", "pairs")
-    __slots__ = _fields + ("_gr", "_d")  # gr and d's pairs, memoised
+    __slots__ = _fields + ("_gr", "_d")  # gr and d's terms, memoised
 
     def __init__(self, pmc, pairs):
         set_ = object.__setattr__
@@ -139,8 +140,8 @@ class StrandsBasisElement(Record):
             return NotImplemented
         return (self.pmc, self.pairs) == (other.pmc, other.pairs)
 
-    def __hash__(self):
-        return hash((self.pmc, self.pairs))
+    def __hash__(self):  # equal elements have equal pairs
+        return hash(self.pairs)
 
     @classmethod
     def make(cls, pmc, pairs):
@@ -175,7 +176,7 @@ class StrandsBasisElement(Record):
 
 
 class StrandsElement(Record):
-    __slots__ = _fields = ("pmc", "terms")  # terms: a frozenset of canonical pairs
+    __slots__ = _fields = ("pmc", "terms")  # terms: a frozenset of basis elements
 
     def __init__(self, pmc, terms):
         object.__setattr__(self, "pmc", pmc)
@@ -187,11 +188,10 @@ class StrandsElement(Record):
 
     @classmethod
     def from_basis(cls, elt):
-        return cls(elt.pmc, frozenset([elt.pairs]))
+        return cls(elt.pmc, frozenset([elt]))
 
     def basis_terms(self):
-        elements = _algebra(self.pmc).elements
-        return [elements[p] for p in sorted(self.terms)]
+        return sorted(self.terms, key=attrgetter("pairs"))
 
     def __add__(self, other):
         if self.pmc != other.pmc:
@@ -231,8 +231,7 @@ def json_basis_terms(pmc, obj, path=""):
 
 def element_from_json(pmc, obj, path=""):
     """The element a JSON object at ``path`` names (see ``json_basis_terms``)."""
-    return StrandsElement(pmc, frozenset(
-        [x.pairs for x in json_basis_terms(pmc, obj, path)]))
+    return StrandsElement(pmc, frozenset(json_basis_terms(pmc, obj, path)))
 
 
 # gradings ---------------------------------------------------------------
@@ -300,9 +299,9 @@ def all_basis(pmc):
 
 # idempotents ------------------------------------------------------------
 def idempotent(pmc, s):
-    strand = _algebra(pmc).strand
-    pairs = tuple(sorted(strand[m][m] for m in map(pmc.class_min, s)))
-    return StrandsElement(pmc, frozenset([pairs]))
+    alg = _algebra(pmc)
+    pairs = tuple(sorted(alg.strand[m][m] for m in map(pmc.class_min, s)))
+    return StrandsElement(pmc, frozenset([alg.elements[pairs]]))
 
 
 # multiplication ---------------------------------------------------------
@@ -377,22 +376,15 @@ def multiply_basis_raw(x, y):
             c = _raw_multiply(ra, rb)
             if c is not None:
                 counts[c] = counts.get(c, 0) + 1
-    odd = {p for p, c in counts.items() if c % 2}
-    return _collect_orbits(pmc, odd)
-
-
-def _collect_orbits(pmc, raw_terms):
-    """Group surviving raw terms into complete symmetrization orbits."""
-    groups = {}
-    for p in raw_terms:
-        groups.setdefault(canonicalize(pmc, p), set()).add(p)
-    out = set()
-    for key, members in groups.items():
-        fixed = sum(1 for s, t in key if s == t)
-        assert len(members) == 2 ** fixed, \
+    orbits = {}  # canonical pairs -> how many representatives survive
+    for p, c in counts.items():
+        if c % 2:
+            key = canonicalize(pmc, p)
+            orbits[key] = orbits.get(key, 0) + 1
+    for key, size in orbits.items():
+        assert size == 2 ** sum(s == t for s, t in key), \
             f"incomplete symmetrization orbit at {key}"
-        out.add(key)
-    return out
+    return set(orbits)
 
 
 def multiply(x, y):
@@ -401,17 +393,17 @@ def multiply(x, y):
         raise AlgebraMismatch("different ambient circles")
     alg = _algebra(x.pmc)
     acc = set()
-    for pa in x.terms:
-        for pb in y.terms:
-            p = _product(alg, pa, pb)
+    for a in x.terms:
+        for b in y.terms:
+            p = _product(alg, a.pairs, b.pairs)
             if p is not None:
-                acc ^= {p.pairs}
+                acc ^= {p}
     return StrandsElement(x.pmc, frozenset(acc))
 
 
 # differential -----------------------------------------------------------
-def _differential_pairs(alg, pairs):
-    """The terms of d of a basis element, as the interned elements' pairs.
+def _differential(alg, pairs):
+    """The interned terms of d of the basis element with these pairs.
 
     Resolves each crossing of the canonical representative: moving strands
     (s1, t1), (s2, t2) with s1 < s2 and t1 > t2 become (s1, t2), (s2, t1); a
@@ -440,7 +432,7 @@ def _differential_pairs(alg, pairs):
                 if s2 != t2:  # swapping two targets keeps the order
                     new = list(pairs)
                     new[i], new[j] = strand[s1][t2], strand[s2][t1]
-                    out.append(elements[tuple(new)].pairs)
+                    out.append(elements[tuple(new)])
         for m in flat:
             for h in (m, partner[m]):
                 if s1 < h < t1:
@@ -450,37 +442,37 @@ def _differential_pairs(alg, pairs):
                     else:  # the horizontal resolution alone re-sorts
                         out.append(elements[tuple(sorted(
                             [p for p in pairs if p[0] not in (s1, m)]
-                            + [strand[s1][h], strand[h][t1]]))].pairs)
+                            + [strand[s1][h], strand[h][t1]]))])
     return tuple(out)
 
 
-def _d_pairs(x):
-    """d of a basis element, as its terms' interned pairs; memoised on x."""
-    if x._d is None:
-        object.__setattr__(x, "_d", _differential_pairs(_algebra(x.pmc), x.pairs))
-    return x._d
-
-
 def differential_terms(x):
-    """The interned basis elements of d of a basis element, unsorted."""
-    return map((x.pmc.algebra or _algebra(x.pmc)).elements.__getitem__, _d_pairs(x))
+    """d of a basis element: the tuple of its interned terms, unsorted
+    (``()`` when d = 0), memoised on x."""
+    d = x._d
+    if d is None:
+        d = _differential(x.pmc.algebra or _algebra(x.pmc), x.pairs)
+        object.__setattr__(x, "_d", d)
+    return d
 
 
 def differential_basis(x):
-    return StrandsElement(x.pmc, frozenset(_d_pairs(x)))
+    return StrandsElement(x.pmc, frozenset(differential_terms(x)))
 
 
 def differential(x):
-    elements = _algebra(x.pmc).elements
     acc = set()
-    for p in x.terms:
-        acc.symmetric_difference_update(_d_pairs(elements[p]))
+    for b in x.terms:
+        acc.symmetric_difference_update(differential_terms(b))
     return StrandsElement(x.pmc, frozenset(acc))
 
 
 # Reeb chords ------------------------------------------------------------
 def reeb_element(pmc, chords):
-    """a(rho) for a consistent set of Reeb chords [(start, end), ...]."""
+    """a(rho) for a consistent set of Reeb chords [(start, end), ...]: one
+    term for each set of classes that no chord starts or ends in, the chords
+    plus a horizontal strand at the minimum of each of those classes; zero
+    when the chords' starts, or their ends, share a class."""
     chords = [tuple(c) for c in chords]
     starts = [s for s, _ in chords]
     ends = [e for _, e in chords]
@@ -488,12 +480,10 @@ def reeb_element(pmc, chords):
         raise InconsistentChordSet("chords must run positively between points")
     if len(set(starts)) != len(starts) or len(set(ends)) != len(ends):
         raise InconsistentChordSet("chords share initial or terminal points")
-    used = set(starts) | set(ends)
-    rest = [p for p in range(1, pmc.n + 1) if p not in used]
-    raw = set()
-    for size in range(len(rest) + 1):
-        for extra in combinations(rest, size):
-            pairs = tuple(sorted(chords + [(p, p) for p in extra]))
-            if _admissible(pmc, sources(pairs)) and _admissible(pmc, targets(pairs)):
-                raw.add(pairs)
-    return StrandsElement(pmc, frozenset(_collect_orbits(pmc, raw)))
+    if not _admissible(pmc, starts) or not _admissible(pmc, ends):
+        return StrandsElement.zero(pmc)
+    used = {pmc.cls_table[p] for p in starts + ends}
+    free = [pmc.class_min(j) for j in range(1, pmc.num_classes + 1) if j not in used]
+    return StrandsElement(pmc, frozenset(
+        StrandsBasisElement.make(pmc, chords + [(m, m) for m in extra])
+        for size in range(len(free) + 1) for extra in combinations(free, size)))

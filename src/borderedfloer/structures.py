@@ -55,7 +55,8 @@ def _target_classes(a):
 
 
 def _idempotent(pmc, classes):
-    return strands.idempotent(pmc, classes).basis_terms()[0]
+    [e] = strands.idempotent(pmc, classes).terms
+    return e
 
 
 def _is_dag(edges, nodes):
@@ -97,7 +98,7 @@ def _generator_errors(pmc_left, pmc_right, generators):
 
 
 def _basis_json(a):
-    return strands.StrandsElement.from_basis(a).to_json()
+    return {"terms": [a.to_json()]}
 
 
 class Structure:

@@ -5,10 +5,12 @@ import itertools
 from math import gcd
 
 from borderedfloer.decat import ExteriorElement, det
-from borderedfloer.errors import FlavorViolation, NotDecomposable
+from borderedfloer.errors import (FlavorViolation, InconsistentChordSet,
+                                  NotDecomposable)
 from borderedfloer.gradings import BorderedPartialPermutation
 from borderedfloer.heegaard import DiagramGenerator
 from borderedfloer.knots import _hnf, left_kernel
+from borderedfloer.strands import canonicalize
 
 
 class RankDeficient(Exception):
@@ -34,6 +36,49 @@ def inversions_by_definition(seq):
     """The pairs of positions i < j with seq[i] > seq[j], one by one."""
     return sum(1 for i, j in itertools.combinations(range(len(seq)), 2)
                if seq[i] > seq[j])
+
+
+def collect_orbits(pmc, raw_terms):
+    """The canonical pairs of a set of representatives in the big strands
+    algebra, asserting that each symmetrization orbit is complete: a
+    canonical element with f horizontal strands has 2^f representatives."""
+    groups = {}
+    for p in raw_terms:
+        groups.setdefault(canonicalize(pmc, p), set()).add(p)
+    for key, members in groups.items():
+        fixed = sum(1 for s, t in key if s == t)
+        assert len(members) == 2 ** fixed, \
+            f"incomplete symmetrization orbit at {key}"
+    return set(groups)
+
+
+def reeb_element_by_expansion(pmc, chords):
+    """The canonical pairs of the terms of a(rho), by expansion: the chords
+    plus horizontal strands on every subset of the points no chord starts or
+    ends at, kept when the sources, and the targets, lie in distinct classes,
+    then grouped into complete orbits.  Raises InconsistentChordSet as
+    ``strands.reeb_element`` does."""
+    chords = [tuple(c) for c in chords]
+    starts = [s for s, _ in chords]
+    ends = [e for _, e in chords]
+    if any(not 1 <= s < e <= pmc.n for s, e in chords):
+        raise InconsistentChordSet("chords must run positively between points")
+    if len(set(starts)) != len(starts) or len(set(ends)) != len(ends):
+        raise InconsistentChordSet("chords share initial or terminal points")
+    rest = [p for p in range(1, pmc.n + 1) if p not in set(starts) | set(ends)]
+
+    def distinct_classes(points):
+        classes = [pmc.matching[p - 1] for p in points]
+        return len(set(classes)) == len(classes)
+
+    raw = set()
+    for size in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, size):
+            pairs = tuple(sorted(chords + [(p, p) for p in extra]))
+            if distinct_classes([s for s, _ in pairs]) and \
+                    distinct_classes([t for _, t in pairs]):
+                raw.add(pairs)
+    return collect_orbits(pmc, raw)
 
 
 def sgn_by_definition(bpp):

@@ -2,7 +2,8 @@ import pytest
 
 from borderedfloer import (gradings, heegaard, hochschild, knots, pmc, strands,
                            structures)
-from borderedfloer.errors import NATURAL, Record, SchemaViolation, check, unique
+from borderedfloer.errors import (NATURAL, OneOf, Record, SchemaViolation,
+                                  check, unique)
 
 
 def message(value, spec):
@@ -41,6 +42,14 @@ def test_check_names_the_path():
     assert message({"x": 1, "a\nb": 2}, {"x": int}) == \
         'top["a\\nb"]: unknown key'
     assert message({"x?": 1}, {"x?": int}) == 'top["x?"]: unknown key'
+
+
+def test_an_empty_spec_rejects_every_value():
+    # a module with no generators checks its op names against an empty OneOf
+    for spec in (OneOf([]), (), range(1, 1)):
+        for value in ("x", 0, None, []):
+            assert message(value, spec).startswith("top: expected ")
+    assert message("x", OneOf([])) == 'top: expected one of [], got "x"'
 
 
 def test_top_level_errors_have_no_path():

@@ -11,7 +11,8 @@ from borderedfloer.errors import (AlgebraMismatch, InconsistentChordSet,
 
 from oracle_constants import (STRANDS_DIMS_GENUS1, STRANDS_DIMS_GENUS2_SPLIT,
                               STRANDS_DIMS_GENUS3_SPLIT)
-from oracles import inversions_by_definition
+from oracles import (collect_orbits, inversions_by_definition,
+                     reeb_element_by_expansion)
 from test_structures import identity_da
 
 Z1 = pmc_mod.genus1()
@@ -170,8 +171,7 @@ def test_named_chords():
 
 def test_idempotents():
     iota = strands.idempotent(Z1, (1,))
-    assert all(strands.StrandsBasisElement(Z1, p).is_idempotent
-               for p in iota.terms)
+    assert all(e.is_idempotent for e in iota.terms)
     # minimal idempotents act as left/right units on compatible elements
     total = iota + strands.idempotent(Z1, (2,))
     for x in strands.basis(Z1, 0):
@@ -188,6 +188,31 @@ def test_reeb_element():
         strands.reeb_element(Z1, [(3, 2)])
     with pytest.raises(InconsistentChordSet):
         strands.reeb_element(Z1, [(1, 3), (1, 4)])
+
+
+@pytest.mark.parametrize("z, most", [(Z1, 3), (Z2, 2)],
+                         ids=["genus1", "genus2_split"])
+def test_reeb_element_matches_its_expansion(z, most):
+    """a(rho) on every set of at most `most` chords between points of z,
+    against the sum over every placement of horizontal strands, grouped
+    into orbits: the same terms, or the same InconsistentChordSet."""
+    chords = list(itertools.product(range(1, z.n + 1), repeat=2))
+    seen = collections.Counter()
+    for size in range(most + 1):
+        for rho in itertools.combinations(chords, size):
+            try:
+                want = reeb_element_by_expansion(z, rho)
+            except InconsistentChordSet:
+                with pytest.raises(InconsistentChordSet):
+                    strands.reeb_element(z, rho)
+                seen["inconsistent"] += 1
+                continue
+            a = strands.reeb_element(z, rho)
+            assert {e.pairs for e in a.terms} == want, rho
+            assert all(e is strands.StrandsBasisElement.make(z, e.pairs)
+                       for e in a.terms), rho
+            seen["zero" if not want else "nonzero"] += 1
+    assert min(seen.values()) > 0 and len(seen) == 3, seen
 
 
 def test_mismatched_circles():
@@ -239,7 +264,7 @@ def differential_by_expansion(z, pairs):
                 swapped = tuple(sorted(swapped))
                 if inv(swapped) == base - 1:
                     counts[swapped] += 1
-    return strands._collect_orbits(z, {p for p, c in counts.items() if c % 2})
+    return collect_orbits(z, {p for p, c in counts.items() if c % 2})
 
 
 @pytest.mark.parametrize("z, top", [(Z1, 1), (Z2, 2), (Z2_ANTIPODAL, 2), (Z3, 0)],
@@ -254,12 +279,12 @@ def test_basis_matches_permutation_filter(z, top):
 def test_differential_matches_expansion():
     for z in (Z1, Z2, Z2_ANTIPODAL):
         for x in strands.all_basis(z):
-            assert strands.differential_basis(x).terms == \
+            assert {e.pairs for e in strands.differential_basis(x).terms} == \
                 differential_by_expansion(z, x.pairs)
     rng = random.Random(11)
     for i in range(-Z3.k, Z3.k + 1):
         for x in rng.sample(strands.basis(Z3, i), min(300, len(strands.basis(Z3, i)))):
-            assert strands.differential_basis(x).terms == \
+            assert {e.pairs for e in strands.differential_basis(x).terms} == \
                 differential_by_expansion(Z3, x.pairs)
 
 
@@ -293,21 +318,25 @@ def test_elements_are_interned():
 def test_tables_hold_one_copy_of_each_strand_diagram(z, top):
     alg = strands._algebra(z)
     for i in range(-z.k, top + 1):
+        # d keeps the number of strands: its terms lie in the same basis
+        shared = {x.pairs: x for x in strands.basis(z, i)}
         for x in strands.basis(z, i):
             assert all(p is alg.strand[p[0]][p[1]] for p in x.pairs), x.pairs
-            entry = strands._d_pairs(x)
+            entry = strands.differential_terms(x)
             assert entry is x._d, x.pairs  # memoised on the element
+            assert strands.differential_terms(x) is entry, x.pairs
             # differential xors entries through a set: terms must be distinct
             assert len(set(entry)) == len(entry), x.pairs
-            assert all(t is alg.elements[t].pairs for t in entry), x.pairs
+            assert all(t is alg.elements[t.pairs] for t in entry), x.pairs
+            assert all(t is shared[t.pairs] for t in entry), x.pairs
             assert type(strands.differential_basis(x).terms) is frozenset
 
 
 def test_memos_change_no_comparison_and_stay_on_their_circle():
     """An element with its gr and d memos filled equals, hashes and prints
     like the same element over an equal circle that is another object and
-    has empty memos; filling one circle's memos fills nothing on the
-    other's."""
+    has empty memos, and so do the elements of the algebra they span;
+    filling one circle's memos fills nothing on the other's."""
     a, b = pmc_mod.genus2_split(), pmc_mod.genus2_split()
     assert a == b and a is not b
     pairs = next(x.pairs for x in strands.basis(Z2, 0)
@@ -319,9 +348,15 @@ def test_memos_change_no_comparison_and_stay_on_their_circle():
     assert x._gr is not None and x._d
     assert (y._gr, y._d) == (None, None)
     assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == shown
-    assert strands._d_pairs(y) == x._d
-    assert all(p is not q and q is b.algebra.elements[q].pairs
+    assert strands.differential_terms(y) == x._d
+    assert all(p is not q and q is b.algebra.elements[q.pairs]
                for p, q in zip(x._d, y._d))
+    for ex, ey in ((strands.StrandsElement.from_basis(x),
+                    strands.StrandsElement.from_basis(y)),
+                   (strands.differential_basis(x), strands.differential_basis(y))):
+        assert (ex.pmc, ey.pmc) == (a, b) and ex.pmc is not ey.pmc
+        assert ex == ey and hash(ex) == hash(ey) and repr(ex) == repr(ey)
+    assert not strands.differential_basis(x) + strands.differential_basis(y)
 
 
 @pytest.mark.parametrize("z", [Z2, Z2_ANTIPODAL], ids=["genus2_split",
