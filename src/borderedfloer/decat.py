@@ -267,9 +267,11 @@ class GradedEndomorphism:
         return cls(n, {j: blocks[str(j)] for j in range(n + 1) if str(j) in blocks})
 
 
-def _subset_index(n, j):
-    subs = list(itertools.combinations(range(1, n + 1), j))
-    return {s: i for i, s in enumerate(subs)}, subs
+def _subset_index(n):
+    """Each subset of 1..n, as an ascending tuple, to its place in the lex
+    order of its degree."""
+    return {s: i for j in range(n + 1)
+            for i, s in enumerate(itertools.combinations(range(1, n + 1), j))}
 
 
 def upsilon(p):
@@ -289,18 +291,12 @@ def upsilon(p):
         if len(a) + len(b) != n:
             raise DegreeMismatch(
                 f"term of bidegree ({len(a)}, {len(b)}) is not degree-preserving")
-    out = GradedEndomorphism(n, {})
-    for j in range(n + 1):
-        index, subs = _subset_index(n, j)
-        block = out.blocks[j]
-        for (a, b), c in p.terms.items():
-            if len(b) != j:
-                continue
-            u = tuple(sorted(set(range(1, n + 1)) - set(a)))
-            if len(u) != j:
-                continue
-            sign = -1 if len(a) % 2 else 1
-            block[index[b]][index[u]] += sign * c * star_sign(u, a)
+    out, index = GradedEndomorphism(n, {}), _subset_index(n)
+    full = set(range(1, n + 1))
+    for (a, b), c in p.terms.items():
+        u = tuple(sorted(full - set(a)))
+        sign = -1 if len(a) % 2 else 1
+        out.blocks[len(b)][index[b]][index[u]] += sign * c * star_sign(u, a)
     return out
 
 
@@ -370,14 +366,12 @@ def k0_of_da(n_struct):
     if n_struct.flavor != "DA":
         raise BasisMismatch("k0_of_da expects a DA structure")
     n = n_struct.pmc_right.num_classes
-    out = GradedEndomorphism(n, {})
+    out, index = GradedEndomorphism(n, {}), _subset_index(n)
     for g in n_struct.generators.values():
         if len(g.idem_left) != len(g.idem_right):
             raise DegreeMismatch(
                 f"generator {g.name} does not preserve the exterior degree")
-        j = len(g.idem_right)
-        index, _ = _subset_index(n, j)
         row = index[tuple(sorted(g.idem_left))]
         col = index[tuple(sorted(g.idem_right))]
-        out.blocks[j][row][col] += -1 if g.grading % 2 else 1
+        out.blocks[len(g.idem_right)][row][col] += -1 if g.grading % 2 else 1
     return out

@@ -253,10 +253,9 @@ def chord_decomposition(pmc, eta):
     return tuple(-bd[lo - 1] for lo, _ in ends)
 
 
-@strands.per_circle
 def chord_linking(pmc):
     """The nonzero doubled chord linkings L2(chord a, chord b), a < b, as
-    0-based (a, b, l2) triples; built once per circle."""
+    0-based (a, b, l2) triples."""
     etas = [chord_eta(pmc, j) for j in range(1, pmc.num_classes + 1)]
     out = []
     for a, b in combinations(range(len(etas)), 2):
@@ -268,15 +267,16 @@ def chord_linking(pmc):
 
 
 class RefinementData(Record):
-    """``base`` is the base idempotent s_0 (ascending class indices), ``psi``
-    maps a frozenset of classes to a GradingGroupElement, and ``psi_inv``
-    holds the inverses of psi, built once."""
-    __slots__ = _fields = ("pmc", "t", "base", "psi", "psi_inv")
+    """What the grading map of strands grading ``t`` reads: ``base`` is the
+    base idempotent s_0 (ascending class indices), ``psi`` maps a frozenset
+    of classes to a GradingGroupElement, ``psi_inv`` holds the inverses of
+    psi, and ``linking`` is ``chord_linking(pmc)``."""
+    __slots__ = _fields = ("pmc", "t", "base", "psi", "psi_inv", "linking")
 
 
-@strands.per_circle
 def refinement(pmc, t):
-    """Refinement data built from the inversion-free elements."""
+    """The refinement of strands grading t, built from the inversion-free
+    elements; build it once and pass it to ``m_grading``."""
     if not pmc.subordinate:
         raise NotSubordinate("matching is not subordinate to the point order")
     k = pmc.k
@@ -294,42 +294,44 @@ def refinement(pmc, t):
         gp = g_prime(pmc, elt).power_of_central(elt.gr)
         psi[frozenset(s)] = gp
     psi_inv = {s: gp.inverse() for s, gp in psi.items()}
-    return RefinementData(pmc, t, s0, psi, psi_inv)
+    return RefinementData(pmc, t, s0, psi, psi_inv, chord_linking(pmc))
 
 
-def refined_grading_element(pmc, t, elt):
-    """g(a) = psi(M(S)) g'(a) psi(M(T))^{-1} for a basis element of grading t."""
-    ref = refinement(pmc, t)
+def refined_grading_element(ref, elt):
+    """g(a) = psi(M(S)) g'(a) psi(M(T))^{-1} for a basis element of the
+    strands grading of the refinement ``ref``."""
+    pmc = ref.pmc
     s_cls = frozenset(pmc.cls(s) for s, _ in elt.pairs)
     t_cls = frozenset(pmc.cls(tt) for _, tt in elt.pairs)
     return ref.psi[s_cls] * g_prime(pmc, elt) * ref.psi_inv[t_cls]
 
 
-def f(pmc, t, x):
-    """The Z/2 homomorphism killing the refined chord generators."""
-    h = chord_decomposition(pmc, x.eta)
-    ref = refinement(pmc, t)
-    s0 = set(ref.base)
-    f2 = x.j2
-    for j, hj in enumerate(h, start=1):
-        f2 += -hj if j in s0 else hj
-    f2 += sum(h[a] * h[b] * l2 for a, b, l2 in chord_linking(pmc))
+def f(ref, x):
+    """The Z/2 homomorphism killing the refined chord generators: each chord
+    coefficient counts with sign - on the base idempotent of ``ref`` and +
+    off it."""
+    h = chord_decomposition(ref.pmc, x.eta)
+    f2 = x.j2 + sum(h) - 2 * sum(h[j - 1] for j in ref.base)
+    f2 += sum(h[a] * h[b] * l2 for a, b, l2 in ref.linking)
     assert f2 % 2 == 0, "refined grading must be integral"
     return (f2 // 2) % 2
 
 
-def m_grading(pmc, elt):
-    """The appendix route to the Z/2 grading of a basis element."""
-    return f(pmc, elt.strands_grading, refined_grading_element(pmc, elt.strands_grading, elt))
+def m_grading(ref, elt):
+    """The appendix route to the Z/2 grading of a basis element of the
+    strands grading of the refinement ``ref``."""
+    return f(ref, refined_grading_element(ref, elt))
 
 
 def verify_grading_equivalence(pmc):
-    """Compare gr with m on every basis element; returns a report dict."""
+    """Compare gr with m on every basis element, building one refinement per
+    strands grading; returns a report dict."""
     report = {"ok": True, "per_grading": {}, "counterexample": None}
     for t in range(-pmc.k, pmc.k + 1):
+        ref = refinement(pmc, t)
         checked = 0
         for elt in strands.basis(pmc, t):
-            mm = m_grading(pmc, elt)
+            mm = m_grading(ref, elt)
             if mm != elt.gr:
                 report["ok"] = False
                 if report["counterexample"] is None:

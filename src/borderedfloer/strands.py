@@ -15,21 +15,18 @@ memoises its own ``gr`` and its d, as the tuple of its interned terms (``()``
 when d = 0), so reading d looks nothing up.  A structure relation check reads
 each d dozens of times but asks for each product about twice, so products are
 computed on every call and never stored: a product table would grow with the
-pairs asked, not with the algebra.  ``per_circle`` memoises other values of a
-circle (the grading refinement) on the same tables.  The kernels loop over
-canonical pairs tuples and the circle's per-point tables (class, partner,
-class minimum): d resolves a crossing by swapping two targets, which keeps the
-source order, and re-sorts only after resolving a horizontal strand; a product
-stops at the first two strands that cross in both factors; ``gr`` counts class
-inversions unsorted.  ``multiply_basis_raw`` expands every representative in
-the big strands algebra and stays as an independent cross-check of
-``multiply_basis``.
+pairs asked, not with the algebra.  The kernels loop over canonical pairs
+tuples and the circle's per-point tables (class, partner, class minimum): d
+resolves a crossing by swapping two targets, which keeps the source order, and
+re-sorts only after resolving a horizontal strand; a product stops at the first
+two strands that cross in both factors; ``gr`` counts class inversions
+unsorted.  ``multiply_basis_raw`` expands every representative in the big
+strands algebra and stays as an independent cross-check of ``multiply_basis``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from functools import wraps
 from itertools import combinations
 from operator import attrgetter
 
@@ -96,7 +93,7 @@ class _Table(dict):
 class _Algebra:
     """The tables of one circle's algebra; they live on the circle itself."""
 
-    __slots__ = ("pmc", "strand", "elements", "bases", "memo")
+    __slots__ = ("pmc", "strand", "elements", "bases")
 
     def __init__(self, pmc):
         points = range(pmc.n + 1)
@@ -105,8 +102,6 @@ class _Algebra:
         self.strand = tuple(tuple((s, t) for t in points) for s in points)
         self.elements = _Table(pmc, StrandsBasisElement)  # pairs -> element
         self.bases = _Table(self, _basis)  # strands grading -> basis elements
-        # (fn, *args) -> fn(pmc, *args), for ``per_circle``
-        self.memo = _Table(pmc, lambda pmc, key: key[0](pmc, *key[1:]))
 
 
 def _algebra(pmc):
@@ -115,13 +110,6 @@ def _algebra(pmc):
         alg = _Algebra(pmc)
         object.__setattr__(pmc, "algebra", alg)
     return alg
-
-
-def per_circle(fn):
-    """``fn(pmc, *args)``, memoised on the circle's tables: the value goes
-    when the circle does, and equal circles that are distinct objects each
-    compute their own."""
-    return wraps(fn)(lambda pmc, *a: (pmc.algebra or _algebra(pmc)).memo[(fn, *a)])
 
 
 class StrandsBasisElement(Record):

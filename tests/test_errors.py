@@ -82,7 +82,7 @@ RECORDS = {
                              frozenset()),
     gradings.BorderedPartialPermutation: (lambda: [2, None, None, (2, 1)], (1, 2)),
     gradings.GradingGroupElement: (lambda: [4, 0, (0, 0, 0)], (2, 0, 0)),
-    gradings.RefinementData: (lambda: [pmc.genus1(), 0, (1,), (), ()], (1,)),
+    gradings.RefinementData: (lambda: [pmc.genus1(), 0, (1,), (), (), ()], (1,)),
     heegaard.IntersectionPoint: (lambda: ["x", 1, "arc", 1, 0], 1),
     heegaard.BorderedDiagram: (lambda: [1, None, pmc.genus1(), (_point(),), "d"],
                                 "e"),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -148,7 +149,7 @@ def test_glue_shapes_and_errors():
 
 
 def random_group_elements(pmc, rng, count):
-    pool = [refined_grading_element(pmc, x.strands_grading, x)
+    pool = [refined_grading_element(refinement(pmc, t), x)
             for t in range(-pmc.k, pmc.k + 1)
             for x in strands.basis(pmc, t)]
     lam = GradingGroupElement.central(pmc.n)
@@ -252,8 +253,9 @@ def test_refinement_requires_subordinate():
 def test_f_on_central():
     for pmc in (Z1, Z2):
         for t in range(-pmc.k, pmc.k + 1):
-            assert f(pmc, t, GradingGroupElement.central(pmc.n)) == 1
-            assert f(pmc, t, GradingGroupElement.identity(pmc.n)) == 0
+            ref = refinement(pmc, t)
+            assert f(ref, GradingGroupElement.central(pmc.n)) == 1
+            assert f(ref, GradingGroupElement.identity(pmc.n)) == 0
 
 
 def test_f_on_matched_chord_generators():
@@ -262,11 +264,12 @@ def test_f_on_matched_chord_generators():
     # (so the Z/2 reduction is idempotent-independent)
     for pmc in (Z1, Z2):
         for t in range(-pmc.k, pmc.k + 1):
+            ref = refinement(pmc, t)
             by_class = {}
             for j, x in m_elements(pmc, t):
-                gp = refined_grading_element(pmc, t, x)
+                gp = refined_grading_element(ref, x)
                 by_class.setdefault(j, set()).add(gp)
-                assert f(pmc, t, gp) == 1
+                assert f(ref, gp) == 1
             for group_elts in by_class.values():
                 etas = {gp.eta for gp in group_elts}
                 assert len(etas) == 1
@@ -287,16 +290,17 @@ def test_f_is_a_homomorphism():
     for pmc in (Z1, Z2):
         elts = [x for x in random_group_elements(pmc, rng, 60)
                 if in_chord_span(pmc, x)]
+        ref = refinement(pmc, 0)
         for x, y in zip(elts, elts[1:]):
             if not in_chord_span(pmc, x * y):
                 continue
-            assert f(pmc, 0, x * y) == (f(pmc, 0, x) + f(pmc, 0, y)) % 2
+            assert f(ref, x * y) == (f(ref, x) + f(ref, y)) % 2
 
 
 def test_f_rejects_outside_small_group():
     x = strands.StrandsBasisElement.make(Z1, [(1, 2)])
     with pytest.raises(NotInRefinedSubgroup):
-        f(Z1, 0, g_prime(Z1, x))
+        f(refinement(Z1, 0), g_prime(Z1, x))
 
 
 def test_chord_decomposition():
@@ -354,11 +358,56 @@ def test_gradings_agree_genus1():
     assert sum(report["per_grading"].values()) == 16
 
 
+def corrupt_refinement(monkeypatch):
+    """Replace gradings.refinement by one that multiplies every psi off the
+    base idempotent by the central lambda (psi_inv is left as it is);
+    returns the list of the strands gradings it is built for."""
+    built, build = [], gr_mod.refinement
+
+    def corrupted(pmc, t):
+        built.append(t)
+        ref = build(pmc, t)
+        lam, base = GradingGroupElement.central(pmc.n), frozenset(ref.base)
+        psi = {s: gp if s == base else gp * lam for s, gp in ref.psi.items()}
+        return gr_mod.RefinementData(pmc, t, ref.base, psi, ref.psi_inv,
+                                     ref.linking)
+
+    monkeypatch.setattr(gr_mod, "refinement", corrupted)
+    return built
+
+
+CORRUPTED_GENUS1 = {"ok": False, "per_grading": {-1: 1, 0: 8, 1: 7},
+                    "counterexample": {"strands_grading": 0,
+                                       "pairs": ((2, 2),), "gr": 0, "m": 1}}
+
+
+def test_verify_reports_the_first_counterexample(monkeypatch):
+    # one refinement per strands grading, and the first element whose m
+    # differs from gr is the one reported
+    built = corrupt_refinement(monkeypatch)
+    assert verify_grading_equivalence(Z1) == CORRUPTED_GENUS1
+    assert built == [-1, 0, 1]
+
+
+def test_check_gradings_cli_fails_on_a_counterexample(monkeypatch, capsys):
+    from borderedfloer import cli
+    corrupt_refinement(monkeypatch)
+    circle = str(cli.data_path("pmc_genus1.json"))
+    assert cli.main(["alg", "check-gradings", "--pmc", circle]) == 1
+    assert capsys.readouterr().out == "FAIL i=-1:1 i=0:8 i=1:7\n"
+    assert cli.main(["--json", "alg", "check-gradings", "--pmc", circle]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert payload["counterexample"] == {"strands_grading": 0,
+                                         "pairs": [[2, 2]], "gr": 0, "m": 1}
+
+
 def test_m_matches_gr_spotcheck_genus2():
     rng = random.Random(5)
     elts = strands.all_basis(Z2)
+    refs = {t: refinement(Z2, t) for t in range(-Z2.k, Z2.k + 1)}
     for x in rng.sample(elts, 40):
-        assert m_grading(Z2, x) == x.gr
+        assert m_grading(refs[x.strands_grading], x) == x.gr
 
 
 def matchings(points):
@@ -401,8 +450,9 @@ def test_gradings_agree_on_every_genus2_circle():
 def test_m_matches_gr_spotcheck_genus3():
     z3 = pmc_mod.connected_sum(Z2, Z1)
     rng = random.Random(13)
+    refs = {t: refinement(z3, t) for t in range(-z3.k, z3.k + 1)}
     for x in rng.sample(strands.all_basis(z3), 3000):
-        assert m_grading(z3, x) == x.gr, x.pairs
+        assert m_grading(refs[x.strands_grading], x) == x.gr, x.pairs
 
 
 def test_grading_determined_by_seed_sets():

@@ -1,11 +1,13 @@
 import collections
 import functools
 import itertools
+import random
 
 import pytest
 
 from borderedfloer import pmc as pmc_mod, strands, structures
-from borderedfloer.decat import ExteriorElement, k0_of_da, psi_K0
+from borderedfloer.decat import (ExteriorElement, k0_functional, k0_of_da,
+                                 psi_K0)
 from borderedfloer.errors import (AlgebraMismatch, BothUnbounded,
                                   SchemaViolation)
 from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
@@ -355,6 +357,76 @@ def test_psi_of_da_box_d_is_k0_of_da_applied_to_psi(da, image):
     glued = psi_K0(box_tensor(da, d))
     assert glued == apply_endomorphism(k0_of_da(da), psi_K0(d))
     assert glued == ExteriorElement.single(2, image)
+
+
+Z2_ANTIPODAL = pmc_mod.PointedMatchedCircle((1, 2, 3, 4, 1, 2, 3, 4),
+                                            (1, 1, 1, 1, 0, 0, 0, 0))
+
+
+def pairing(functional, v):
+    """The monomial-dual pairing of two one-factor ExteriorElements."""
+    return sum(c * v.terms.get(key, 0) for key, c in functional.terms.items())
+
+
+def idempotents(pmc):
+    classes = range(1, pmc.num_classes + 1)
+    return [s for r in range(pmc.num_classes + 1)
+            for s in itertools.combinations(classes, r)]
+
+
+def elementary_pairs(pmc):
+    """Every elementary A and D piece over the same idempotent s, with both
+    gradings on each side."""
+    for s in idempotents(pmc):
+        for ga, gd in itertools.product((0, 1), repeat=2):
+            yield (s, elementary_a(pmc, s, ga, name="x"),
+                   elementary_d(pmc, s, gd, name="y"))
+
+
+def test_euler_of_a_box_d_is_the_signed_pairing():
+    # chi(A box D) = (-1)^|s| <k0_functional(A), psi_K0(D)> on every
+    # elementary pair, as the code has it: k0_functional carries (-1)^|s|
+    # for the reversed circle, so the plain pairing disagrees exactly on
+    # the pairs with |s| odd
+    pairs = disagree = 0
+    for pmc in (Z1, Z2, Z2_ANTIPODAL):
+        for s, a, d in elementary_pairs(pmc):
+            chi = box_tensor(a, d).euler()
+            plain = pairing(k0_functional(a), psi_K0(d))
+            assert chi == (-1) ** len(s) * plain, (pmc.matching, s)
+            pairs += 1
+            disagree += chi != plain
+    assert (pairs, disagree) == (144, 72)
+
+
+def signed_psi(structure):
+    """psi_K0 of a D structure with each monomial s signed by (-1)^|s|."""
+    return ExteriorElement.single(structure.pmc_left.num_classes, {
+        key: (-1) ** len(key) * c for key, c in psi_K0(structure).terms.items()})
+
+
+def random_sum(rng, pieces, count):
+    """A direct sum of count pieces drawn from pieces, each shifted or not."""
+    out = None
+    for _ in range(count):
+        piece = rng.choice(pieces)
+        piece = shift(piece) if rng.random() < 0.5 else piece
+        out = piece if out is None else direct_sum(out, piece)
+    return out
+
+
+def test_euler_of_a_box_d_is_bilinear_over_sums_and_shifts():
+    # seeded direct sums of shifted elementary pieces at genus 1 and 2: chi
+    # of the product is the signed pairing of the summed classes
+    rng = random.Random(24)
+    for pmc in (Z1, Z2):
+        a_pieces = [elementary_a(pmc, s, 0, name="x") for s in idempotents(pmc)]
+        d_pieces = [elementary_d(pmc, s, 0, name="y") for s in idempotents(pmc)]
+        for _ in range(20):
+            a = random_sum(rng, a_pieces, rng.randint(1, 6))
+            d = random_sum(rng, d_pieces, rng.randint(1, 6))
+            chi = box_tensor(a, d).euler()
+            assert chi == pairing(k0_functional(a), signed_psi(d))
 
 
 def test_box_tensor_bimodules_aa_dd_shapes():
