@@ -1,0 +1,137 @@
+"""Hand mutants of the library, and whether the test suite kills them.
+
+Each mutant is one exact string edit to one module of src/borderedfloer.
+The script copies the checkout (without .git) to a temporary directory once
+and checks that the whole suite passes there (a test may read a file
+outside tests/, as perfbench/inputs).  For each mutant it applies the edit
+in the copy, runs the test files that import the touched module (found with
+``ast``; the whole suite when none does), and restores the module.  A
+mutant is killed when those tests fail, survives when they pass, and no
+longer applies when its text is not in the module exactly once; then the
+code has changed and the list needs updating.  A mutant marked equivalent
+gives the same results as the code on every input the library can build,
+so its survival is expected.
+
+Exit status 1 when a mutant that is not marked equivalent survives, or one
+no longer applies; 2 when the unmutated suite fails in the copy; 0
+otherwise.  Not a tier-1 step: each mutant costs a run of the test files
+that import its module.
+
+Run from the repo root: python scripts/mutants.py
+"""
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# (module, what the edit does, original text, mutated text, None or the
+# reason the mutant is equivalent)
+MUTANTS = [
+    ("decat", "det: drop the row-swap sign",
+     "sign = -sign", "sign = sign", None),
+    ("decat", "combine_factors: drop the (-1)^|u| sign",
+     "sign = -1 if len(u) % 2 else 1", "sign = 1", None),
+    ("gradings", "sgn: drop the shape term",
+     "shape = self.t * (self.g - self.k_l - self.k_r) if both else 0",
+     "shape = 0", None),
+    ("structures", "theta: reverse the order test",
+     "for j in s if j < jp", "for j in s if j > jp", None),
+    ("heegaard", "glued_grading: add 1",
+     "return (glued.sgn() + extra) % 2",
+     "return (glued.sgn() + extra + 1) % 2", None),
+    ("hochschild", "_f2_rank: reduce by any shared bit",
+     "row = min(row, row ^ b)",
+     "if row & b:\n                row ^= b", None),
+    ("structures", "box_tensor: walk delta^1 chains of length 1 only",
+     "depth = max(left.max_arity - 1, 1)", "depth = 1", None),
+    ("decat", "upsilon: read the sign off |b|, not |a|",
+     "sign = -1 if len(a) % 2 else 1", "sign = -1 if len(b) % 2 else 1",
+     "|a| + |b| = n, and n = 2k is even for the classes of every circle"),
+]
+
+
+def importers(tests, module):
+    """The test files that import borderedfloer.<module> directly."""
+    target = f"borderedfloer.{module}"
+    out = []
+    for name in sorted(os.listdir(tests)):
+        if not (name.startswith("test_") and name.endswith(".py")):
+            continue
+        with open(os.path.join(tests, name)) as f:
+            tree = ast.parse(f.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                hit = any(a.name == target for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                hit = node.module == target or node.module == "borderedfloer" \
+                    and any(a.name == module for a in node.names)
+            else:
+                continue
+            if hit:
+                out.append(name)
+                break
+    return out
+
+
+def passes(work, files):
+    """Whether the test files (the whole suite for none) pass in work; a run
+    over 900 s counts as a failure."""
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             *(os.path.join("tests", name) for name in files)],
+            cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"), timeout=900)
+    except subprocess.TimeoutExpired:
+        return False
+    return result.returncode == 0
+
+
+def run(work, module, original, mutated):
+    """'killed', 'survived' or 'no longer applies', and the files run."""
+    path = os.path.join(work, "src", "borderedfloer", module + ".py")
+    with open(path) as f:
+        source = f.read()
+    if source.count(original) != 1:
+        return "no longer applies", []
+    files = importers(os.path.join(work, "tests"), module)
+    with open(path, "w") as f:
+        f.write(source.replace(original, mutated))
+    try:
+        return "survived" if passes(work, files) else "killed", files
+    finally:
+        with open(path, "w") as f:
+            f.write(source)
+
+
+def main():
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        work = os.path.join(tmp, "repo")
+        shutil.copytree(ROOT, work,
+                        ignore=shutil.ignore_patterns(".git", "__pycache__"))
+        if not passes(work, []):
+            print("the unmutated suite fails in the copy", file=sys.stderr)
+            return 2
+        for module, what, original, mutated, equivalent in MUTANTS:
+            start = time.monotonic()
+            status, files = run(work, module, original, mutated)
+            note = ""
+            if status == "survived" and equivalent:
+                note = f"  (equivalent: {equivalent})"
+            elif status != "killed":
+                failed = True
+            print(f"{status:17} {module}.{what}  [{len(files) or 'all'} "
+                  f"test files, {time.monotonic() - start:.1f} s]{note}",
+                  flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -280,6 +280,10 @@ def upsilon(p):
 
     The first factor lives over the reversed circle; its monomials carry the
     (-1)^{|subset|} identification sign (the same sign combine_factors uses).
+    Rows are indexed by the second factor, so for a DD structure N over Z,
+    k0_of_da(box_tensor(identity_aa(Z), N)) is upsilon(psi_K0(N)) transposed
+    in each degree, as (-1)^theta(s) = (-1)^{|s|} star_sign(s', s) for the
+    complement s' of s.
     """
     if p.factors != 2:
         raise BasisMismatch("upsilon expects a two-factor element")
@@ -348,7 +352,8 @@ def psi_K0(structure):
 def k0_functional(a_struct):
     """[M] for a type A structure, as a functional on the exterior algebra
     (monomial-dual identification); each elementary piece over the reversed
-    circle carries the extra (-1)^{|s|} factor."""
+    circle carries the extra (-1)^{|s|} factor.  So the Euler characteristic
+    of box_tensor(M, D) is sum_s (-1)^{|s|} [M]_s psi_K0(D)_s."""
     if a_struct.flavor != "A":
         raise BasisMismatch("k0_functional expects a type A structure")
     n = a_struct.pmc_right.num_classes
@@ -362,7 +367,10 @@ def k0_functional(a_struct):
 
 def k0_of_da(n_struct):
     """The induced Grothendieck-group endomorphism of a DA structure with
-    degree-matched idempotents: entry (left idem, right idem) += (-1)^gr."""
+    degree-matched idempotents: entry (left idem, right idem) += (-1)^gr,
+    with no reversed-circle sign.  Rows are indexed by the left idempotent,
+    so psi_K0(box_tensor(M, D)) = k0_of_da(M) psi_K0(D); see upsilon for
+    the transpose that the AA (x) DD law takes."""
     if n_struct.flavor != "DA":
         raise BasisMismatch("k0_of_da expects a DA structure")
     n = n_struct.pmc_right.num_classes

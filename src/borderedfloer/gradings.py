@@ -54,23 +54,6 @@ class BorderedPartialPermutation(Record):
             raise FlavorViolation(
                 f"positions outside the boundary blocks must be hit: {missing}")
 
-    # constructors --------------------------------------------------------
-    @classmethod
-    def type_a(cls, g, k, sigma):
-        return cls(g, None, k, tuple(sigma))
-
-    @classmethod
-    def type_d(cls, g, k, sigma):
-        return cls(g, k, None, tuple(sigma))
-
-    @classmethod
-    def type_da(cls, g, k_l, k_r, sigma):
-        return cls(g, k_l, k_r, tuple(sigma))
-
-    @classmethod
-    def closed(cls, g, sigma):
-        return cls(g, None, None, tuple(sigma))
-
     @property
     def flavor(self):
         return ("D" if self.k_l is not None else "") + \
@@ -131,19 +114,6 @@ def sum_permutations(left, right):
                                       glued)
 
 
-def hochschild_closable(bpp):
-    """Whether the DA permutation closes up (left/right occupancies complement)."""
-    if bpp.k_l is None or bpp.k_l != bpp.k_r:
-        raise FlavorViolation("Hochschild closure needs a DA shape with k_l = k_r")
-    kept, folded = bpp.occupied()
-    return not (folded & kept) and folded | kept == set(bpp.d_block)
-
-
-def hochschild_closure(bpp):
-    """The closed-up permutation of [g] (requires hochschild_closable)."""
-    return tuple(x - bpp.g if x in bpp.a_block else x for x in bpp.sigma)
-
-
 # the unrefined grading group -------------------------------------------
 class GradingGroupElement(Record):
     """(j, eta) with j a half-integer (stored doubled) and eta a multiplicity
@@ -174,11 +144,6 @@ class GradingGroupElement(Record):
     @classmethod
     def identity(cls, num_points):
         return cls(num_points, 0, (0,) * (num_points - 1))
-
-    @classmethod
-    def central(cls, num_points):
-        """lambda = (1, 0)."""
-        return cls(num_points, 2, (0,) * (num_points - 1))
 
     def power_of_central(self, c):
         return GradingGroupElement(self.num_points, self.j2 + 2 * c, self.eta)

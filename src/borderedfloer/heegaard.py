@@ -160,9 +160,6 @@ class DiagramGenerator(Record):
     def grading(self):
         return (self.sigma.sgn() + sum(p.sign for p in self.points)) % 2
 
-    def occupied_arcs(self, kind):
-        return frozenset(p.alpha for p in self.points if p.alpha_kind == kind)
-
     @property
     def idempotent_left(self):
         """D side: the classes of the unoccupied left arcs."""

@@ -14,10 +14,6 @@ class HochschildGenerator(Record):
     __slots__ = _fields = ("name", "idem", "grading", "strands_grading")
 
 
-class HochschildChainGroup(Record):
-    __slots__ = _fields = ("generators",)
-
-
 def hochschild_generators(n):
     """Generators x with equal left/right idempotent classes, gradings
     shifted by the strands grading."""
@@ -32,13 +28,13 @@ def hochschild_generators(n):
         i = len(g.idem_right) - k
         gens.append(HochschildGenerator(
             g.name, g.idem_right, (g.grading + i) % 2, i))
-    return HochschildChainGroup(tuple(gens))
+    return tuple(gens)
 
 
-def graded_euler(ch):
+def graded_euler(gens):
     """Sum over strands gradings i of t^i times the signed generator count."""
     out = LaurentPolynomial.zero()
-    for g in ch.generators:
+    for g in gens:
         sign = -1 if g.grading % 2 else 1
         out = out + LaurentPolynomial.monomial(g.strands_grading, sign)
     return out

@@ -35,9 +35,6 @@ class Presentation(Record):
         half = len(rows[0]) // 2
         return cls.make([r[:half] for r in rows], [r[half:] for r in rows])
 
-    def to_json(self):
-        return {"A": [list(r) for r in self.a], "B": [list(r) for r in self.b]}
-
     @classmethod
     def from_json(cls, obj):
         check(obj, {"A": [[int]], "B": [[int]]})

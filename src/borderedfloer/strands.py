@@ -217,11 +217,6 @@ def json_basis_terms(pmc, obj, path=""):
     return out
 
 
-def element_from_json(pmc, obj, path=""):
-    """The element a JSON object at ``path`` names (see ``json_basis_terms``)."""
-    return StrandsElement(pmc, frozenset(json_basis_terms(pmc, obj, path)))
-
-
 # gradings ---------------------------------------------------------------
 def gr_pairs(pmc, pairs):
     """Sum of orientations over S and T plus inversions of the class map: the
@@ -279,10 +274,6 @@ def basis(pmc, i):
     if not -k <= i <= k:
         raise StrandsGradingOutOfRange(f"strands grading {i} outside [{-k},{k}]")
     return _algebra(pmc).bases[i]
-
-
-def all_basis(pmc):
-    return [x for i in range(-pmc.k, pmc.k + 1) for x in basis(pmc, i)]
 
 
 # idempotents ------------------------------------------------------------

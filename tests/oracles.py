@@ -10,7 +10,7 @@ from borderedfloer.errors import (FlavorViolation, InconsistentChordSet,
 from borderedfloer.gradings import BorderedPartialPermutation
 from borderedfloer.heegaard import DiagramGenerator
 from borderedfloer.knots import _hnf, left_kernel
-from borderedfloer.strands import canonicalize
+from borderedfloer.strands import basis, canonicalize, idempotent
 
 
 class RankDeficient(Exception):
@@ -52,6 +52,12 @@ def collect_orbits(pmc, raw_terms):
     return set(groups)
 
 
+def all_basis(pmc):
+    """Every basis element of the strands algebra, over all strands
+    gradings."""
+    return [x for i in range(-pmc.k, pmc.k + 1) for x in basis(pmc, i)]
+
+
 def reeb_element_by_expansion(pmc, chords):
     """The canonical pairs of the terms of a(rho), by expansion: the chords
     plus horizontal strands on every subset of the points no chord starts or
@@ -90,6 +96,55 @@ def sgn_by_definition(bpp):
     both = bpp.k_l is not None and bpp.k_r is not None
     shape = bpp.t * (bpp.g - bpp.k_l - bpp.k_r) if both else 0
     return (inversions_by_definition(bpp.sigma) + d_extra + shape) % 2
+
+
+def hochschild_closable(bpp):
+    """Whether a DA permutation with k_l = k_r closes up: its left and right
+    occupancies complement each other."""
+    if bpp.k_l is None or bpp.k_l != bpp.k_r:
+        raise FlavorViolation("Hochschild closure needs a DA shape with k_l = k_r")
+    kept, folded = bpp.occupied()
+    return not (folded & kept) and folded | kept == set(bpp.d_block)
+
+
+def hochschild_closure(bpp):
+    """The closed-up permutation of [g] (requires hochschild_closable)."""
+    return tuple(x - bpp.g if x in bpp.a_block else x for x in bpp.sigma)
+
+
+def f2_rank_by_span(rows):
+    """The GF(2) rank of integer bit rows, as log2 of the number of distinct
+    sums of subsets of the rows.  Exponential in the number of rows."""
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return len(span).bit_length() - 1
+
+
+def box_tensor_ops_by_every_chain(left, right):
+    """The ops of left (x) right for a bounded type D right factor, keyed
+    by name pairs: {(x, y): {(D-side output or None, (w, z))}}.  Feeds every
+    delta^1 chain of right from y, of any length, to left's op on that word,
+    and a one-letter idempotent word to left's unit, whose D-side output is
+    the idempotent of x's left classes."""
+    pairs = {(x.name, y.name) for x in left.generators.values()
+             for y in right.generators.values() if x.idem_right == y.idem_left}
+    out = {}
+    for xn, yn in sorted(pairs):
+        x, terms, chains = left.generators[xn], set(), [((), yn)]
+        while chains:
+            chain, zn = chains.pop()
+            found = set(left.ops.get((xn, chain), ()))
+            if len(chain) == 1 and chain[0].is_idempotent:
+                unit = None
+                if left.left == "D":
+                    [unit] = idempotent(left.pmc_left, x.idem_left).terms
+                found ^= {(unit, xn)}
+            terms ^= {(b, (wn, zn)) for b, wn in found if (wn, zn) in pairs}
+            chains += [(chain + (a,), z) for a, z in right.ops.get((zn, ()), ())]
+        if terms:
+            out[(xn, yn)] = terms
+    return out
 
 
 def kernel_rows_by_constraints(p):

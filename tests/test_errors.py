@@ -91,8 +91,6 @@ RECORDS = {
                  gradings.BorderedPartialPermutation(1, None, 1, (1,))],
         gradings.BorderedPartialPermutation(1, None, 1, (2,))),
     hochschild.HochschildGenerator: (lambda: ["x", frozenset({1}), 0, 0], 1),
-    hochschild.HochschildChainGroup: (
-        lambda: [(hochschild.HochschildGenerator("x", frozenset({1}), 0, 0),)], ()),
     knots.Presentation: (lambda: [((1,),), ((0,),)], ((1,),)),
     structures.ModuleGenerator: (lambda: ["x", frozenset({1}), None, 0], 1),
 }

@@ -10,16 +10,16 @@ from borderedfloer import gradings as gr_mod
 from borderedfloer.gradings import (BorderedPartialPermutation as BPP,
                                     GradingGroupElement, boundary,
                                     chord_decomposition, chord_eta, f,
-                                    g_prime, hochschild_closable,
-                                    hochschild_closure,
-                                    inv_seq, m_grading, refined_grading_element,
+                                    g_prime, inv_seq, m_grading,
+                                    refined_grading_element,
                                     refinement, sum_permutations,
                                     verify_grading_equivalence)
 from borderedfloer.errors import (DisconnectedSurgery, FlavorViolation,
                                   NotInRefinedSubgroup, NotSubordinate,
                                   SizeMismatch)
 from oracle_constants import STRANDS_DIMS_GENUS2, SURGERY_N8
-from oracles import inversions_by_definition, sgn_by_definition
+from oracles import (all_basis, hochschild_closable, hochschild_closure,
+                     inversions_by_definition, sgn_by_definition)
 
 Z1 = pmc_mod.genus1()
 Z2 = pmc_mod.genus2_split()
@@ -35,11 +35,11 @@ def injections(g, n):
 def all_bpps(flavor, g, k_l, k_r):
     out = []
     if flavor == "A":
-        n, make = g + k_r, lambda s: BPP.type_a(g, k_r, s)
+        n, make = g + k_r, lambda s: BPP(g, None, k_r, s)
     elif flavor == "D":
-        n, make = g + k_l, lambda s: BPP.type_d(g, k_l, s)
+        n, make = g + k_l, lambda s: BPP(g, k_l, None, s)
     else:
-        n, make = g + k_l + k_r, lambda s: BPP.type_da(g, k_l, k_r, s)
+        n, make = g + k_l + k_r, lambda s: BPP(g, k_l, k_r, s)
     for sig in injections(g, n):
         try:
             out.append(make(sig))
@@ -50,19 +50,18 @@ def all_bpps(flavor, g, k_l, k_r):
 
 def test_constructor_validity():
     with pytest.raises(FlavorViolation):
-        BPP.type_a(2, 1, (1, 1))  # not injective
+        BPP(2, None, 1, (1, 1))  # not injective
     with pytest.raises(FlavorViolation):
-        BPP.type_a(2, 1, (1, 4))  # out of range
+        BPP(2, None, 1, (1, 4))  # out of range
     with pytest.raises(FlavorViolation):
-        BPP.type_d(2, 1, (3, 4))  # position 1 or 2 may be missed, 3 may not
+        BPP(2, 1, None, (3, 4))  # position 1 or 2 may be missed, 3 may not
     with pytest.raises(FlavorViolation):
-        BPP.type_da(1, 1, 1, (2,))  # blocks overlap
+        BPP(1, 1, 1, (2,))  # blocks overlap
     with pytest.raises(FlavorViolation):
-        BPP.closed(2, (1, 3))
+        BPP(2, None, None, (1, 3))
 
 
 def test_flavor_only_names_the_sides():
-    assert BPP.type_a(1, 1, (2,)) == BPP(1, None, 1, (2,))
     shapes = [(None, None), (None, 0), (0, None), (0, 0)]
     assert [BPP(1, kl, kr, (1,)).flavor for kl, kr in shapes] == \
         ["closed", "A", "D", "DA"]
@@ -133,18 +132,18 @@ def test_sgn_matches_its_definition():
 
 
 def test_glue_shapes_and_errors():
-    a = BPP.type_a(1, 1, (2,))
-    d = BPP.type_d(1, 1, (1,))
+    a = BPP(1, None, 1, (2,))
+    d = BPP(1, 1, None, (1,))
     assert sum_permutations(a, d).flavor == "closed"
-    assert sum_permutations(a, BPP.type_d(1, 1, (2,))) is None  # occupancy clash
+    assert sum_permutations(a, BPP(1, 1, None, (2,))) is None  # occupancy clash
     with pytest.raises(FlavorViolation):
         sum_permutations(d, a)  # wrong flavors on each side
     with pytest.raises(FlavorViolation):
-        sum_permutations(BPP.type_a(2, 2, (2, 4)), d)  # middle genus mismatch
-    da = BPP.type_da(2, 1, 1, (1, 4))
+        sum_permutations(BPP(2, None, 2, (2, 4)), d)  # middle genus mismatch
+    da = BPP(2, 1, 1, (1, 4))
     assert sum_permutations(da, d).flavor == "D"
-    assert sum_permutations(a, BPP.type_da(2, 1, 1, (1, 4))).flavor == "A"
-    g2 = sum_permutations(da, BPP.type_da(2, 1, 1, (1, 4)))
+    assert sum_permutations(a, BPP(2, 1, 1, (1, 4))).flavor == "A"
+    g2 = sum_permutations(da, BPP(2, 1, 1, (1, 4)))
     assert g2 is not None and g2.flavor == "DA"
 
 
@@ -152,7 +151,7 @@ def random_group_elements(pmc, rng, count):
     pool = [refined_grading_element(refinement(pmc, t), x)
             for t in range(-pmc.k, pmc.k + 1)
             for x in strands.basis(pmc, t)]
-    lam = GradingGroupElement.central(pmc.n)
+    lam = GradingGroupElement.identity(pmc.n).power_of_central(1)
     out = []
     for _ in range(count):
         x = rng.choice(pool)
@@ -168,7 +167,7 @@ def test_group_laws():
     rng = random.Random(3)
     elts = random_group_elements(Z1, rng, 30)
     e = GradingGroupElement.identity(Z1.n)
-    lam = GradingGroupElement.central(Z1.n)
+    lam = GradingGroupElement.identity(Z1.n).power_of_central(1)
     for x in elts:
         assert x * e == x and e * x == x
         assert x * x.inverse() == e and x.inverse() * x == e
@@ -254,8 +253,9 @@ def test_f_on_central():
     for pmc in (Z1, Z2):
         for t in range(-pmc.k, pmc.k + 1):
             ref = refinement(pmc, t)
-            assert f(ref, GradingGroupElement.central(pmc.n)) == 1
-            assert f(ref, GradingGroupElement.identity(pmc.n)) == 0
+            e = GradingGroupElement.identity(pmc.n)
+            assert f(ref, e.power_of_central(1)) == 1
+            assert f(ref, e) == 0
 
 
 def test_f_on_matched_chord_generators():
@@ -367,7 +367,8 @@ def corrupt_refinement(monkeypatch):
     def corrupted(pmc, t):
         built.append(t)
         ref = build(pmc, t)
-        lam, base = GradingGroupElement.central(pmc.n), frozenset(ref.base)
+        lam = GradingGroupElement.identity(pmc.n).power_of_central(1)
+        base = frozenset(ref.base)
         psi = {s: gp if s == base else gp * lam for s, gp in ref.psi.items()}
         return gr_mod.RefinementData(pmc, t, ref.base, psi, ref.psi_inv,
                                      ref.linking)
@@ -404,7 +405,7 @@ def test_check_gradings_cli_fails_on_a_counterexample(monkeypatch, capsys):
 
 def test_m_matches_gr_spotcheck_genus2():
     rng = random.Random(5)
-    elts = strands.all_basis(Z2)
+    elts = all_basis(Z2)
     refs = {t: refinement(Z2, t) for t in range(-Z2.k, Z2.k + 1)}
     for x in rng.sample(elts, 40):
         assert m_grading(refs[x.strands_grading], x) == x.gr
@@ -451,7 +452,7 @@ def test_m_matches_gr_spotcheck_genus3():
     z3 = pmc_mod.connected_sum(Z2, Z1)
     rng = random.Random(13)
     refs = {t: refinement(z3, t) for t in range(-z3.k, z3.k + 1)}
-    for x in rng.sample(strands.all_basis(z3), 3000):
+    for x in rng.sample(all_basis(z3), 3000):
         assert m_grading(refs[x.strands_grading], x) == x.gr, x.pairs
 
 
@@ -462,7 +463,7 @@ def test_grading_determined_by_seed_sets():
     full-matched-chord elements.  Propagating the product and differential
     grading rules from those values determines gr on every basis element.
     """
-    elts = strands.all_basis(Z1)
+    elts = all_basis(Z1)
     seeds = set()
     for t in range(-Z1.k, Z1.k + 1):
         seeds.update(x.pairs for x in l_elements(Z1, t))

@@ -79,7 +79,7 @@ def test_identity_aa_diagram_gradings_are_theta():
         assert len(gens) == 2 ** z.num_classes
         n2k = z.num_classes
         for g in gens:
-            s = frozenset(a - n2k for a in g.occupied_arcs("arc") if a > n2k)
+            s = frozenset(a - n2k for a in g.idempotent_right if a > n2k)
             assert g.grading == theta(s, z)
 
 
@@ -90,7 +90,7 @@ def test_identity_aa_bimodule_matches_diagram():
     diag = {}
     for g in diagram_gens:
         s = frozenset(a - z.num_classes
-                      for a in g.occupied_arcs("arc") if a > z.num_classes)
+                      for a in g.idempotent_right if a > z.num_classes)
         diag[s] = g.grading
     mod = {gen.idem_right: gen.grading for gen in module.generators.values()}
     assert diag == mod

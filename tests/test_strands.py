@@ -11,7 +11,7 @@ from borderedfloer.errors import (AlgebraMismatch, InconsistentChordSet,
 
 from oracle_constants import (STRANDS_DIMS_GENUS1, STRANDS_DIMS_GENUS2_SPLIT,
                               STRANDS_DIMS_GENUS3_SPLIT)
-from oracles import (collect_orbits, inversions_by_definition,
+from oracles import (all_basis, collect_orbits, inversions_by_definition,
                      reeb_element_by_expansion)
 from test_structures import identity_da
 
@@ -37,7 +37,7 @@ def test_basis_grading_out_of_range():
 
 
 def test_canonical_representatives():
-    for x in strands.all_basis(Z2):
+    for x in all_basis(Z2):
         assert strands.canonicalize(Z2, x.pairs) == x.pairs
         assert x.strands_grading == len(x.pairs) - Z2.k
 
@@ -55,11 +55,11 @@ def test_make_rejections():
 @pytest.mark.parametrize("entry", [[1, 2, 3], [1]], ids=["triple", "single"])
 def test_element_from_json_rejects_map_entries_that_are_not_pairs(entry):
     with pytest.raises(SchemaViolation):
-        strands.element_from_json(Z1, {"terms": [{"map": [entry]}]})
+        strands.json_basis_terms(Z1, {"terms": [{"map": [entry]}]})
 
 
 def test_fast_product_matches_raw_genus1():
-    elts = strands.all_basis(Z1)
+    elts = all_basis(Z1)
     for x in elts:
         for y in elts:
             fast = strands.multiply_basis(x, y)
@@ -71,7 +71,7 @@ def test_fast_product_matches_raw_genus1():
 
 
 def test_fast_product_matches_raw_genus2_sampled():
-    elts = strands.all_basis(Z2)
+    elts = all_basis(Z2)
     rng = random.Random(7)
     for _ in range(400):
         x, y = rng.choice(elts), rng.choice(elts)
@@ -123,7 +123,7 @@ def test_gr_matches_its_definition(z, top):
 
 
 def test_associativity_genus1():
-    elts = strands.all_basis(Z1)
+    elts = all_basis(Z1)
     for x, y, z in itertools.product(elts, repeat=3):
         xy = strands.multiply_basis(x, y)
         yz = strands.multiply_basis(y, z)
@@ -134,13 +134,13 @@ def test_associativity_genus1():
 
 def test_differential_squares_to_zero():
     for z in (Z1, Z2):
-        for x in strands.all_basis(z):
+        for x in all_basis(z):
             dx = strands.differential_basis(x)
             assert not strands.differential(dx)
 
 
 def test_leibniz_genus1():
-    elts = strands.all_basis(Z1)
+    elts = all_basis(Z1)
     for x, y in itertools.product(elts, repeat=2):
         ex = strands.StrandsElement.from_basis(x)
         ey = strands.StrandsElement.from_basis(y)
@@ -153,10 +153,10 @@ def test_leibniz_genus1():
 def test_grading_rules():
     # differential raises gr by 1, product is additive, mod 2
     for z in (Z1,):
-        for x in strands.all_basis(z):
+        for x in all_basis(z):
             for term in strands.differential_basis(x).basis_terms():
                 assert term.gr == (x.gr + 1) % 2
-            for y in strands.all_basis(z):
+            for y in all_basis(z):
                 p = strands.multiply_basis(x, y)
                 if p is not None:
                     assert p.gr == (x.gr + y.gr) % 2
@@ -216,8 +216,8 @@ def test_reeb_element_matches_its_expansion(z, most):
 
 
 def test_mismatched_circles():
-    x = strands.all_basis(Z1)[0]
-    y = strands.all_basis(Z2)[0]
+    x = all_basis(Z1)[0]
+    y = all_basis(Z2)[0]
     with pytest.raises(AlgebraMismatch):
         strands.multiply_basis(x, y)
 
@@ -225,10 +225,9 @@ def test_mismatched_circles():
 def test_element_json_roundtrip():
     x = strands.StrandsBasisElement.make(Z1, [(1, 1), (2, 4)])
     ex = strands.StrandsElement.from_basis(x)
-    back = strands.element_from_json(Z1, ex.to_json())
-    assert back == ex
+    assert strands.json_basis_terms(Z1, ex.to_json()) == ex.terms
     with pytest.raises(SchemaViolation):
-        strands.element_from_json(Z1, {"terms": [{"source": [1, 2]}]})
+        strands.json_basis_terms(Z1, {"terms": [{"source": [1, 2]}]})
 
 
 def basis_by_permutation_filter(z, i):
@@ -278,7 +277,7 @@ def test_basis_matches_permutation_filter(z, top):
 
 def test_differential_matches_expansion():
     for z in (Z1, Z2, Z2_ANTIPODAL):
-        for x in strands.all_basis(z):
+        for x in all_basis(z):
             assert {e.pairs for e in strands.differential_basis(x).terms} == \
                 differential_by_expansion(z, x.pairs)
     rng = random.Random(11)
@@ -290,7 +289,7 @@ def test_differential_matches_expansion():
 
 def test_elements_are_interned():
     for z in (Z1, Z2):
-        elts = strands.all_basis(z)
+        elts = all_basis(z)
         shared = {x.pairs: x for x in elts}
         for i in range(-z.k, z.k + 1):
             assert strands.basis(z, i) is strands.basis(z, i)
@@ -362,7 +361,7 @@ def test_memos_change_no_comparison_and_stay_on_their_circle():
 @pytest.mark.parametrize("z", [Z2, Z2_ANTIPODAL], ids=["genus2_split",
                                                        "genus2_antipodal"])
 def test_differential_terms_agree_with_differential_basis(z):
-    for x in strands.all_basis(z):
+    for x in all_basis(z):
         assert set(strands.differential_terms(x)) == set(
             strands.differential_basis(x).basis_terms()), x.pairs
 
@@ -375,7 +374,7 @@ def test_tables_are_bounded_by_the_algebra():
     z = pmc_mod.genus2_split()
     assert identity_da(z).validate()["ok"]
     alg = strands._algebra(z)
-    size = len(strands.all_basis(z))
+    size = len(all_basis(z))
     for name in strands._Algebra.__slots__:
         if name != "pmc":
             assert len(getattr(alg, name)) <= size, name
@@ -388,7 +387,7 @@ def test_tables_are_bounded_by_the_algebra():
 def test_genus3_split_gate():
     dims = {i: len(strands.basis(Z3, i)) for i in range(-Z3.k, Z3.k + 1)}
     assert dims == STRANDS_DIMS_GENUS3_SPLIT
-    elts = strands.all_basis(Z3)
+    elts = all_basis(Z3)
     assert len(elts) == 59648
     for x in elts:
         dx = strands.differential_basis(x)

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from borderedfloer import pmc as pmc_mod, strands, structures
-from borderedfloer.decat import (ExteriorElement, k0_functional, k0_of_da,
-                                 psi_K0)
+from borderedfloer import heegaard, pmc as pmc_mod, strands, structures
+from borderedfloer.decat import (ExteriorElement, GradedEndomorphism,
+                                 k0_functional, k0_of_da, psi_K0, upsilon)
 from borderedfloer.errors import (AlgebraMismatch, BothUnbounded,
                                   SchemaViolation)
 from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
@@ -17,6 +17,9 @@ from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
                                       elementary_d, elementary_da, identity_aa,
                                       induct_dd, shift, structure_from_json,
                                       theta)
+
+from knot_diagrams import boundary_sum, trefoil
+from oracles import all_basis, box_tensor_ops_by_every_chain
 
 import importlib.resources as resources
 
@@ -140,7 +143,7 @@ def relation_errors(m):
     basis elements of the right algebra, composable or not, counted term by
     term over GF(2), with validate's messages: the reference for validate,
     which walks only the composable words."""
-    letters = strands.all_basis(m.pmc_right) if m.right == "A" else []
+    letters = all_basis(m.pmc_right) if m.right == "A" else []
     errors = []
     for x in m.generators:
         for n in range(min(m.max_arity, 3) + 1):
@@ -335,6 +338,50 @@ def test_identity_da_box_d_is_d(da, d):
             for (x, seq), terms in product.ops.items()} == d.ops
 
 
+def chain_d():
+    """A bounded type D structure whose delta^1 chain a -> b -> c reads
+    rho_34, rho_23: the two inputs of the Dehn-twist DA's delta^1_3."""
+    r34 = strands.StrandsBasisElement.make(Z1, [(3, 4)])
+    r23 = strands.StrandsBasisElement.make(Z1, [(2, 3)])
+    return TypeDStructure(Z1, None, [
+        ModuleGenerator("a", frozenset({1}), None, 0),
+        ModuleGenerator("b", frozenset({2}), None, 1),
+        ModuleGenerator("c", frozenset({1}), None, 1)],
+        {("a", ()): {(r34, "b")}, ("b", ()): {(r23, "c")}})
+
+
+def ops_by_pair(product):
+    """The ops of a box tensor product keyed by name pairs, as
+    box_tensor_ops_by_every_chain gives them."""
+    if not isinstance(product, structures.Structure):
+        return {p: {(None, t) for t in targets}
+                for p, targets in product.differential.items()}
+    return {tuple(x.split("*")): {(b, tuple(y.split("*"))) for b, y in terms}
+            for (x, _), terms in product.ops.items()}
+
+
+@pytest.mark.parametrize("left, right", [
+    (dehn_twist_da, chain_d), (dehn_twist_da, solid_torus_d),
+    (solid_torus_a, solid_torus_d), (identity_da, solid_torus_d),
+    (opless_da, unit_output_d), (lambda: identity_aa(Z1), unit_output_d),
+    (lambda: identity_da(Z2), genus2_d)],
+    ids=["dehn-twist-chain", "dehn-twist", "a", "identity", "opless",
+         "identity-aa", "genus2"])
+def test_box_tensor_matches_the_every_chain_oracle(left, right):
+    left, right = left(), right()
+    assert right.validate()["ok"]
+    product = box_tensor(left, right)
+    assert ops_by_pair(product) == box_tensor_ops_by_every_chain(left, right)
+
+
+def test_dehn_twist_box_chain_d_feeds_both_inputs():
+    # the Dehn-twist DA's delta^1_3 fires on the chain of length 2
+    product = box_tensor(dehn_twist_da(), chain_d())
+    [(b, target)] = product.ops[("x*a", ())]
+    assert target == "y*c" and b.pairs == ((3, 4),)
+    assert product.validate()["ok"]
+
+
 def apply_endomorphism(e, v):
     """e(v) for a GradedEndomorphism e and a one-factor ExteriorElement v:
     block j maps the lex-ordered degree-j monomials, columns to rows."""
@@ -438,6 +485,31 @@ def test_box_tensor_bimodules_aa_dd_shapes():
     assert da.flavor == "DA"
     for g in da.generators.values():
         assert g.idem_left is not None and g.idem_right is not None
+
+
+def diagram_dd(diagram):
+    """The DD structure run_knot reads off a type D diagram on Z # -Z."""
+    d = TypeDStructure(diagram.pmc_left, None, [
+        ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
+        for g in heegaard.enumerate_generators(diagram)])
+    return induct_dd(d, diagram.pmc_left.k // 2)
+
+
+def transpose(e):
+    return GradedEndomorphism(e.n, {j: [list(r) for r in zip(*block)]
+                                    for j, block in e.blocks.items()})
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_k0_of_identity_aa_box_dd_is_upsilon_transposed(n):
+    # the gluing law for AA (x) DD: blockwise, k0_of_da is the transpose of
+    # upsilon, whose rows are the right idempotents; the untransposed
+    # matrices differ
+    dd = diagram_dd(boundary_sum(*[trefoil()] * n))
+    assert len(dd.generators) == 7 ** n
+    glued = k0_of_da(box_tensor(identity_aa(dd.pmc_left), dd))
+    u = upsilon(psi_K0(dd))
+    assert glued == transpose(u) and glued != u
 
 
 def test_box_tensor_bimodules_rejects_unsupported():
