@@ -2,15 +2,15 @@
 
 Each mutant is one exact string edit to one module of src/borderedfloer.
 The script copies the checkout (without .git) to a temporary directory once
-and checks that the whole suite passes there (a test may read a file
-outside tests/, as perfbench/inputs).  For each mutant it applies the edit
-in the copy, runs the test files that import the touched module (found with
-``ast``; the whole suite when none does), and restores the module.  A
-mutant is killed when those tests fail, survives when they pass, and no
-longer applies when its text is not in the module exactly once; then the
-code has changed and the list needs updating.  A mutant marked equivalent
-gives the same results as the code on every input the library can build,
-so its survival is expected.
+and checks that the whole suite passes there (the tests read the package
+data under src/ and their helpers under tests/).  For each mutant it
+applies the edit in the copy, runs the test files that import the touched
+module (found with ``ast``; the whole suite when none does), and restores
+the module.  A mutant is killed when those tests fail, survives when they
+pass, and no longer applies when its text is not in the module exactly
+once; then the code has changed and the list needs updating.  A mutant
+marked equivalent gives the same results as the code on every input the
+library can build, so its survival is expected.
 
 Exit status 1 when a mutant that is not marked equivalent survives, or one
 no longer applies; 2 when the unmutated suite fails in the copy; 0
@@ -52,7 +52,36 @@ MUTANTS = [
      "depth = max(left.max_arity - 1, 1)", "depth = 1", None),
     ("decat", "upsilon: read the sign off |b|, not |a|",
      "sign = -1 if len(a) % 2 else 1", "sign = -1 if len(b) % 2 else 1",
-     "|a| + |b| = n, and n = 2k is even for the classes of every circle"),
+     "every term has |a| + |b| = n, and upsilon raises DimensionOdd for an "
+     "odd n, so |a| and |b| have one parity"),
+    ("strands", "_differential: drop the freeness test of a crossing",
+     "if top < t2 < t1:", "if s1 < t2 < t1:", None),
+    ("strands", "_differential: resolve at one point of a horizontal class",
+     "for h in (m, partner[m]):", "for h in (m,):", None),
+    ("strands", "_product: keep a double crossing",
+     "# crosses in a and in b\n                return None",
+     "# crosses in a and in b\n                pass", None),
+    ("strands", "_product: skip the re-sort after a horizontal strand moves",
+     "                moved = True", "                moved = False", None),
+    ("knots", "_hnf: drop the pivot-sign normalization",
+     "if rows[pivot_row][col] < 0:", "if False:", None),
+    ("knots", "recover_seifert: drop the negation of V",
+     "v = tuple(tuple(-x for x in row) for row in v)",
+     "v = tuple(tuple(x for x in row) for row in v)", None),
+    ("knots", "kernel_basis_from_plucker: drop the contraction sign",
+     "(-1) ** sum(x > i for x in rest)", "1", None),
+    ("knots", "kernel_basis_from_plucker: contract at the largest coordinate",
+     "pivot = min(q)", "pivot = max(q)",
+     "any nonzero coordinate of a decomposable q gives rows that span W "
+     "over Q, and saturation and Hermite form make them canonical"),
+    ("knots", "_hnf: take the first nonzero entry as pivot, not the least",
+     "if best is None or abs(rows[i][col]) < abs(rows[best][col]):",
+     "if best is None:",
+     "the gcd steps swap in every nonzero remainder, so the pivot ends as "
+     "the gcd either way, and the Hermite form of a lattice is unique"),
+    ("knots", "_det_poly: flip the sign in the falling factorial",
+     "LaurentPolynomial({1: 1, 0: -k})", "LaurentPolynomial({1: 1, 0: k})",
+     None),
 ]
 
 

@@ -41,18 +41,19 @@ class ExteriorElement:
     """Integer element of Lambda*(Z^n), or of a two-factor tensor
     Lambda*(Z^{n0}) (x) Lambda*(Z^{n1}).
 
-    terms: sorted index tuple -> coefficient (single factor), or a pair of
-    sorted tuples -> coefficient (two factors).  Indices are 1-based.
+    dims: the tuple (n,) or (n0, n1), one dimension per factor.  terms:
+    sorted index tuple -> coefficient (single factor), or a pair of sorted
+    tuples -> coefficient (two factors).  Indices are 1-based.
     """
 
-    def __init__(self, dims, terms=None, factors=1):
-        self.factors = factors
-        self.dims = tuple(dims) if factors == 2 else (dims,)
+    def __init__(self, dims, terms=None):
+        self.dims = tuple(dims)
+        self.factors = len(self.dims)
         self.terms = {}
         for key, c in (terms or {}).items():
             if not c:
                 continue
-            if factors == 1:
+            if self.factors == 1:
                 key = tuple(sorted(key))
             else:
                 key = (tuple(sorted(key[0])), tuple(sorted(key[1])))
@@ -61,11 +62,11 @@ class ExteriorElement:
 
     @classmethod
     def single(cls, n, terms=None):
-        return cls(n, terms, factors=1)
+        return cls((n,), terms)
 
     @classmethod
     def two(cls, n0, n1, terms=None):
-        return cls((n0, n1), terms, factors=2)
+        return cls((n0, n1), terms)
 
     @classmethod
     def monomial(cls, n, subset, coeff=1):
@@ -77,15 +78,13 @@ class ExteriorElement:
     def __eq__(self, other):
         if not isinstance(other, ExteriorElement):
             return NotImplemented
-        return (self.factors, self.dims, self.terms) == \
-            (other.factors, other.dims, other.terms)
+        return (self.dims, self.terms) == (other.dims, other.terms)
 
     def _like(self, terms):
-        dims = self.dims if self.factors == 2 else self.dims[0]
-        return ExteriorElement(dims, terms, self.factors)
+        return ExteriorElement(self.dims, terms)
 
     def __add__(self, other):
-        if (self.factors, self.dims) != (other.factors, other.dims):
+        if self.dims != other.dims:
             raise BasisMismatch("elements over different spaces")
         out = dict(self.terms)
         for k, c in other.terms.items():
@@ -143,9 +142,8 @@ class ExteriorElement:
                     raise SchemaViolation("expected increasing indices, got "
                                           f"{show(indices)}", f"terms[{i}].{k}")
         unique(monomials, "terms")
-        return cls(dims if two else dims[0],
-                   {m if two else m[0]: t["coeff"]
-                    for m, t in zip(monomials, obj["terms"])}, len(dims))
+        return cls(dims, {m if two else m[0]: t["coeff"]
+                          for m, t in zip(monomials, obj["terms"])})
 
     def __repr__(self):
         if not self.terms:
@@ -276,7 +274,8 @@ def _subset_index(n):
 
 def upsilon(p):
     """The homomorphism v (x) v' -> eta(v) evaluated against the input,
-    as a graded endomorphism.  Requires every term to preserve degree.
+    as a graded endomorphism.  Requires an even dimension, as the 2k classes
+    of every circle give, and every term to preserve degree.
 
     The first factor lives over the reversed circle; its monomials carry the
     (-1)^{|subset|} identification sign (the same sign combine_factors uses).
@@ -291,6 +290,8 @@ def upsilon(p):
     if n0 != n1:
         raise DimensionMismatch("factors of different dimension")
     n = n0
+    if n % 2:
+        raise DimensionOdd("upsilon needs an even-dimensional space")
     for (a, b), _ in p.terms.items():
         if len(a) + len(b) != n:
             raise DegreeMismatch(
@@ -345,8 +346,8 @@ def psi_K0(structure):
             key = (key, tuple(sorted(g.idem_right)))
         out[key] = out.get(key, 0) + (-1 if g.grading % 2 else 1)
     n = structure.pmc_left.num_classes
-    return ExteriorElement((n, structure.pmc_right.num_classes) if two else n,
-                           out, factors=2 if two else 1)
+    return ExteriorElement((n, structure.pmc_right.num_classes) if two else (n,),
+                           out)
 
 
 def k0_functional(a_struct):

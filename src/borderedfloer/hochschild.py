@@ -41,11 +41,12 @@ def graded_euler(gens):
 
 
 class F2ChainComplex:
-    """Generators with a Z/2 grading and a differential over GF(2)."""
+    """Generators with a Z/2 grading and a differential over GF(2); the
+    generators are the keys of ``grading``, in its order."""
 
-    def __init__(self, generators, grading, differential):
-        self.generators = list(generators)
+    def __init__(self, grading, differential):
         self.grading = dict(grading)
+        self.generators = list(self.grading)
         self.differential = {k: frozenset(v)
                              for k, v in differential.items() if v}
 
@@ -95,18 +96,10 @@ class F2ChainComplex:
                    for g in self.generators)
 
     def to_json(self):
-        return {"generators": [{"name": _name(g),
-                                "grading": self.grading[g]}
+        return {"generators": [{"name": g, "grading": self.grading[g]}
                                for g in self.generators],
-                "differential": [{"source": _name(x),
-                                  "targets": sorted(_name(y) for y in t)}
-                                 for x, t in sorted(
-                                     self.differential.items(),
-                                     key=lambda kv: _name(kv[0]))]}
-
-
-def _name(g):
-    return "*".join(g) if isinstance(g, tuple) else str(g)
+                "differential": [{"source": x, "targets": sorted(t)}
+                                 for x, t in sorted(self.differential.items())]}
 
 
 def _f2_rank(rows):
@@ -134,5 +127,5 @@ def complex_from_json(obj):
     unique([d["source"] for d in diff], "differential")
     for i, d in enumerate(diff):
         unique(d["targets"], f"differential[{i}].targets")
-    return F2ChainComplex(names, {g["name"]: g["grading"] for g in obj["generators"]},
+    return F2ChainComplex({g["name"]: g["grading"] for g in obj["generators"]},
                           {d["source"]: frozenset(d["targets"]) for d in diff})

@@ -16,10 +16,10 @@ for type A, and boundedness of the delta-transition graph for type D.
 
 One box tensor product, `box_tensor(left, right)`, pairs A (x) D into a
 chain complex and DA (x) D, AA (x) D and AA (x) DD into D, A and DA
-structures.  It walks right's delta^1 chains up to length
-max(arity of left - 1, 1), so the implicit unit always meets an idempotent
-D output, and needs a bounded right factor only when left has an op with an
-A-side input.
+structures, each on "x*y" generator names.  It walks right's delta^1
+chains up to length max(arity of left - 1, 1), so the implicit unit always
+meets an idempotent D output, and needs a bounded right factor only when
+left has an op with an A-side input.
 """
 
 from __future__ import annotations
@@ -401,11 +401,11 @@ def _onto_sides(cls, outer_left, outer_right):
 def box_tensor(left, right):
     """left (x) right along left's right circle and right's left circle
     (Lipshitz-Ozsvath-Thurston, arXiv:1003.0598, 2.3), with the depth and
-    boundedness rules of the module docstring.  A (x) D is an F2ChainComplex
-    on (x, y) name pairs; the other pairings give structures on "x*y" names
-    (two pairs joined to one name raise SchemaViolation) whose outer sides
-    fill the result's sides in order (AA (x) D keeps its left idempotent in
-    idem_right)."""
+    boundedness rules of the module docstring.  Every pairing names the
+    product generator of x and y "x*y", and two pairs joined to one name
+    raise SchemaViolation.  A (x) D is an F2ChainComplex; the other pairings
+    give structures whose outer sides fill the result's sides in order
+    (AA (x) D keeps its left idempotent in idem_right)."""
     key = (left.flavor, right.flavor)
     if key not in _PRODUCTS:
         raise AlgebraMismatch(f"unsupported pairing {key[0]} (x) {key[1]}")
@@ -415,6 +415,8 @@ def box_tensor(left, right):
         raise BothUnbounded("type D side is unbounded")
     pairs = {(x.name, y.name): (x, y) for x in left.generators.values()
              for y in right.generators.values() if x.idem_right == y.idem_left}
+    names = {p: "*".join(p) for p in pairs}
+    unique(names.values(), "generators")
     depth = max(left.max_arity - 1, 1)
     ops = {}
     for xn, yn in pairs:
@@ -422,21 +424,21 @@ def box_tensor(left, right):
         for chain, zn in right.delta_chains(yn, depth):
             for b, wn in left.delta(xn, chain):
                 if (wn, zn) in pairs:
-                    terms ^= {(b, (wn, zn))}
+                    terms ^= {(b, names[wn, zn])}
         if terms:
-            ops[(xn, yn)] = terms
-    grading = {p: (x.grading + y.grading) % 2 for p, (x, y) in pairs.items()}
+            ops[names[xn, yn]] = terms
+    grading = {names[p]: (x.grading + y.grading) % 2
+               for p, (x, y) in pairs.items()}
     cls = _PRODUCTS[key]
     if cls is None:
         from .hochschild import F2ChainComplex
-        return F2ChainComplex(grading, grading, {
-            p: {t for _, t in terms} for p, terms in ops.items()})
-    gens = [ModuleGenerator("*".join(p),
+        return F2ChainComplex(grading, {
+            n: {t for _, t in terms} for n, terms in ops.items()})
+    gens = [ModuleGenerator(names[p],
                             *_onto_sides(cls, x.idem_left, y.idem_right),
-                            grading[p]) for p, (x, y) in pairs.items()]
-    return cls(*_onto_sides(cls, left.pmc_left, right.pmc_right), gens, {
-        ("*".join(p), ()): {(b, "*".join(t)) for b, t in terms}
-        for p, terms in ops.items()})
+                            grading[names[p]]) for p, (x, y) in pairs.items()]
+    return cls(*_onto_sides(cls, left.pmc_left, right.pmc_right), gens,
+               {(n, ()): terms for n, terms in ops.items()})
 
 
 def identity_aa(pmc):

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -13,7 +12,7 @@ from borderedfloer.laurent import LaurentPolynomial
 
 from knot_diagrams import sign_pattern_reports, trefoil
 from oracle_constants import (STRANDS_DIMS_GENUS1, TREFOIL_ALEXANDER,
-                              TREFOIL_SEIFERT, TREFOIL_TABLE)
+                              TREFOIL_OMEGA, TREFOIL_SEIFERT, TREFOIL_TABLE)
 
 
 def data(name):
@@ -363,14 +362,24 @@ def test_knot_from_plucker_takes_the_two_factor_point(capsys, tmp_path):
     golden = json.loads(cli.data_path("golden_trefoil.json").read_text())
     pfile = tmp_path / "plucker.json"
     pfile.write_text(json.dumps(golden["plucker"]))
-    omega = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
-        __file__))), "perfbench", "inputs", "trefoil_omega.json")
+    ofile = tmp_path / "omega.json"
+    ofile.write_text(json.dumps({"matrix": TREFOIL_OMEGA}))
     code, payload, err = run_json(capsys, "knot", "from-plucker", str(pfile),
-                                  "--omega", omega)
+                                  "--omega", str(ofile))
     assert (code, err) == (0, "")
     assert payload["seifert"] == golden["seifert"]
     assert payload["alexander"] == golden["alexander_from_presentation"]
     assert payload["content"] == golden["kernel_content"]
+
+
+def test_decat_upsilon_rejects_an_odd_dimension(capsys, tmp_path):
+    # no circle has an odd number of classes, and graded_trace likewise
+    # rejects an odd endomorphism
+    pfile = tmp_path / "odd.json"
+    pfile.write_text(json.dumps({"dimensions": [3, 3], "terms": [
+        {"left": [1], "right": [1, 2], "coeff": 1}]}))
+    assert run(capsys, "decat", "upsilon", str(pfile)) == (
+        1, "", "error: upsilon needs an even-dimensional space\n")
 
 
 @pytest.mark.parametrize("file", ["module_solid_torus_a.json",
@@ -725,6 +734,22 @@ def test_mod_validate_fails_a_da_module_that_breaks_its_relation(capsys,
     code, out, _ = run(capsys, "mod", "validate", str(f))
     assert code == 1
     assert out == "FAIL\nstructure relation (d^2 = 0) fails at a, 0 inputs\n"
+
+
+def test_mod_box_rejects_colliding_product_names(capsys, tmp_path):
+    # (x*, y) and (x, *y) would both be named "x**y"
+    z = pmc.genus1()
+    a = structures.TypeAStructure(None, z, [
+        structures.ModuleGenerator(name, None, frozenset({1}), g)
+        for name, g in (("x*", 0), ("x", 1))])
+    d = structures.TypeDStructure(z, None, [
+        structures.ModuleGenerator(name, frozenset({1}), None, g)
+        for name, g in (("y", 0), ("*y", 1))])
+    afile, dfile = tmp_path / "a.json", tmp_path / "d.json"
+    afile.write_text(json.dumps(a.to_json()))
+    dfile.write_text(json.dumps(d.to_json()))
+    assert run(capsys, "--json", "mod", "box", str(afile), str(dfile)) == (
+        2, "", 'input error: generators[3]: repeats "x**y"\n')
 
 
 def test_mod_box_output_loads_in_hh_homology(capsys, tmp_path):

@@ -118,6 +118,10 @@ def test_upsilon_degree_mismatch():
         upsilon(ExteriorElement.two(2, 2, {((1,), ()): 1}))
     with pytest.raises(DimensionMismatch):
         upsilon(ExteriorElement.two(2, 3, {((1,), (1, 2)): 1}))
+    # no circle has an odd number of classes, and at odd n the signs
+    # (-1)^|a| and (-1)^|b| of a degree-preserving term differ
+    with pytest.raises(DimensionOdd):
+        upsilon(ExteriorElement.two(3, 3, {((1,), (1, 2)): 1}))
 
 
 def test_graded_endomorphism_basics():

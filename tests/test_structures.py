@@ -7,7 +7,8 @@ import pytest
 
 from borderedfloer import heegaard, pmc as pmc_mod, strands, structures
 from borderedfloer.decat import (ExteriorElement, GradedEndomorphism,
-                                 k0_functional, k0_of_da, psi_K0, upsilon)
+                                 hodge_eta, k0_functional, k0_of_da, psi_K0,
+                                 upsilon)
 from borderedfloer.errors import (AlgebraMismatch, BothUnbounded,
                                   SchemaViolation)
 from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
@@ -243,8 +244,8 @@ def test_a_infinity_check_rejects_broken_action():
 def test_box_tensor_solid_tori():
     cx = box_tensor(solid_torus_a(), solid_torus_d())
     names = set(cx.generators)
-    assert names == {("x", "a"), ("y", "b")}
-    assert cx.differential == {("x", "a"): frozenset({("y", "b")})}
+    assert names == {"x*a", "y*b"}
+    assert cx.differential == {"x*a": frozenset({"y*b"})}
     assert cx.homology_dimensions() == {0: 0, 1: 0}
     assert cx.euler() == 0
 
@@ -290,7 +291,7 @@ def unit_output_d():
 
 def test_opless_a_box_d_keeps_the_unit_term():
     cx = box_tensor(elementary_a(Z1, {1}, 0, name="x"), unit_output_d())
-    assert cx.differential == {("x", "a"): frozenset({("x", "b")})}
+    assert cx.differential == {"x*a": frozenset({"x*b"})}
     assert cx.homology_dimensions() == {0: 0, 1: 0}
 
 
@@ -352,12 +353,13 @@ def chain_d():
 
 def ops_by_pair(product):
     """The ops of a box tensor product keyed by name pairs, as
-    box_tensor_ops_by_every_chain gives them."""
-    if not isinstance(product, structures.Structure):
-        return {p: {(None, t) for t in targets}
-                for p, targets in product.differential.items()}
+    box_tensor_ops_by_every_chain gives them: an A (x) D complex has the D-side
+    output None."""
+    ops = product.ops.items() if hasattr(product, "ops") else (
+        ((x, ()), {(None, y) for y in targets})
+        for x, targets in product.differential.items())
     return {tuple(x.split("*")): {(b, tuple(y.split("*"))) for b, y in terms}
-            for (x, _), terms in product.ops.items()}
+            for (x, _), terms in ops}
 
 
 @pytest.mark.parametrize("left, right", [
@@ -474,6 +476,25 @@ def test_euler_of_a_box_d_is_bilinear_over_sums_and_shifts():
             d = random_sum(rng, d_pieces, rng.randint(1, 6))
             chi = box_tensor(a, d).euler()
             assert chi == pairing(k0_functional(a), signed_psi(d))
+
+
+def test_k0_of_identity_aa_box_d_is_hodge_eta_over_sums_and_shifts():
+    # the gluing law for AA (x) D: the identity AA takes [D] to eta([D]), on
+    # every elementary piece of both gradings and, at genus 1 and 2, on
+    # seeded direct sums of 1-4 shifted pieces
+    rng = random.Random(27)
+    checked = 0
+    for pmc, sums in ((Z1, 30), (Z2, 30), (pmc_mod.trefoil_pmc(), 0)):
+        ident = identity_aa(pmc)
+        pieces = [elementary_d(pmc, s, g, name="y")
+                  for s in idempotents(pmc) for g in (0, 1)]
+        for d in pieces + [random_sum(rng, pieces, rng.randint(1, 4))
+                           for _ in range(sums)]:
+            assert k0_functional(box_tensor(ident, d)) == hodge_eta(
+                psi_K0(d)), [(sorted(g.idem_left), g.grading)
+                             for g in d.generators.values()]
+            checked += 1
+    assert checked == 132
 
 
 def test_box_tensor_bimodules_aa_dd_shapes():
@@ -686,3 +707,11 @@ def test_box_tensor_rejects_colliding_product_names():
                                   ModuleGenerator("b*c", frozenset({1}), None, 0)])
     with pytest.raises(SchemaViolation, match="repeats \"a\\*b\\*c\""):
         box_tensor(da, d)
+    # likewise for A (x) D: (x*, y) and (x, *y) would both be named "x**y"
+    a = TypeAStructure(None, Z1, [ModuleGenerator("x*", None, frozenset({1}), 0),
+                                  ModuleGenerator("x", None, frozenset({1}), 1)])
+    d = TypeDStructure(Z1, None, [ModuleGenerator("y", frozenset({1}), None, 0),
+                                  ModuleGenerator("*y", frozenset({1}), None, 1)])
+    with pytest.raises(SchemaViolation,
+                       match=r'^generators\[3\]: repeats "x\*\*y"$'):
+        box_tensor(a, d)
