@@ -82,6 +82,16 @@ MUTANTS = [
     ("knots", "_det_poly: flip the sign in the falling factorial",
      "LaurentPolynomial({1: 1, 0: -k})", "LaurentPolynomial({1: 1, 0: k})",
      None),
+    ("heegaard", "BorderedDiagram: accept beta 0",
+     "if not 1 <= p.beta <= genus:", "if not 0 <= p.beta <= genus:", None),
+    ("heegaard", "BorderedDiagram: accept alpha index 0",
+     "if not 1 <= p.alpha <= len(", "if not 0 <= p.alpha <= len(", None),
+    ("structures", "Structure: drop the check that DD and AA carry no ops",
+     "if self.ops and not self.carries_ops:", "if False:", None),
+    ("structures", "Structure: drop the check of an op output's side",
+     'if (b is None) == (self.left == "D"):', "if False:", None),
+    ("gradings", "refinement: read the linking off omega, not 2 omega",
+     "linking = tuple((a, b, 2 * w)", "linking = tuple((a, b, w)", None),
 ]
 
 

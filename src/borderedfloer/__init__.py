@@ -14,8 +14,8 @@ _SUBMODULES = ("decat", "errors", "gradings", "heegaard", "hochschild",
 # name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(("PointedMatchedCircle", "connected_sum", "genus1",
-                     "genus2_split", "reverse", "trefoil_pmc", "validate"),
-                    "pmc"),
+                     "genus2_split", "intersection_from_pmc", "reverse",
+                     "trefoil_pmc", "validate"), "pmc"),
     **dict.fromkeys(("StrandsBasisElement", "StrandsElement", "basis",
                      "differential", "idempotent", "multiply",
                      "reeb_element"), "strands"),
@@ -34,9 +34,8 @@ _EXPORTS = {
                      "hodge_eta", "k0_of_da", "psi_K0",
                      "tqft_compose", "upsilon"), "decat"),
     **dict.fromkeys(("Presentation", "intersection_from_algebra",
-                     "intersection_from_pmc", "kernel_basis_from_plucker",
-                     "presentation_to_alexander", "recover_seifert"),
-                    "knots"),
+                     "kernel_basis_from_plucker", "presentation_to_alexander",
+                     "recover_seifert"), "knots"),
     "LaurentPolynomial": "laurent",
 }
 

@@ -182,15 +182,6 @@ class NotInRefinedSubgroup(BorderedFloerError):
     pass
 
 
-# diagrams
-class InvalidDiagram(BorderedFloerError):
-    pass
-
-
-class FlavorOrderViolation(BorderedFloerError):
-    pass
-
-
 # structures
 class BoundaryMismatch(BorderedFloerError):
     pass

@@ -12,6 +12,7 @@ from operator import sub
 from . import strands
 from .errors import (FlavorViolation, NotInRefinedSubgroup, NotSubordinate,
                      Record, SizeMismatch)
+from .pmc import intersection_from_pmc
 
 
 inv_seq = strands.inv_seq  # inversions of a sequence
@@ -179,12 +180,6 @@ def L2(eta1, eta2):
 
 
 # the small grading group and refinement --------------------------------
-def chord_eta(pmc, j):
-    """Interval vector of the chord across matched class j."""
-    lo, hi = pmc.class_points(j)
-    return tuple(1 if lo <= i < hi else 0 for i in range(1, pmc.n))
-
-
 def strand_eta(pmc, pairs):
     """[a]: total interval multiplicity swept by the moving strands."""
     eta = [0] * (pmc.n - 1)
@@ -218,24 +213,13 @@ def chord_decomposition(pmc, eta):
     return tuple(-bd[lo - 1] for lo, _ in ends)
 
 
-def chord_linking(pmc):
-    """The nonzero doubled chord linkings L2(chord a, chord b), a < b, as
-    0-based (a, b, l2) triples."""
-    etas = [chord_eta(pmc, j) for j in range(1, pmc.num_classes + 1)]
-    out = []
-    for a, b in combinations(range(len(etas)), 2):
-        l2 = L2(etas[a], etas[b])
-        assert l2 % 2 == 0, "chord linking must be integral"
-        if l2:
-            out.append((a, b, l2))
-    return tuple(out)
-
-
 class RefinementData(Record):
     """What the grading map of strands grading ``t`` reads: ``base`` is the
     base idempotent s_0 (ascending class indices), ``psi`` maps a frozenset
     of classes to a GradingGroupElement, ``psi_inv`` holds the inverses of
-    psi, and ``linking`` is ``chord_linking(pmc)``."""
+    psi, and ``linking`` is the doubled intersection form, as 0-based
+    triples (a, b, 2 omega_ab) for a < b with omega_ab nonzero: the doubled
+    linking L2 of chords a and b, as chord a has boundary hi_a - lo_a."""
     __slots__ = _fields = ("pmc", "t", "base", "psi", "psi_inv", "linking")
 
 
@@ -259,7 +243,10 @@ def refinement(pmc, t):
         gp = g_prime(pmc, elt).power_of_central(elt.gr)
         psi[frozenset(s)] = gp
     psi_inv = {s: gp.inverse() for s, gp in psi.items()}
-    return RefinementData(pmc, t, s0, psi, psi_inv, chord_linking(pmc))
+    linking = tuple((a, b, 2 * w)
+                    for a, row in enumerate(intersection_from_pmc(pmc))
+                    for b, w in enumerate(row) if a < b and w)
+    return RefinementData(pmc, t, s0, psi, psi_inv, linking)
 
 
 def refined_grading_element(ref, elt):

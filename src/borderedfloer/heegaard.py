@@ -18,8 +18,7 @@ partial permutation, whose sign plus the local signs give the Z/2 grading.
 from __future__ import annotations
 
 from . import pmc as pmc_mod
-from .errors import (FlavorOrderViolation, InvalidDiagram, Record,
-                     SchemaViolation, check, sided)
+from .errors import Record, SchemaViolation, check, sided
 from .gradings import BorderedPartialPermutation, blocks, sum_permutations
 
 
@@ -59,7 +58,9 @@ class BorderedDiagram(Record):
     when absent; ``flavor`` ("A", "D", "DA" or "closed") names the sides.
     ``slots`` maps each alpha kind to its range of slots in
     ``gradings.blocks``: left arcs on the D block, circles on the middle,
-    right arcs on the A block."""
+    right arcs on the A block.  A diagram whose genus is too small for its
+    boundary, or whose points share a name or lie off its signs, betas or
+    alphas, raises SchemaViolation when it is made."""
     _fields = ("genus", "pmc_left", "pmc_right", "points", "name")
     __slots__ = _fields + ("slots",)
 
@@ -70,6 +71,21 @@ class BorderedDiagram(Record):
         object.__setattr__(self, "slots", {
             kind: slots for kind, slots, side in
             zip(kinds, blocks(genus, self.k_l, self.k_r), sides) if side})
+        if genus < (self.k_l or 0) + (self.k_r or 0):
+            raise SchemaViolation("genus: too small for the boundary circles")
+        if len({p.name for p in points}) != len(points):
+            raise SchemaViolation("points: two points share a name")
+        for i, p in enumerate(points):
+            if p.sign not in (0, 1):
+                raise SchemaViolation(f"points[{i}].sign: not 0 or 1")
+            if not 1 <= p.beta <= genus:
+                raise SchemaViolation(f"points[{i}].beta: out of range")
+            if p.alpha_kind not in self.slots:
+                raise SchemaViolation(
+                    f"points[{i}].alpha.kind: no {p.alpha_kind!r} alphas on a "
+                    f"{self.flavor} diagram")
+            if not 1 <= p.alpha <= len(self.slots[p.alpha_kind]):
+                raise SchemaViolation(f"points[{i}].alpha.index: out of range")
 
     @property
     def flavor(self):
@@ -94,25 +110,6 @@ class BorderedDiagram(Record):
         """The alpha kinds of the left and right arcs."""
         return sided("arc", self.two_sided)
 
-    def validate(self):
-        if self.genus < (self.k_l or 0) + (self.k_r or 0):
-            raise InvalidDiagram("genus: too small for the boundary circles")
-        names = [p.name for p in self.points]
-        if len(set(names)) != len(names):
-            raise InvalidDiagram("points: two points share a name")
-        for i, p in enumerate(self.points):
-            if p.sign not in (0, 1):
-                raise InvalidDiagram(f"points[{i}].sign: not 0 or 1")
-            if not 1 <= p.beta <= self.genus:
-                raise InvalidDiagram(f"points[{i}].beta: out of range")
-            if p.alpha_kind not in self.slots:
-                raise FlavorOrderViolation(
-                    f"points[{i}].alpha.kind: no {p.alpha_kind!r} alphas on a "
-                    f"{self.flavor} diagram")
-            if not 1 <= p.alpha <= len(self.slots[p.alpha_kind]):
-                raise InvalidDiagram(f"points[{i}].alpha.index: out of range")
-        return True
-
     def alpha_slot(self, point):
         return self.slots[point.alpha_kind][point.alpha - 1]
 
@@ -130,8 +127,7 @@ class BorderedDiagram(Record):
 
     @classmethod
     def from_json(cls, obj):
-        """A diagram read from JSON; any malformed or invalid diagram raises
-        SchemaViolation."""
+        """A diagram read from JSON; a malformed one raises SchemaViolation."""
         flavor = check(check(obj, dict).get("flavor"), tuple(_SPECS), "flavor")
         check(obj, _SPECS[flavor])
         sides = _SIDES[flavor]
@@ -139,12 +135,7 @@ class BorderedDiagram(Record):
                        for key, side in zip(sided("boundary", all(sides)), sides))
         points = tuple(IntersectionPoint.from_json(p, f"points[{i}]")
                        for i, p in enumerate(obj["points"]))
-        diag = cls(obj["genus"], left, right, points, obj.get("name", ""))
-        try:
-            diag.validate()
-        except (InvalidDiagram, FlavorOrderViolation) as exc:
-            raise SchemaViolation(str(exc)) from exc
-        return diag
+        return cls(obj["genus"], left, right, points, obj.get("name", ""))
 
 
 class DiagramGenerator(Record):
@@ -184,7 +175,6 @@ def enumerate_generators(diagram):
     """All generators: one point per beta, no two on one alpha, every alpha
     circle covered.  Picks grow one beta at a time, taking each beta's
     points in file order; only a kept pick builds its permutation."""
-    diagram.validate()
     picks = [((), ())]  # (points, their alpha slots)
     for beta in range(1, diagram.genus + 1):
         on_beta = [(p, diagram.alpha_slot(p)) for p in diagram.points
@@ -223,6 +213,4 @@ def identity_aa_diagram(z):
     for j in range(1, n2k + 1):
         pts.append(IntersectionPoint(f"b{j}", j, "arc", j, 0))
         pts.append(IntersectionPoint(f"t{j}", j, "arc", n2k + j, 1))
-    d = BorderedDiagram(n2k, None, boundary, tuple(pts), name="identity_aa")
-    d.validate()
-    return d
+    return BorderedDiagram(n2k, None, boundary, tuple(pts), name="identity_aa")

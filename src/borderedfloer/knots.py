@@ -13,6 +13,7 @@ from .decat import ExteriorElement, det
 from .errors import (NotDecomposable, NotUnimodular, Record, SchemaViolation,
                      SeifertConsistencyFailure, ZeroPoint, check)
 from .laurent import LaurentPolynomial
+from .pmc import intersection_from_pmc
 
 
 class Presentation(Record):
@@ -164,23 +165,6 @@ def diff_golden(report, golden):
 
 
 # intersection forms -------------------------------------------------------
-def intersection_from_pmc(pmc):
-    """gamma_j . gamma_j' from the interleaving of the matched pairs."""
-    n2k = pmc.num_classes
-    out = [[0] * n2k for _ in range(n2k)]
-    for j in range(1, n2k + 1):
-        mj, pj = pmc.class_points(j)
-        for jp in range(1, n2k + 1):
-            if jp == j:
-                continue
-            mp, pp = pmc.class_points(jp)
-            if mj < mp < pj < pp:
-                out[j - 1][jp - 1] = 1
-            elif mp < mj < pp < pj:
-                out[j - 1][jp - 1] = -1
-    return tuple(tuple(r) for r in out)
-
-
 def intersection_from_algebra(pmc):
     """Entry (j, j') = the graded Euler characteristic of the single-strand
     space I_j A(Z, 1-k) I_{j'}."""

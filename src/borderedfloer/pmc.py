@@ -168,6 +168,25 @@ def load(obj, path=""):
     return z
 
 
+def intersection_from_pmc(pmc):
+    """The intersection form, read off the interleaving of the matched
+    pairs: gamma_j . gamma_j' is 1 when lo_j < lo_j' < hi_j < hi_j', -1
+    when lo_j' < lo_j < hi_j' < hi_j, and 0 otherwise."""
+    n2k = pmc.num_classes
+    out = [[0] * n2k for _ in range(n2k)]
+    for j in range(1, n2k + 1):
+        mj, pj = pmc.class_points(j)
+        for jp in range(1, n2k + 1):
+            if jp == j:
+                continue
+            mp, pp = pmc.class_points(jp)
+            if mj < mp < pj < pp:
+                out[j - 1][jp - 1] = 1
+            elif mp < mj < pp < pj:
+                out[j - 1][jp - 1] = -1
+    return tuple(tuple(r) for r in out)
+
+
 def reverse(pmc):
     """-Z: reverse the point order, flip every orientation, keep class labels."""
     n = pmc.n

@@ -7,12 +7,17 @@ only name their sides.  Structure maps are one sparse `ops` map at the
 basis-element level, from a generator and a sequence of A-side inputs to
 pairs of a D-side output (or None) and a target generator.
 
-Validation checks the generators' idempotents, idempotent compatibility of
-every op, the grading-flip rule (an op with i A-side inputs flips the total
-grading by i + 1), that no input is an idempotent (the unit is implicit),
-the one DA structure relation on every composable word of basis elements,
-whose degenerate cases are d^2 = 0 for type D and the A-infinity relation
-for type A, and boundedness of the delta-transition graph for type D.
+A malformed shape raises SchemaViolation when a structure is made: a
+repeated generator name, an op on an unknown one, an idempotent that is
+missing, on an absent side or off its circle's classes, ops on a DD or AA
+structure, and an op input or output off its side or over another circle.
+`validate` then
+reports only the mathematics: idempotent compatibility of every op, the
+grading-flip rule (an op with i A-side inputs flips the total grading by
+i + 1), that no input is an idempotent (the unit is implicit), the one DA
+structure relation on every composable word of basis elements, whose
+degenerate cases are d^2 = 0 for type D and the A-infinity relation for
+type A, and boundedness of the delta-transition graph for type D.
 
 One box tensor product, `box_tensor(left, right)`, pairs A (x) D into a
 chain complex and DA (x) D, AA (x) D and AA (x) DD into D, A and DA
@@ -75,28 +80,6 @@ def _is_dag(edges, nodes):
     return len(free) == len(entering)
 
 
-def _generator_errors(pmc_left, pmc_right, generators):
-    """Each present side needs an idempotent of classes of its circle, an
-    absent side none."""
-    errors = []
-    for g in generators:
-        for side, circle, idem in (("left", pmc_left, g.idem_left),
-                                   ("right", pmc_right, g.idem_right)):
-            if circle is None:
-                if idem is not None:
-                    errors.append(f"generator {g.name!r}: idem_{side} on an "
-                                  "absent side")
-            elif idem is None:
-                errors.append(f"generator {g.name!r}: no idem_{side}")
-            else:
-                n = circle.num_classes
-                bad = [j for j in idem if type(j) is not int or not 1 <= j <= n]
-                if bad:
-                    errors.append(f"generator {g.name!r}: idem_{side} class "
-                                  f"{bad[0]!r} is not in 1..{n}")
-    return errors
-
-
 def _basis_json(a):
     return {"terms": [a.to_json()]}
 
@@ -109,8 +92,8 @@ class Structure:
     m_{i+1} of a type A structure (D-side output None) and, with i = 0,
     delta^1 of a type D structure.  The unit delta^1(x, I) = I (x) x is
     implicit; `delta` adds it.  DD and AA structures carry generator data
-    only.  Generator names are distinct, and every op source and target is
-    one of them: a repeated or unknown name raises SchemaViolation.
+    only.  A malformed shape, listed in the module docstring, raises
+    SchemaViolation when the structure is made.
     """
 
     left = None  # "D", "A" or None
@@ -129,28 +112,49 @@ class Structure:
         self.pmc_left = pmc_left
         self.pmc_right = pmc_right
         unique([g.name for g in generators], "generators")
+        for i, g in enumerate(generators):
+            for side, circle, idem in (("left", pmc_left, g.idem_left),
+                                       ("right", pmc_right, g.idem_right)):
+                if circle is None:
+                    bad, want = idem is not None, "none on an absent side"
+                else:
+                    n = circle.num_classes
+                    bad = idem is None or any(
+                        type(j) is not int or not 1 <= j <= n for j in idem)
+                    want = f"classes in 1..{n}"
+                if bad:
+                    raise SchemaViolation(f"expected {want}",
+                                          f"generators[{i}].idem_{side}")
         self.generators = {g.name: g for g in generators}
         self.ops = {(x, tuple(seq)): frozenset(v)
                     for (x, seq), v in (ops or {}).items()}
-        for (x, _), terms in self.ops.items():
+        if self.ops and not self.carries_ops:
+            raise SchemaViolation(f"a {self.flavor} structure carries no ops",
+                                  "ops")
+        for (x, seq), terms in self.ops.items():
             for y in (x, *(t for _, t in terms)):
                 if y not in self.generators:
                     raise SchemaViolation(f"unknown generator {show(y)}", "ops")
+            if any(a.pmc != pmc_right for a in seq):
+                raise SchemaViolation(f"op({x},...): input over wrong circle",
+                                      "ops")
+            for b, y in terms:
+                if (b is None) == (self.left == "D"):
+                    raise SchemaViolation(f"op({x},...) -> {y}: output does "
+                                          f"not match the {self.flavor} sides",
+                                          "ops")
+                if b is not None and b.pmc != pmc_left:
+                    raise SchemaViolation(f"op({x},...): output over wrong "
+                                          "circle", "ops")
         self.name = name
 
     def validate(self):
-        errors = _generator_errors(self.pmc_left, self.pmc_right,
-                                   self.generators.values())
-        if self.ops and not self.carries_ops:
-            errors.append(f"a {self.flavor} structure carries no ops")
-        if errors:
-            return {"ok": False, "errors": errors}
+        """{"ok", "errors"}: the mathematics the module docstring lists."""
+        errors = []
         for (x, seq), terms in self.ops.items():
             gx = self.generators[x]
             classes = gx.idem_right
             for a in seq:
-                if a.pmc != self.pmc_right:
-                    errors.append(f"op({x},...): input over wrong circle")
                 if a.is_idempotent:
                     errors.append(f"op({x},...): idempotent input (the unit "
                                   "is implicit)")
@@ -160,15 +164,9 @@ class Structure:
             total = gx.grading + sum(a.gr for a in seq) + len(seq) + 1
             for b, y in terms:
                 gy = self.generators[y]
-                if (b is None) == (self.left == "D"):
-                    errors.append(f"op({x},...) -> {y}: output does not match "
-                                  f"the {self.flavor} sides")
-                    continue
                 if gy.idem_right != classes:
                     errors.append(f"op({x},...) -> {y}: right idempotent mismatch")
                 if b is not None:
-                    if b.pmc != self.pmc_left:
-                        errors.append(f"op({x},...): output over wrong circle")
                     if _source_classes(b) != gx.idem_left:
                         errors.append(f"op({x},...): left idempotent mismatch")
                     if _target_classes(b) != gy.idem_left:

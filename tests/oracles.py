@@ -194,7 +194,6 @@ def generators_by_product(diagram):
     right arcs from g + k_l - k_r), not from the diagram's table, and the
     idempotents from the picked points' arcs, not from sigma: the D side is
     1..2k_l less the left arcs, the A side the right arcs."""
-    diagram.validate()
     g, kl, kr = diagram.genus, diagram.k_l or 0, diagram.k_r or 0
     left, right = diagram.arc_kinds
     offset = {"circle": 2 * kl}

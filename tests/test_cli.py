@@ -246,36 +246,72 @@ def _two_sided(d):
     d["boundary_left"] = d["boundary_right"] = d.pop("boundary")
 
 
+def _closed_with_arcs(d):
+    d["flavor"] = "closed"
+    del d["boundary"]
+
+
 def _closed_with_boundary(d):
     d.update(flavor="closed", genus=1, points=[
         {"name": "c", "beta": 1, "alpha": {"kind": "circle", "index": 1},
          "sign": 0}])
 
 
-@pytest.mark.parametrize("file, mutate", [
-    ("diagram_solid_torus_a.json", lambda d: d["points"][0].update(sign=2)),
-    ("diagram_solid_torus_d.json",
-     lambda d: d["points"][0]["alpha"].update(kind="arc_left")),
-    ("diagram_solid_torus_a.json", lambda d: d.update(flavor="closed")),
-    ("diagram_solid_torus_a.json", _closed_with_boundary),
-    ("diagram_solid_torus_d.json", _two_sided),
-    ("diagram_solid_torus_a.json", lambda d: d.update(genus=0)),
-    ("diagram_solid_torus_a.json", lambda d: d["points"][0].update(beta=1.9)),
-    ("diagram_solid_torus_d.json",
-     lambda d: d["points"][1]["alpha"].update(index=2.0)),
-    ("diagram_trefoil.json", lambda d: d["points"][0].update(sign="1"))],
+def _point(which=0, **fields):
+    """Set fields of point which, and of its alpha for kind and index."""
+    def mutate(d):
+        point = d["points"][which]
+        for key, value in fields.items():
+            (point["alpha"] if key in ("kind", "index") else point)[key] = value
+    return mutate
+
+
+def _repeat_name(d):
+    d["points"][1]["name"] = d["points"][0]["name"]
+
+
+# each of the diagram constructor's checks, and the schema checks before them
+@pytest.mark.parametrize("file, mutate, err", [
+    ("diagram_solid_torus_a.json", _point(sign=2),
+     "points[0].sign: expected one of [0, 1], got 2"),
+    ("diagram_solid_torus_d.json", _point(kind="arc_left"),
+     "points[0].alpha.kind: no 'arc_left' alphas on a D diagram"),
+    ("diagram_solid_torus_a.json", _closed_with_arcs,
+     "points[0].alpha.kind: no 'arc' alphas on a closed diagram"),
+    ("diagram_solid_torus_a.json", _closed_with_boundary,
+     "boundary: unknown key"),
+    ("diagram_solid_torus_d.json", _two_sided,
+     'flavor: expected one of ["A", "D", "DA", "closed"], got "DD"'),
+    ("diagram_solid_torus_a.json", lambda d: d.update(genus=0),
+     "genus: too small for the boundary circles"),
+    ("diagram_solid_torus_a.json", _point(beta=1.9),
+     "points[0].beta: expected an integer, got 1.9"),
+    ("diagram_solid_torus_d.json", _point(1, index=2.0),
+     "points[1].alpha.index: expected an integer, got 2.0"),
+    ("diagram_trefoil.json", _point(sign="1"),
+     'points[0].sign: expected one of [0, 1], got "1"'),
+    ("diagram_solid_torus_a.json", _repeat_name,
+     "points: two points share a name"),
+    ("diagram_solid_torus_a.json", _point(beta=99),
+     "points[0].beta: out of range"),
+    ("diagram_trefoil.json", _point(3, beta=0),
+     "points[3].beta: out of range"),
+    ("diagram_solid_torus_d.json", _point(index=99),
+     "points[0].alpha.index: out of range"),
+    ("diagram_solid_torus_d.json", _point(index=0),
+     "points[0].alpha.index: out of range")],
     ids=["sign-2", "arc-left-in-d", "closed-with-arcs", "closed-with-boundary",
          "unknown-flavor", "genus-0", "float-beta", "float-index",
-         "string-sign"])
-def test_bad_diagram_file(capsys, tmp_path, file, mutate):
+         "string-sign", "repeated-name", "beta-99", "beta-0", "index-99",
+         "index-0"])
+def test_bad_diagram_file(capsys, tmp_path, file, mutate, err):
     with open(data(file)) as fh:
         diagram = json.load(fh)
     mutate(diagram)
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(diagram))
-    code, out, err = run(capsys, "diagrams", "generators", str(f))
-    assert code == 2
-    assert out == "" and len(err.splitlines()) == 1
+    assert run(capsys, "diagrams", "generators", str(f)) == \
+        (2, "", f"input error: {err}\n")
 
 
 def test_hh_euler(capsys):

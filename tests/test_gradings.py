@@ -9,7 +9,7 @@ from borderedfloer import strands
 from borderedfloer import gradings as gr_mod
 from borderedfloer.gradings import (BorderedPartialPermutation as BPP,
                                     GradingGroupElement, boundary,
-                                    chord_decomposition, chord_eta, f,
+                                    chord_decomposition, f,
                                     g_prime, inv_seq, m_grading,
                                     refined_grading_element,
                                     refinement, sum_permutations,
@@ -25,6 +25,12 @@ Z1 = pmc_mod.genus1()
 Z2 = pmc_mod.genus2_split()
 ANTIPODAL = pmc_mod.PointedMatchedCircle((1, 2, 3, 4, 1, 2, 3, 4),
                                          (1, 1, 1, 1, 0, 0, 0, 0))
+
+
+def chord_eta(pmc, j):
+    """Interval vector of the chord across matched class j."""
+    lo, hi = pmc.class_points(j)
+    return tuple(1 if lo <= i < hi else 0 for i in range(1, pmc.n))
 
 
 def injections(g, n):
@@ -519,10 +525,11 @@ def test_inv_seq_matches_its_definition():
 
 
 def test_chord_linking_table_matches_pairwise_linking():
-    antipodal = pmc_mod.PointedMatchedCircle((1, 2, 3, 4, 1, 2, 3, 4),
-                                             (1, 1, 1, 1, 0, 0, 0, 0))
-    for pmc in (Z1, Z2, antipodal):
-        table = {(a, b): l2 for a, b, l2 in gr_mod.chord_linking(pmc)}
+    """The refinement's doubled intersection form is the doubled linking of
+    each pair of chords."""
+    genus3 = pmc_mod.connected_sum(Z2, Z1)
+    for pmc in (Z1, Z2, ANTIPODAL, genus3):
+        table = {(a, b): l2 for a, b, l2 in refinement(pmc, 0).linking}
         assert table
         for a, b in itertools.combinations(range(pmc.num_classes), 2):
             l2 = gr_mod.L2(chord_eta(pmc, a + 1), chord_eta(pmc, b + 1))

@@ -1,11 +1,11 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from borderedfloer import cli, heegaard, pmc as pmc_mod
-from borderedfloer.errors import (FlavorOrderViolation, InvalidDiagram,
-                                  SchemaViolation)
+from borderedfloer.errors import SchemaViolation
 from borderedfloer.heegaard import (BorderedDiagram, IntersectionPoint,
                                     enumerate_generators, glued_grading)
 from borderedfloer.structures import (ModuleGenerator, TypeDStructure,
@@ -100,28 +100,40 @@ def test_empty_beta_yields_no_generators():
     z = pmc_mod.genus1()
     pts = (IntersectionPoint("x", 1, "arc", 1, 0),)
     d = BorderedDiagram(2, None, z, pts)  # beta 2 meets nothing
-    d.validate()
     assert enumerate_generators(d) == []
 
 
+def point(**fields):
+    """Point x on beta 1 and arc 1, with sign 0, but for the given fields."""
+    values = {"name": "x", "beta": 1, "alpha_kind": "arc", "alpha": 1,
+              "sign": 0, **fields}
+    return IntersectionPoint(*(values[f] for f in IntersectionPoint._fields))
+
+
 def test_validate_rejections():
+    """The constructor's checks, in order, each with its message."""
     z = pmc_mod.genus1()
-    with pytest.raises(InvalidDiagram, match="genus: too small"):
-        BorderedDiagram(1, z, z,
-                        (IntersectionPoint("x", 1, "arc", 1, 0),)).validate()
-    with pytest.raises(InvalidDiagram):
-        BorderedDiagram(1, None, z,
-                        (IntersectionPoint("x", 1, "arc", 1, 0),
-                         IntersectionPoint("x", 1, "arc", 2, 0))).validate()
-    with pytest.raises(InvalidDiagram):
-        BorderedDiagram(1, None, z,
-                        (IntersectionPoint("x", 2, "arc", 1, 0),)).validate()
-    with pytest.raises(FlavorOrderViolation):
-        BorderedDiagram(1, None, z,
-                        (IntersectionPoint("x", 1, "arc_left", 1, 0),)).validate()
-    with pytest.raises(InvalidDiagram):
-        BorderedDiagram(1, None, z,
-                        (IntersectionPoint("x", 1, "arc", 5, 0),)).validate()
+    for left, points, message in [
+            (z, (point(),), "genus: too small for the boundary circles"),
+            (None, (point(), point(alpha=2)), "points: two points share a name"),
+            (None, (point(sign=2),), "points[0].sign: not 0 or 1"),
+            (None, (point(beta=2),), "points[0].beta: out of range"),
+            (None, (point(alpha_kind="arc_left"),),
+             "points[0].alpha.kind: no 'arc_left' alphas on a A diagram"),
+            (None, (point(alpha=5),), "points[0].alpha.index: out of range")]:
+        with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
+            BorderedDiagram(1, left, z, points)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("beta", 0), ("beta", -1), ("alpha", 0), ("alpha", -1)])
+def test_constructor_rejects_an_index_below_one(field, value):
+    """Beta 0 would drop its point from every generator, and alpha index 0
+    or -1 would read a slot from the end of its kind's range."""
+    path = {"beta": "beta", "alpha": "alpha.index"}[field]
+    with pytest.raises(SchemaViolation,
+                       match=rf"^points\[0\]\.{path}: out of range$"):
+        BorderedDiagram(1, None, pmc_mod.genus1(), (point(**{field: value}),))
 
 
 def test_json_roundtrip():

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import random
+import re
 
 import pytest
 
@@ -659,19 +660,64 @@ def test_shift_and_direct_sum_every_flavor(flavor):
 
 
 def test_two_sided_validate_checks_generators():
+    # each of these is malformed, so the constructor rejects it
     dd = trefoil_dd()
-    bad = TypeDDStructure(dd.pmc_left, dd.pmc_right, [
-        ModuleGenerator("m", frozenset({1}), frozenset({3}), 0)])
-    assert not bad.validate()["ok"]
+    with pytest.raises(SchemaViolation,
+                       match=r"^generators\[0\]\.idem_right: expected "
+                             r"classes in 1\.\.2$"):
+        TypeDDStructure(dd.pmc_left, dd.pmc_right, [
+            ModuleGenerator("m", frozenset({1}), frozenset({3}), 0)])
     rho = strands.StrandsBasisElement.make(dd.pmc_left, [(2, 3)])
-    with_ops = TypeDDStructure(dd.pmc_left, dd.pmc_right,
-                               list(dd.generators.values()),
-                               {("m", ()): {(rho, "n")}})
-    assert "a DD structure carries no ops" in with_ops.validate()["errors"]
+    with pytest.raises(SchemaViolation,
+                       match="^ops: a DD structure carries no ops$"):
+        TypeDDStructure(dd.pmc_left, dd.pmc_right,
+                        list(dd.generators.values()), {("m", ()): {(rho, "n")}})
     aa = identity_aa(Z1)
-    bad = TypeAAStructure(aa.pmc_left, aa.pmc_right, [
-        ModuleGenerator("s", None, frozenset({1}), 0)])
-    assert not bad.validate()["ok"]
+    with pytest.raises(SchemaViolation,
+                       match=r"^generators\[0\]\.idem_left: expected "
+                             r"classes in 1\.\.2$"):
+        TypeAAStructure(aa.pmc_left, aa.pmc_right, [
+            ModuleGenerator("s", None, frozenset({1}), 0)])
+    with pytest.raises(SchemaViolation,
+                       match=r"^generators\[0\]\.idem_right: expected "
+                             "none on an absent side$"):
+        TypeDStructure(Z1, None, [
+            ModuleGenerator("x", frozenset({1}), frozenset({1}), 0)])
+
+
+def chord(s, t):
+    """The one-strand basis element (s, t) of the genus-1 algebra."""
+    return strands.StrandsBasisElement.make(Z1, [(s, t)])
+
+
+Z1_REVERSED = pmc_mod.reverse(Z1)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TypeDStructure(Z1, None, [
+        ModuleGenerator("a", frozenset({1}), None, 0),
+        ModuleGenerator("b", frozenset({2}), None, 1)],
+        {("a", ()): {(None, "b")}}),
+     "op(a,...) -> b: output does not match the D sides"),
+    (lambda: TypeAStructure(None, Z1, [
+        ModuleGenerator("x", None, frozenset({1}), 0),
+        ModuleGenerator("y", None, frozenset({2}), 0)],
+        {("x", (chord(1, 2),)): {(chord(2, 3), "y")}}),
+     "op(x,...) -> y: output does not match the A sides"),
+    (lambda: TypeDAStructure(Z1, Z1_REVERSED, [
+        ModuleGenerator("a", frozenset({1}), frozenset({1}), 0),
+        ModuleGenerator("b", frozenset({1}), frozenset({2}), 0)],
+        {("a", (chord(1, 2),)): {(chord(1, 1), "b")}}),
+     "op(a,...): input over wrong circle"),
+    (lambda: TypeDAStructure(Z1_REVERSED, Z1, [
+        ModuleGenerator("a", frozenset({1}), frozenset({1}), 0),
+        ModuleGenerator("b", frozenset({2}), frozenset({1}), 1)],
+        {("a", ()): {(chord(1, 2), "b")}}),
+     "op(a,...): output over wrong circle")],
+    ids=["d-output-none", "a-output-d-side", "input-circle", "output-circle"])
+def test_constructor_rejects_an_op_off_its_side(make, message):
+    with pytest.raises(SchemaViolation, match=f"^ops: {re.escape(message)}$"):
+        make()
 
 
 def test_constructor_rejects_circles_off_the_sides():
