@@ -45,7 +45,7 @@ MUTANTS = [
     ("heegaard", "glued_grading: add 1",
      "return (glued.sgn() + extra) % 2",
      "return (glued.sgn() + extra + 1) % 2", None),
-    ("hochschild", "_f2_rank: reduce by any shared bit",
+    ("structures", "_f2_rank: reduce by any shared bit",
      "row = min(row, row ^ b)",
      "if row & b:\n                row ^= b", None),
     ("structures", "box_tensor: walk delta^1 chains of length 1 only",
@@ -90,6 +90,10 @@ MUTANTS = [
      "if self.ops and not self.carries_ops:", "if False:", None),
     ("structures", "Structure: drop the check of an op output's side",
      'if (b is None) == (self.left == "D"):', "if False:", None),
+    ("structures", "validate: drop the check that inputs compose",
+     'errors.append(f"op({x},...): inputs not composable")', "pass", None),
+    ("structures", "validate: drop the check of an output's source",
+     'errors.append(f"op({x},...): left idempotent mismatch")', "pass", None),
     ("gradings", "refinement: read the linking off omega, not 2 omega",
      "linking = tuple((a, b, 2 * w)", "linking = tuple((a, b, w)", None),
 ]

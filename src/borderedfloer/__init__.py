@@ -24,12 +24,11 @@ _EXPORTS = {
                      "verify_grading_equivalence"), "gradings"),
     **dict.fromkeys(("BorderedDiagram", "DiagramGenerator",
                      "enumerate_generators"), "heegaard"),
-    **dict.fromkeys(("ModuleGenerator", "Structure", "TypeAStructure",
-                     "TypeDAStructure", "TypeDDStructure", "TypeDStructure",
-                     "box_tensor", "direct_sum", "identity_aa", "shift"),
-                    "structures"),
-    **dict.fromkeys(("F2ChainComplex", "graded_euler",
-                     "hochschild_generators"), "hochschild"),
+    **dict.fromkeys(("F2ChainComplex", "ModuleGenerator", "Structure",
+                     "TypeAStructure", "TypeDAStructure", "TypeDDStructure",
+                     "TypeDStructure", "box_tensor", "direct_sum",
+                     "identity_aa", "shift"), "structures"),
+    **dict.fromkeys(("graded_euler", "hochschild_generators"), "hochschild"),
     **dict.fromkeys(("ExteriorElement", "GradedEndomorphism", "graded_trace",
                      "hodge_eta", "k0_of_da", "psi_K0",
                      "tqft_compose", "upsilon"), "decat"),

@@ -150,7 +150,7 @@ def cmd_mod_box(args):
     payload["homology"] = {str(k): v
                            for k, v in complex_.homology_dimensions().items()}
     emit(args, payload, "\n".join(
-        [f"{g}  gr={complex_.grading[g]}" for g in complex_.generators]
+        [f"{g.name}  gr={g.grading}" for g in complex_.generators.values()]
         + [f"homology: {payload['homology']}"]))
     return 0
 

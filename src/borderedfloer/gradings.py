@@ -236,10 +236,7 @@ def refinement(pmc, t):
     psi = {}
     for s in combinations(range(1, pmc.num_classes + 1), size):
         tgt = tuple(sorted(pmc.class_min(j) for j in s))
-        pairs = tuple(zip(s0_points, tgt))
-        if any(b < a for a, b in pairs):
-            raise AssertionError("base points are not minimal")
-        elt = strands.StrandsBasisElement.make(pmc, pairs)
+        elt = strands.StrandsBasisElement.make(pmc, tuple(zip(s0_points, tgt)))
         gp = g_prime(pmc, elt).power_of_central(elt.gr)
         psi[frozenset(s)] = gp
     psi_inv = {s: gp.inverse() for s, gp in psi.items()}

@@ -82,8 +82,8 @@ class BorderedDiagram(Record):
                 raise SchemaViolation(f"points[{i}].beta: out of range")
             if p.alpha_kind not in self.slots:
                 raise SchemaViolation(
-                    f"points[{i}].alpha.kind: no {p.alpha_kind!r} alphas on a "
-                    f"{self.flavor} diagram")
+                    f"points[{i}].alpha.kind: no {p.alpha_kind!r} alphas on "
+                    f"{'an' if self.flavor == 'A' else 'a'} {self.flavor} diagram")
             if not 1 <= p.alpha <= len(self.slots[p.alpha_kind]):
                 raise SchemaViolation(f"points[{i}].alpha.index: out of range")
 

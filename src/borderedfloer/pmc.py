@@ -149,8 +149,6 @@ def validate(pmc):
         if pmc.o(lo) != NEG or pmc.o(hi) != POS:
             raise BadOrientationPair(
                 f"class {j} must have its negative point first (points {pts})")
-    if any(not 1 <= c <= n // 2 for c in pmc.matching):
-        raise NonSurjectiveMatching("class labels out of range")
     comps = _surgery_components(pmc)
     if comps != 1:
         raise DisconnectedSurgery(f"surgery yields {comps} circles")

@@ -1,9 +1,12 @@
-"""Type D/A/DA/DD/AA structures over strands algebras, with GF(2) coefficients.
+"""Type D/A/DA/DD/AA structures over strands algebras, and chain complexes,
+with GF(2) coefficients.
 
 One `Structure` type carries all five flavors.  A structure has a left and
 a right side, each of type "D", "A" or absent (None); an absent side has
 circle None, as in `heegaard.BorderedDiagram`.  The five flavor classes
-only name their sides.  Structure maps are one sparse `ops` map at the
+only name their sides.  The structure with no sides, a type D structure
+over the trivial algebra, is a chain complex: `F2ChainComplex` adds its
+homology and its JSON form.  Structure maps are one sparse `ops` map at the
 basis-element level, from a generator and a sequence of A-side inputs to
 pairs of a D-side output (or None) and a target generator.
 
@@ -17,7 +20,8 @@ grading-flip rule (an op with i A-side inputs flips the total grading by
 i + 1), that no input is an idempotent (the unit is implicit), the one DA
 structure relation on every composable word of basis elements, whose
 degenerate cases are d^2 = 0 for type D and the A-infinity relation for
-type A, and boundedness of the delta-transition graph for type D.
+type A, and boundedness of the delta-transition graph for type D.  On a
+complex these are the grading flip of d and d^2 = 0.
 
 One box tensor product, `box_tensor(left, right)`, pairs A (x) D into a
 chain complex and DA (x) D, AA (x) D and AA (x) DD into D, A and DA
@@ -32,8 +36,8 @@ from __future__ import annotations
 import itertools
 
 from . import pmc as pmc_mod, strands
-from .errors import (AlgebraMismatch, BothUnbounded, OneOf, Record,
-                     SchemaViolation, check, show, sided, unique)
+from .errors import (AlgebraMismatch, BothUnbounded, NotAComplex, OneOf,
+                     Record, SchemaViolation, check, show, sided, unique)
 from .pmc import PointedMatchedCircle
 
 
@@ -108,7 +112,8 @@ class Structure:
         if (pmc_left is None) != (self.left is None) or \
                 (pmc_right is None) != (self.right is None):
             raise AlgebraMismatch(
-                f"a {self.flavor} structure has a circle exactly on its sides")
+                f"a {self.flavor or 'sideless'} structure has a circle "
+                "exactly on its sides")
         self.pmc_left = pmc_left
         self.pmc_right = pmc_right
         unique([g.name for g in generators], "generators")
@@ -314,7 +319,58 @@ class TypeAAStructure(Structure):
     left, right = "A", "A"
 
 
-_CLASSES = {cls.flavor: cls for cls in Structure.__subclasses__()}
+_CLASSES = {cls.flavor: cls for cls in (
+    TypeDStructure, TypeAStructure, TypeDAStructure, TypeDDStructure,
+    TypeAAStructure)}
+
+
+class F2ChainComplex(Structure):
+    """A chain complex over GF(2): the structure with no sides, a type D
+    structure over the trivial algebra.  The differential is the ops
+    (x, ()) -> {(None, y)}, and `validate` checks that d flips the grading
+    and that d^2 = 0."""
+
+    def homology_dimensions(self):
+        """{grading: dim} of the homology, by exact rank-nullity over GF(2);
+        NotAComplex carries the errors of `validate`."""
+        report = self.validate()
+        if not report["ok"]:
+            raise NotAComplex("; ".join(report["errors"]))
+        index = {x: i for i, x in enumerate(self.generators)}
+        dims = {0: 0, 1: 0}
+        for g in self.generators.values():
+            dims[g.grading] += 1
+        # d flips the grading, so its matrix splits by source parity; each
+        # rank kills one dimension at the source and one at the target
+        rank_from = {parity: _f2_rank(
+            [sum(1 << index[y] for _, y in terms)
+             for (x, _), terms in self.ops.items()
+             if self.generators[x].grading == parity]) for parity in (0, 1)}
+        return {parity: dims[parity] - rank_from[parity] - rank_from[1 - parity]
+                for parity in (0, 1)}
+
+    def euler(self):
+        return sum(-1 if g.grading else 1 for g in self.generators.values())
+
+    def to_json(self):
+        return {"generators": [{"name": g.name, "grading": g.grading}
+                               for g in self.generators.values()],
+                "differential": [
+                    {"source": x, "targets": sorted(y for _, y in terms)}
+                    for (x, _), terms in sorted(self.ops.items())]}
+
+
+def _f2_rank(rows):
+    rank = 0
+    basis = []
+    for row in rows:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+            basis.sort(reverse=True)
+            rank += 1
+    return rank
 
 
 def induct_dd(d, k1):
@@ -384,9 +440,8 @@ def direct_sum(a, b):
 
 
 # box tensor product -------------------------------------------------------
-# (left flavor, right flavor) -> the class of left (x) right; None for A (x) D,
-# whose product is a chain complex
-_PRODUCTS = {("A", "D"): None, ("DA", "D"): TypeDStructure,
+# (left flavor, right flavor) -> the class of left (x) right
+_PRODUCTS = {("A", "D"): F2ChainComplex, ("DA", "D"): TypeDStructure,
              ("AA", "D"): TypeAStructure, ("AA", "DD"): TypeDAStructure}
 
 
@@ -401,9 +456,9 @@ def box_tensor(left, right):
     (Lipshitz-Ozsvath-Thurston, arXiv:1003.0598, 2.3), with the depth and
     boundedness rules of the module docstring.  Every pairing names the
     product generator of x and y "x*y", and two pairs joined to one name
-    raise SchemaViolation.  A (x) D is an F2ChainComplex; the other pairings
-    give structures whose outer sides fill the result's sides in order
-    (AA (x) D keeps its left idempotent in idem_right)."""
+    raise SchemaViolation.  The outer sides fill the result's sides in
+    order: A (x) D has none and is an F2ChainComplex, and AA (x) D keeps its
+    left idempotent in idem_right."""
     key = (left.flavor, right.flavor)
     if key not in _PRODUCTS:
         raise AlgebraMismatch(f"unsupported pairing {key[0]} (x) {key[1]}")
@@ -425,16 +480,11 @@ def box_tensor(left, right):
                     terms ^= {(b, names[wn, zn])}
         if terms:
             ops[names[xn, yn]] = terms
-    grading = {names[p]: (x.grading + y.grading) % 2
-               for p, (x, y) in pairs.items()}
     cls = _PRODUCTS[key]
-    if cls is None:
-        from .hochschild import F2ChainComplex
-        return F2ChainComplex(grading, {
-            n: {t for _, t in terms} for n, terms in ops.items()})
     gens = [ModuleGenerator(names[p],
                             *_onto_sides(cls, x.idem_left, y.idem_right),
-                            grading[names[p]]) for p, (x, y) in pairs.items()]
+                            (x.grading + y.grading) % 2)
+            for p, (x, y) in pairs.items()]
     return cls(*_onto_sides(cls, left.pmc_left, right.pmc_right), gens,
                {(n, ()): terms for n, terms in ops.items()})
 

@@ -793,3 +793,21 @@ def test_mod_box_output_loads_in_hh_homology(capsys, tmp_path):
     code, out, _ = run_on(capsys, tmp_path, "--json hh homology", complex_)
     assert code == 0
     assert json.loads(out)["dimensions"] == complex_["homology"]
+
+
+def _complex(gradings, differential):
+    return {"generators": [{"name": x, "grading": g}
+                           for x, g in gradings.items()],
+            "differential": [{"source": x, "targets": t}
+                             for x, t in differential.items()]}
+
+
+@pytest.mark.parametrize("complex_, error", [
+    (_complex({"a": 0, "b": 0}, {"a": ["b"]}),
+     "op(a,...) -> b: grading flip violated"),
+    (_complex({"a": 0, "b": 1, "c": 0}, {"a": ["b"], "b": ["c"]}),
+     "structure relation (d^2 = 0) fails at a, 0 inputs")],
+    ids=["grading-flip", "d-squared"])
+def test_hh_homology_rejects_a_non_complex(capsys, tmp_path, complex_, error):
+    assert run_on(capsys, tmp_path, "hh homology", complex_) == (
+        1, "", f"error: {error}\n")

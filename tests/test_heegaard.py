@@ -119,7 +119,7 @@ def test_validate_rejections():
             (None, (point(sign=2),), "points[0].sign: not 0 or 1"),
             (None, (point(beta=2),), "points[0].beta: out of range"),
             (None, (point(alpha_kind="arc_left"),),
-             "points[0].alpha.kind: no 'arc_left' alphas on a A diagram"),
+             "points[0].alpha.kind: no 'arc_left' alphas on an A diagram"),
             (None, (point(alpha=5),), "points[0].alpha.index: out of range")]:
         with pytest.raises(SchemaViolation, match=f"^{re.escape(message)}$"):
             BorderedDiagram(1, left, z, points)

@@ -5,12 +5,12 @@ import pytest
 from borderedfloer import pmc as pmc_mod
 from borderedfloer.errors import (BoundaryMismatch, NotAComplex,
                                   SchemaViolation)
-from borderedfloer.hochschild import (F2ChainComplex, _f2_rank,
-                                      complex_from_json, graded_euler,
+from borderedfloer.hochschild import (complex_from_json, graded_euler,
                                       hochschild_generators)
 from borderedfloer.laurent import LaurentPolynomial
-from borderedfloer.structures import (direct_sum, elementary_da, shift,
-                                      structure_from_json)
+from borderedfloer.structures import (F2ChainComplex, ModuleGenerator,
+                                      _f2_rank, direct_sum, elementary_da,
+                                      shift, structure_from_json)
 
 from oracles import f2_rank_by_span
 
@@ -66,14 +66,23 @@ def test_hochschild_boundary_mismatch():
             elementary_da(Z1, Z1, frozenset({1}), frozenset({1}), 0))
 
 
+def complex_of(grading, differential):
+    """The complex on the keys of grading, in order, with d(x) =
+    differential[x]."""
+    return F2ChainComplex(
+        None, None, [ModuleGenerator(x, None, None, g)
+                     for x, g in grading.items()],
+        {(x, ()): {(None, y) for y in d} for x, d in differential.items()})
+
+
 def test_complex_homology():
-    cx = F2ChainComplex({"a": 0, "b": 1, "c": 0}, {"a": {"b"}})
-    assert cx.validate()
+    cx = complex_of({"a": 0, "b": 1, "c": 0}, {"a": {"b"}})
+    assert cx.validate()["ok"]
     assert cx.homology_dimensions() == {0: 1, 1: 0}
     assert cx.euler() == 1
     # two-step cancellation: d(a) = b + b', d(c) = b'
-    cx2 = F2ChainComplex({"a": 0, "b": 1, "b'": 1, "c": 0},
-                         {"a": {"b", "b'"}, "c": {"b'"}})
+    cx2 = complex_of({"a": 0, "b": 1, "b'": 1, "c": 0},
+                     {"a": {"b", "b'"}, "c": {"b'"}})
     assert cx2.homology_dimensions() == {0: 0, 1: 0}
 
 
@@ -101,9 +110,9 @@ def slid_complex(rng, pairs, free):
         if grading[x] == grading[z]:
             col[x] ^= col[z]
             col = [c ^ ((c >> x & 1) << z) for c in col]
-    return F2ChainComplex(dict(enumerate(grading)),
-                          {x: {y for y in range(n) if col[x] >> y & 1}
-                           for x in range(n)})
+    return complex_of(dict(enumerate(grading)),
+                      {x: {y for y in range(n) if col[x] >> y & 1}
+                       for x in range(n)})
 
 
 def test_homology_of_slid_complexes():
@@ -113,22 +122,20 @@ def test_homology_of_slid_complexes():
     for _ in range(100):
         pairs, free = rng.randint(0, 3), (rng.randint(0, 2), rng.randint(0, 2))
         cx = slid_complex(rng, pairs, free)
-        rows = [sum(1 << y for y in targets)
-                for targets in cx.differential.values()]
+        rows = [sum(1 << y for _, y in terms) for terms in cx.ops.values()]
         assert f2_rank_by_span(rows) == pairs
         assert cx.homology_dimensions() == {0: free[0], 1: free[1]}
 
 
 def test_complex_validation_errors():
     with pytest.raises(NotAComplex):
-        F2ChainComplex({"a": 0, "b": 0}, {"a": {"b"}}).homology_dimensions()
-    with pytest.raises(NotAComplex):
-        F2ChainComplex({"a": 0, "b": 1, "c": 0},
-                       {"a": {"b"}, "b": {"c"}}).validate()
+        complex_of({"a": 0, "b": 0}, {"a": {"b"}}).homology_dimensions()
+    assert not complex_of({"a": 0, "b": 1, "c": 0},
+                          {"a": {"b"}, "b": {"c"}}).validate()["ok"]
 
 
 def test_complex_json():
-    cx = F2ChainComplex({"x*a": 0, "y*b": 1}, {"x*a": {"y*b"}})
+    cx = complex_of({"x*a": 0, "y*b": 1}, {"x*a": {"y*b"}})
     obj = cx.to_json()
     assert obj["generators"][0]["name"] == "x*a"
     back = complex_from_json(obj)

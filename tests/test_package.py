@@ -111,7 +111,13 @@ SLOW_IMPORTS = {"dataclasses", "inspect", "argparse", "gettext"}
      {"borderedfloer.structures", "borderedfloer.heegaard",
       "importlib.resources", *SLOW_IMPORTS}),
     (["--json", "trefoil"], None, SLOW_IMPORTS),
-], ids=["pmc-validate", "knot-seifert", "alg-check-gradings", "trefoil"])
+    (["--json", "mod", "box", "{data}/module_solid_torus_a.json",
+      "{data}/module_solid_torus_d.json"],
+     {"borderedfloer", "borderedfloer.cli", "borderedfloer.errors",
+      "borderedfloer.pmc", "borderedfloer.strands", "borderedfloer.structures"},
+     {"importlib.resources", *SLOW_IMPORTS}),
+], ids=["pmc-validate", "knot-seifert", "alg-check-gradings", "trefoil",
+        "mod-box"])
 def test_cli_call_loads_only_what_it_uses(tmp_path, argv, loaded, absent):
     for name, obj in KNOT_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj))

@@ -12,13 +12,13 @@ from borderedfloer.decat import (ExteriorElement, GradedEndomorphism,
                                  upsilon)
 from borderedfloer.errors import (AlgebraMismatch, BothUnbounded,
                                   SchemaViolation)
-from borderedfloer.structures import (ModuleGenerator, TypeAAStructure,
-                                      TypeAStructure, TypeDAStructure,
-                                      TypeDDStructure, TypeDStructure,
-                                      box_tensor, direct_sum, elementary_a,
-                                      elementary_d, elementary_da, identity_aa,
-                                      induct_dd, shift, structure_from_json,
-                                      theta)
+from borderedfloer.structures import (F2ChainComplex, ModuleGenerator,
+                                      TypeAAStructure, TypeAStructure,
+                                      TypeDAStructure, TypeDDStructure,
+                                      TypeDStructure, box_tensor, direct_sum,
+                                      elementary_a, elementary_d, elementary_da,
+                                      identity_aa, induct_dd, shift,
+                                      structure_from_json, theta)
 
 from knot_diagrams import boundary_sum, trefoil
 from oracles import all_basis, box_tensor_ops_by_every_chain
@@ -246,7 +246,7 @@ def test_box_tensor_solid_tori():
     cx = box_tensor(solid_torus_a(), solid_torus_d())
     names = set(cx.generators)
     assert names == {"x*a", "y*b"}
-    assert cx.differential == {"x*a": frozenset({"y*b"})}
+    assert cx.ops == {("x*a", ()): frozenset({(None, "y*b")})}
     assert cx.homology_dimensions() == {0: 0, 1: 0}
     assert cx.euler() == 0
 
@@ -292,7 +292,7 @@ def unit_output_d():
 
 def test_opless_a_box_d_keeps_the_unit_term():
     cx = box_tensor(elementary_a(Z1, {1}, 0, name="x"), unit_output_d())
-    assert cx.differential == {"x*a": frozenset({"x*b"})}
+    assert cx.ops == {("x*a", ()): frozenset({(None, "x*b")})}
     assert cx.homology_dimensions() == {0: 0, 1: 0}
 
 
@@ -356,11 +356,8 @@ def ops_by_pair(product):
     """The ops of a box tensor product keyed by name pairs, as
     box_tensor_ops_by_every_chain gives them: an A (x) D complex has the D-side
     output None."""
-    ops = product.ops.items() if hasattr(product, "ops") else (
-        ((x, ()), {(None, y) for y in targets})
-        for x, targets in product.differential.items())
     return {tuple(x.split("*")): {(b, tuple(y.split("*"))) for b, y in terms}
-            for (x, _), terms in ops}
+            for (x, _), terms in product.ops.items()}
 
 
 @pytest.mark.parametrize("left, right", [
@@ -720,11 +717,31 @@ def test_constructor_rejects_an_op_off_its_side(make, message):
         make()
 
 
+def test_validate_flags_inputs_that_do_not_compose():
+    # rho_12 ends at class 2, and the second rho_12 starts at class 1
+    da = TypeDAStructure(Z1, Z1, [
+        ModuleGenerator("a", frozenset({1}), frozenset({1}), 0),
+        ModuleGenerator("b", frozenset({2}), frozenset({2}), 1)],
+        {("a", (chord(1, 2), chord(1, 2))): {(chord(1, 2), "b")}})
+    assert da.validate()["errors"] == ["op(a,...): inputs not composable"]
+
+
+def test_validate_flags_an_output_off_the_source_idempotent():
+    # rho_12 starts at class 1, and a's left idempotent is class 2
+    da = TypeDAStructure(Z1, Z1, [
+        ModuleGenerator("a", frozenset({2}), frozenset({1}), 0),
+        ModuleGenerator("b", frozenset({2}), frozenset({1}), 1)],
+        {("a", ()): {(chord(1, 2), "b")}})
+    assert "op(a,...): left idempotent mismatch" in da.validate()["errors"]
+
+
 def test_constructor_rejects_circles_off_the_sides():
     with pytest.raises(AlgebraMismatch):
         TypeDStructure(Z1, Z1, [])
     with pytest.raises(AlgebraMismatch):
         TypeAStructure(Z1, None, [])
+    with pytest.raises(AlgebraMismatch, match="^a sideless structure has a "):
+        F2ChainComplex(None, Z1, [])
 
 
 def test_constructor_rejects_a_repeated_generator_name():
