@@ -181,6 +181,12 @@ def det(m):
     return sign * a[-1][-1] if n else 1
 
 
+def matmul(x, y):
+    """The product of two integer matrices, as lists of rows."""
+    return [[sum(x[i][l] * y[l][j] for l in range(len(y)))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
 def hodge_eta(v):
     """eta(v) = (x -> star(x ^ v)), returned through the monomial
     identification of (Lambda^j)* with Lambda^j."""
@@ -309,13 +315,8 @@ def tqft_compose(f, g):
     """Block-wise matrix product f o g."""
     if f.n != g.n:
         raise DimensionMismatch("endomorphisms over different dimensions")
-    out = GradedEndomorphism(f.n, {})
-    for j in range(f.n + 1):
-        a, b = f.blocks[j], g.blocks[j]
-        size = len(a)
-        out.blocks[j] = [[sum(a[i][l] * b[l][m] for l in range(size))
-                          for m in range(size)] for i in range(size)]
-    return out
+    return GradedEndomorphism(f.n, {j: matmul(f.blocks[j], g.blocks[j])
+                                    for j in range(f.n + 1)})
 
 
 def graded_trace(e):

@@ -249,10 +249,8 @@ def refinement(pmc, t):
 def refined_grading_element(ref, elt):
     """g(a) = psi(M(S)) g'(a) psi(M(T))^{-1} for a basis element of the
     strands grading of the refinement ``ref``."""
-    pmc = ref.pmc
-    s_cls = frozenset(pmc.cls(s) for s, _ in elt.pairs)
-    t_cls = frozenset(pmc.cls(tt) for _, tt in elt.pairs)
-    return ref.psi[s_cls] * g_prime(pmc, elt) * ref.psi_inv[t_cls]
+    return (ref.psi[elt.source_classes] * g_prime(ref.pmc, elt)
+            * ref.psi_inv[elt.target_classes])
 
 
 def f(ref, x):

@@ -9,7 +9,7 @@ import time
 from math import factorial, gcd
 
 from . import decat
-from .decat import ExteriorElement, det
+from .decat import ExteriorElement, det, matmul
 from .errors import (NotDecomposable, NotUnimodular, Record, SchemaViolation,
                      SeifertConsistencyFailure, ZeroPoint, check)
 from .laurent import LaurentPolynomial
@@ -94,7 +94,7 @@ def recover_seifert(pres, omega):
     d = det(s)
     if d not in (1, -1):
         raise NotUnimodular(f"det(A+B) = {d}, expected +-1")
-    v = _matmul(_matmul(omega, _unimodular_inverse(s)), pres.a)
+    v = matmul(matmul(omega, _unimodular_inverse(s)), pres.a)
     v = tuple(tuple(-x for x in row) for row in v)
     for i in range(size):
         for j in range(size):
@@ -172,8 +172,7 @@ def intersection_from_algebra(pmc):
     n2k = pmc.num_classes
     out = [[0] * n2k for _ in range(n2k)]
     for elt in strands.basis(pmc, 1 - pmc.k):
-        (s, t), = elt.pairs
-        j, jp = pmc.cls(s), pmc.cls(t)
+        (j,), (jp,) = elt.source_classes, elt.target_classes
         out[j - 1][jp - 1] += -1 if elt.gr % 2 else 1
     return tuple(tuple(r) for r in out)
 
@@ -227,11 +226,6 @@ def _unimodular_inverse(s):
     """S^-1 for det S = +-1: S has Hermite form I, so [S | I] reduces to
     [I | S^-1]."""
     return [r[len(s):] for r in _hnf(_with_identity(s))]
-
-
-def _matmul(x, y):
-    return [[sum(x[i][l] * y[l][j] for l in range(len(y)))
-             for j in range(len(y[0]))] for i in range(len(x))]
 
 
 def left_kernel(rows):

@@ -27,7 +27,9 @@ class LaurentPolynomial:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self):
+    def __hash__(self):  # a constant equals its integer, so hashes as it
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other):

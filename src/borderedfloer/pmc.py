@@ -138,8 +138,6 @@ def validate(pmc):
     n = pmc.n
     if n == 0 or n % 4 != 0:
         raise NonSurjectiveMatching(f"need a positive multiple of 4 points, got {n}")
-    if any(x not in (0, 1) for x in pmc.orientation):
-        raise BadOrientationPair("orientations must be 0 (+) or 1 (-)")
     for j in range(1, n // 2 + 1):
         pts = pmc.class_points(j)
         if len(pts) != 2:

@@ -12,16 +12,20 @@ interned ``StrandsBasisElement`` per canonical pairs tuple; and the basis per
 strands grading.  The interned element is the one name of a basis element
 outside the kernels: a ``StrandsElement`` holds a set of them, and an element
 memoises its own ``gr`` and its d, as the tuple of its interned terms (``()``
-when d = 0), so reading d looks nothing up.  A structure relation check reads
-each d dozens of times but asks for each product about twice, so products are
-computed on every call and never stored: a product table would grow with the
-pairs asked, not with the algebra.  The kernels loop over canonical pairs
-tuples and the circle's per-point tables (class, partner, class minimum): d
-resolves a crossing by swapping two targets, which keeps the source order, and
-re-sorts only after resolving a horizontal strand; a product stops at the first
-two strands that cross in both factors; ``gr`` counts class inversions
-unsorted.  ``multiply_basis_raw`` expands every representative in the big
-strands algebra and stays as an independent cross-check of ``multiply_basis``.
+when d = 0), so reading d looks nothing up.  Its ``source_classes`` and
+``target_classes``, the classes its strands start and end in, are read off
+the class table on each call; x = I(source) x I(target), and every
+idempotent check outside this module reads these two.  A structure relation
+check reads each d dozens of times but asks for each product about twice, so
+products are computed on every call and never stored: a product table would
+grow with the pairs asked, not with the algebra.  The kernels loop over
+canonical pairs tuples and the circle's per-point tables (class, partner,
+class minimum): d resolves a crossing by swapping two targets, which keeps
+the source order, and re-sorts only after resolving a horizontal strand; a
+product stops at the first two strands that cross in both factors; ``gr``
+counts class inversions unsorted.  ``multiply_basis_raw`` expands every
+representative in the big strands algebra and stays as an independent
+cross-check of ``multiply_basis``.
 """
 
 from __future__ import annotations
@@ -156,6 +160,17 @@ class StrandsBasisElement(Record):
     @property
     def is_idempotent(self):
         return all(s == t for s, t in self.pairs)
+
+    # an interned element's points lie in 1..n: the table needs no guard
+    @property
+    def source_classes(self):
+        cls = self.pmc.cls_table
+        return frozenset(cls[s] for s, _ in self.pairs)
+
+    @property
+    def target_classes(self):
+        cls = self.pmc.cls_table
+        return frozenset(cls[t] for _, t in self.pairs)
 
     def to_json(self):
         return {"source": list(sources(self.pairs)),

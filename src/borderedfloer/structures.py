@@ -55,19 +55,6 @@ class ModuleGenerator(Record):
         return obj
 
 
-def _source_classes(a):
-    return frozenset(a.pmc.cls(s) for s, _ in a.pairs)
-
-
-def _target_classes(a):
-    return frozenset(a.pmc.cls(t) for _, t in a.pairs)
-
-
-def _idempotent(pmc, classes):
-    [e] = strands.idempotent(pmc, classes).terms
-    return e
-
-
 def _is_dag(edges, nodes):
     """No directed cycle among the given edge set: drop a node that no edge
     enters until none is left (Kahn), without recursion."""
@@ -163,18 +150,18 @@ class Structure:
                 if a.is_idempotent:
                     errors.append(f"op({x},...): idempotent input (the unit "
                                   "is implicit)")
-                if _source_classes(a) != classes:
+                if a.source_classes != classes:
                     errors.append(f"op({x},...): inputs not composable")
-                classes = _target_classes(a)
+                classes = a.target_classes
             total = gx.grading + sum(a.gr for a in seq) + len(seq) + 1
             for b, y in terms:
                 gy = self.generators[y]
                 if gy.idem_right != classes:
                     errors.append(f"op({x},...) -> {y}: right idempotent mismatch")
                 if b is not None:
-                    if _source_classes(b) != gx.idem_left:
+                    if b.source_classes != gx.idem_left:
                         errors.append(f"op({x},...): left idempotent mismatch")
-                    if _target_classes(b) != gy.idem_left:
+                    if b.target_classes != gy.idem_left:
                         errors.append(f"op({x},...) -> {y}: left idempotent mismatch")
                 # gr(x) + sum gr(a_i) + |seq| + 1 + gr(b) + gr(y) = 0
                 if (total + (b.gr if b is not None else 0) + gy.grading) % 2:
@@ -191,9 +178,10 @@ class Structure:
         out = set(self.ops.get((x, seq), ()))
         g = self.generators[x]
         if len(seq) == 1 and seq[0].is_idempotent and \
-                _source_classes(seq[0]) == g.idem_right:
-            out ^= {(_idempotent(self.pmc_left, g.idem_left)
-                     if self.left == "D" else None, x)}
+                seq[0].source_classes == g.idem_right:
+            [b] = strands.idempotent(self.pmc_left, g.idem_left).terms \
+                if self.left == "D" else [None]
+            out ^= {(b, x)}
         return out
 
     def _letters(self, letters, classes):
@@ -203,7 +191,7 @@ class Structure:
         if i not in letters:
             letters[i] = {}
             for a in strands.basis(self.pmc_right, i):
-                letters[i].setdefault(_source_classes(a), []).append(a)
+                letters[i].setdefault(a.source_classes, []).append(a)
         return letters[i].get(classes, ())
 
     def _check_relation(self):
@@ -226,7 +214,7 @@ class Structure:
             for n in range(depth + 1):
                 if n:  # each word of n - 1 letters, extended by one letter
                     words = [w + (a,) for w in words for a in self._letters(
-                        letters, _target_classes(w[-1]) if w else g.idem_right)]
+                        letters, w[-1].target_classes if w else g.idem_right)]
                 for seq in words:
                     acc = set()
                     # two delta^1 composed, mu_2 on their D-side outputs

@@ -811,3 +811,21 @@ def _complex(gradings, differential):
 def test_hh_homology_rejects_a_non_complex(capsys, tmp_path, complex_, error):
     assert run_on(capsys, tmp_path, "hh homology", complex_) == (
         1, "", f"error: {error}\n")
+
+
+def test_hh_euler_rejects_a_module_that_is_not_da(capsys):
+    assert run(capsys, "hh", "euler", data("module_solid_torus_d.json")) == (
+        2, "", "input error: hh euler expects a DA module\n")
+
+
+def test_trefoil_reports_a_mismatch_with_the_golden_file(capsys, monkeypatch,
+                                                         tmp_path):
+    golden = json.loads(cli.data_path("golden_trefoil.json").read_text())
+    golden["kernel_content"] += 1
+    (tmp_path / "golden_trefoil.json").write_text(json.dumps(golden))
+    shipped = cli.data_path
+    monkeypatch.setattr(cli, "data_path", lambda name: tmp_path / name
+                        if name == "golden_trefoil.json" else shipped(name))
+    code, out, _ = run(capsys, "trefoil")
+    assert code == 1
+    assert out.endswith("MISMATCH vs golden: kernel_content\n")

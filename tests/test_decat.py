@@ -114,6 +114,9 @@ def test_upsilon_trefoil_blocks_and_trace():
 
 
 def test_upsilon_degree_mismatch():
+    with pytest.raises(BasisMismatch,
+                       match="^upsilon expects a two-factor element$"):
+        upsilon(ExteriorElement.monomial(2, (1,)))
     with pytest.raises(DegreeMismatch):
         upsilon(ExteriorElement.two(2, 2, {((1,), ()): 1}))
     with pytest.raises(DimensionMismatch):
@@ -196,3 +199,20 @@ def test_exterior_json_roundtrip():
     assert ExteriorElement.from_json(v.to_json()) == v
     with pytest.raises(SchemaViolation):
         ExteriorElement.from_json({"terms": []})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ExteriorElement.single(2) + ExteriorElement.single(3),
+     "elements over different spaces"),
+    (lambda: ExteriorElement.two(1, 1, {((1,), ()): 1}).wedge(
+        ExteriorElement.two(1, 1, {((), (1,)): 1})),
+     "wedge is defined on single-factor elements"),
+    (lambda: ExteriorElement.monomial(2, (1,)).wedge(
+        ExteriorElement.monomial(3, (2,))), "elements over different spaces"),
+    (lambda: hodge_eta(ExteriorElement.two(2, 2, {((1,), (2,)): 1})),
+     "eta acts on single-factor elements"),
+], ids=["sum", "wedge_of_two_factors", "wedge_over_different_spaces",
+        "hodge_eta"])
+def test_exterior_operations_reject_the_wrong_space(call, message):
+    with pytest.raises(BasisMismatch, match=f"^{message}$"):
+        call()

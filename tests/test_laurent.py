@@ -61,3 +61,13 @@ def test_symmetrized_is_symmetric(p):
         assert s.is_symmetric()
         if s:
             assert s.coeffs[max(s.coeffs)] > 0
+
+
+def test_hash_agrees_with_equality():
+    for p, n in ((LaurentPolynomial.zero(), 0), (poly({0: 3}), 3),
+                 (poly({0: -2}), -2)):
+        assert p == n and hash(p) == hash(n)
+        assert len({p, n}) == 1
+    p, q = poly({-1: 1, 0: 2}), poly({0: 2, -1: 1})
+    assert p == q and hash(p) == hash(q)
+    assert p != 2 and len({p, q, 2}) == 2

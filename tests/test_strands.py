@@ -218,8 +218,15 @@ def test_reeb_element_matches_its_expansion(z, most):
 def test_mismatched_circles():
     x = all_basis(Z1)[0]
     y = all_basis(Z2)[0]
-    with pytest.raises(AlgebraMismatch):
-        strands.multiply_basis(x, y)
+    ex, ey = (strands.StrandsElement.from_basis(b) for b in (x, y))
+    for operation, message in (
+            (lambda: strands.multiply_basis(x, y), "different ambient circles"),
+            (lambda: strands.multiply_basis_raw(x, y),
+             "different ambient circles"),
+            (lambda: strands.multiply(ex, ey), "different ambient circles"),
+            (lambda: ex + ey, "elements of different algebras")):
+        with pytest.raises(AlgebraMismatch, match=f"^{message}$"):
+            operation()
 
 
 def test_element_json_roundtrip():
@@ -422,3 +429,11 @@ def test_genus3_split_gate():
             strands.multiply(strands.differential(ex), ey)
             + strands.multiply(ex, strands.differential(ey)))
     assert nonzero > 300
+
+
+@pytest.mark.parametrize("z", [Z1, Z2, Z2_ANTIPODAL],
+                         ids=["genus1", "genus2_split", "genus2_antipodal"])
+def test_class_sets_are_the_classes_the_strands_start_and_end_in(z):
+    for x in all_basis(z):
+        assert x.source_classes == frozenset(z.cls(s) for s, _ in x.pairs)
+        assert x.target_classes == frozenset(z.cls(t) for _, t in x.pairs)

@@ -778,3 +778,8 @@ def test_box_tensor_rejects_colliding_product_names():
     with pytest.raises(SchemaViolation,
                        match=r'^generators\[3\]: repeats "x\*\*y"$'):
         box_tensor(a, d)
+
+
+def test_box_tensor_rejects_factors_over_different_circles():
+    with pytest.raises(AlgebraMismatch, match="^boundary circles differ$"):
+        box_tensor(elementary_a(Z1, {1}, 0), elementary_d(Z2, {1, 2}, 0))
