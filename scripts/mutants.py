@@ -117,6 +117,12 @@ MUTANTS = [
     ("structures", "box_tensor: drop the check of the boundary circles",
      "    if left.pmc_right != right.pmc_left:\n"
      '        raise AlgebraMismatch("boundary circles differ")\n', "", None),
+    ("structures", "_read: accept an op listed twice",
+     "    unique(keys, at)\n", "", None),
+    ("structures", "_read: accept a target listed twice in one op",
+     '            unique(raw["targets"], f"{where}.targets")\n', "", None),
+    ("structures", "F2ChainComplex.to_json: keep the key \"ops\"",
+     '"differential": obj["ops"]', '"ops": obj["ops"]', None),
     ("cli", "hh euler: drop the check that the module is DA",
      '    if st.flavor != "DA":\n'
      '        raise SchemaViolation("hh euler expects a DA module")\n', "",

@@ -167,8 +167,8 @@ def cmd_hh_euler(args):
 
 
 def cmd_hh_homology(args):
-    from . import hochschild
-    c = hochschild.complex_from_json(load_json(args.file))
+    from . import structures
+    c = structures.F2ChainComplex.from_json(load_json(args.file))
     dims = c.homology_dimensions()
     emit(args, {"dimensions": {str(k): v for k, v in dims.items()}},
          f"grading 0: {dims[0]}\ngrading 1: {dims[1]}")

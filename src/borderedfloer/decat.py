@@ -94,9 +94,6 @@ class ExteriorElement:
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __rmul__(self, scalar):
         return self._like({k: scalar * c for k, c in self.terms.items()})
 

@@ -26,6 +26,11 @@ def blocks(g, k_l, k_r):
             range(g + kl - kr + 1, g + kl + kr + 1))
 
 
+# (has a D (left) side, has an A (right) side) -> the flavor that names them
+FLAVORS = {(False, True): "A", (True, False): "D", (True, True): "DA",
+           (False, False): "closed"}
+
+
 class BorderedPartialPermutation(Record):
     """(g, k_l, k_r, sigma): an injection sigma = (sigma(1), ..., sigma(g))
     into [g + k_l + k_r].
@@ -57,8 +62,7 @@ class BorderedPartialPermutation(Record):
 
     @property
     def flavor(self):
-        return ("D" if self.k_l is not None else "") + \
-            ("A" if self.k_r is not None else "") or "closed"
+        return FLAVORS[self.k_l is not None, self.k_r is not None]
 
     # block layout --------------------------------------------------------
     @property

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from . import pmc as pmc_mod
 from .errors import Record, SchemaViolation, check, sided
-from .gradings import BorderedPartialPermutation, blocks, sum_permutations
+from .gradings import (FLAVORS, BorderedPartialPermutation, blocks,
+                       sum_permutations)
 
 
 class IntersectionPoint(Record):
@@ -41,16 +42,11 @@ class IntersectionPoint(Record):
                    obj["alpha"]["index"], obj["sign"])
 
 
-# flavor -> (has a left (D) boundary, has a right (A) boundary)
-_SIDES = {"A": (False, True), "D": (True, False), "DA": (True, True),
-          "closed": (False, False)}
-
-
-# the diagram file of each flavor; points are checked one by one
-_SPECS = {flavor: {"flavor": str, "genus": int, "name?": str, "points": [dict],
-                   **{key: dict for key, side in
-                      zip(sided("boundary", all(sides)), sides) if side}}
-          for flavor, sides in _SIDES.items()}
+# the sides and the diagram file of each flavor; points are checked one by one
+_SPECS = {flavor: (sides, {
+    "flavor": str, "genus": int, "name?": str, "points": [dict],
+    **{key: dict for key, side in zip(sided("boundary", all(sides)), sides)
+       if side}}) for sides, flavor in FLAVORS.items()}
 
 
 class BorderedDiagram(Record):
@@ -89,8 +85,7 @@ class BorderedDiagram(Record):
 
     @property
     def flavor(self):
-        sides = (self.pmc_left is not None, self.pmc_right is not None)
-        return next(flavor for flavor, s in _SIDES.items() if s == sides)
+        return FLAVORS[self.pmc_left is not None, self.pmc_right is not None]
 
     @property
     def k_l(self):
@@ -129,8 +124,8 @@ class BorderedDiagram(Record):
     def from_json(cls, obj):
         """A diagram read from JSON; a malformed one raises SchemaViolation."""
         flavor = check(check(obj, dict).get("flavor"), tuple(_SPECS), "flavor")
-        check(obj, _SPECS[flavor])
-        sides = _SIDES[flavor]
+        sides, spec = _SPECS[flavor]
+        check(obj, spec)
         left, right = (pmc_mod.load(obj[key], key) if side else None
                        for key, side in zip(sided("boundary", all(sides)), sides))
         points = tuple(IntersectionPoint.from_json(p, f"points[{i}]")

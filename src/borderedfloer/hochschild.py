@@ -1,13 +1,14 @@
-"""Hochschild chain groups of DA bimodules, and GF(2) chain complexes read
-from JSON.  A complex is `structures.F2ChainComplex`, the structure with no
-sides, which computes its own homology."""
+"""Hochschild chain groups of DA bimodules and their graded Euler
+characteristics.  A GF(2) chain complex, with its file and its homology,
+is `structures.F2ChainComplex`, the structure with no sides; the benchmark
+times its homology as ``hochschild.F2ChainComplex``, so it is imported here."""
 
 from __future__ import annotations
 
-from .errors import BoundaryMismatch, OneOf, Record, check, unique
+from .errors import BoundaryMismatch, Record
 from .laurent import LaurentPolynomial
 from .pmc import reverse
-from .structures import F2ChainComplex, ModuleGenerator
+from .structures import F2ChainComplex  # noqa: F401 (see the docstring)
 
 
 class HochschildGenerator(Record):
@@ -40,21 +41,3 @@ def graded_euler(gens):
         sign = -1 if g.grading % 2 else 1
         out = out + LaurentPolynomial.monomial(g.strands_grading, sign)
     return out
-
-
-def complex_from_json(obj):
-    """A complex in the JSON form of ``F2ChainComplex.to_json``; the
-    homology that ``mod box --json`` adds is allowed and not read."""
-    check(obj, {"generators": [{"name": str, "grading": (0, 1)}],
-                "differential?": list, "homology?": {"0": int, "1": int}})
-    names = OneOf(g["name"] for g in obj["generators"])
-    unique(names, "generators")
-    diff = check(obj.get("differential", []),
-                 [{"source": names, "targets": [names]}], "differential")
-    unique([d["source"] for d in diff], "differential")
-    for i, d in enumerate(diff):
-        unique(d["targets"], f"differential[{i}].targets")
-    return F2ChainComplex(
-        None, None, [ModuleGenerator(g["name"], None, None, g["grading"])
-                     for g in obj["generators"]],
-        {(d["source"], ()): {(None, t) for t in d["targets"]} for d in diff})

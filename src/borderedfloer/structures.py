@@ -6,7 +6,8 @@ a right side, each of type "D", "A" or absent (None); an absent side has
 circle None, as in `heegaard.BorderedDiagram`.  The five flavor classes
 only name their sides.  The structure with no sides, a type D structure
 over the trivial algebra, is a chain complex: `F2ChainComplex` adds its
-homology and its JSON form.  Structure maps are one sparse `ops` map at the
+homology, and its file is the structure file less flavor and name, with the
+ops as its "differential".  Structure maps are one sparse `ops` map at the
 basis-element level, from a generator and a sequence of A-side inputs to
 pairs of a D-side output (or None) and a target generator.
 
@@ -341,11 +342,17 @@ class F2ChainComplex(Structure):
         return sum(-1 if g.grading else 1 for g in self.generators.values())
 
     def to_json(self):
-        return {"generators": [{"name": g.name, "grading": g.grading}
-                               for g in self.generators.values()],
-                "differential": [
-                    {"source": x, "targets": sorted(y for _, y in terms)}
-                    for (x, _), terms in sorted(self.ops.items())]}
+        obj = super().to_json()
+        return {"generators": obj["generators"], "differential": obj["ops"]}
+
+    @classmethod
+    def from_json(cls, obj):
+        """A complex file as `to_json` writes it; the homology that
+        ``mod box --json`` adds is allowed and not read."""
+        check(obj, {"generators": [dict], "differential?": [dict],
+                    "homology?": {"0": int, "1": int}})
+        return _read(cls, {}, obj["generators"], obj.get("differential", ()),
+                     "differential", "")
 
 
 def _f2_rank(rows):
@@ -528,23 +535,31 @@ def structure_from_json(obj):
     check(obj, _SPECS[flavor])
     circles = {i: pmc_mod.load(obj[key]["pmc"], f"{key}.pmc")
                for key, _, i in _algebra_keys(cls)}
+    return _read(cls, circles, obj["generators"], obj.get("ops", ()), "ops",
+                 obj.get("name", ""))
+
+
+def _read(cls, circles, generators, ops_json, at, name):
+    """The structure of class cls over circles ({side index: circle}) from
+    the generator and op lists of any structure or complex file; at is the
+    key of the op list."""
     pl, pr = circles.get(0), circles.get(1)
-    check(obj["generators"], [{"name": str, "grading": (0, 1), **{
+    check(generators, [{"name": str, "grading": (0, 1), **{
         ("idem_left", "idem_right")[i]: [range(1, circle.num_classes + 1)]
         for i, circle in circles.items()}}], "generators")
-    for i, g in enumerate(obj["generators"]):
+    for i, g in enumerate(generators):
         for k in ("idem_left", "idem_right"):
             unique(g.get(k, ()), f"generators[{i}].{k}")
     gens = [ModuleGenerator(g["name"], *(frozenset(g[k]) if k in g else None
                                          for k in ("idem_left", "idem_right")),
-                            g["grading"]) for g in obj["generators"]]
+                            g["grading"]) for g in generators]
     names = OneOf(g.name for g in gens)
     op = {"source": names, **({"inputs": [dict]} if cls.right == "A" else {}),
           **({"output": dict, "target": names} if cls.left == "D"
              else {"targets": [names]})}
     ops, keys = {}, []  # an op file entry is listed once
-    for i, raw in enumerate(obj.get("ops", ())):
-        where = f"ops[{i}]"
+    for i, raw in enumerate(ops_json):
+        where = f"{at}[{i}]"
         check(raw, op, where)
         seq = tuple(_single_basis(pr, a, f"{where}.inputs[{j}]")
                     for j, a in enumerate(raw.get("inputs", ())))
@@ -557,5 +572,5 @@ def structure_from_json(obj):
             unique(raw["targets"], f"{where}.targets")
             ops[(raw["source"], seq)] = {(None, t) for t in raw["targets"]}
         keys.append(key)
-    unique(keys, "ops")
-    return cls(pl, pr, gens, ops, name=obj.get("name", ""))
+    unique(keys, at)
+    return cls(pl, pr, gens, ops, name=name)

@@ -1,15 +1,16 @@
+import json
 import random
 
 import pytest
 
-from borderedfloer import pmc as pmc_mod
+from borderedfloer import pmc as pmc_mod, strands
 from borderedfloer.errors import (BoundaryMismatch, NotAComplex,
                                   SchemaViolation)
-from borderedfloer.hochschild import (complex_from_json, graded_euler,
-                                      hochschild_generators)
+from borderedfloer.hochschild import graded_euler, hochschild_generators
 from borderedfloer.laurent import LaurentPolynomial
 from borderedfloer.structures import (F2ChainComplex, ModuleGenerator,
-                                      _f2_rank, direct_sum, elementary_da,
+                                      TypeDStructure, _f2_rank, box_tensor,
+                                      direct_sum, elementary_a, elementary_da,
                                       shift, structure_from_json)
 
 from oracles import f2_rank_by_span
@@ -20,15 +21,13 @@ Z1 = pmc_mod.genus1()
 RZ1 = pmc_mod.reverse(Z1)
 
 
-def dehn_twist_da():
-    import json
-    path = resources.files("borderedfloer").joinpath("data").joinpath(
-        "module_dehn_twist_da.json")
+def bundled_module(name):
+    path = resources.files("borderedfloer").joinpath("data").joinpath(name)
     return structure_from_json(json.loads(path.read_text()))
 
 
 def test_hochschild_keeps_diagonal_idempotents():
-    ch = hochschild_generators(dehn_twist_da())
+    ch = hochschild_generators(bundled_module("module_dehn_twist_da.json"))
     names = {g.name for g in ch}
     assert names == {"y"}  # x has idempotents ({2}, {1}) and is dropped
     (g,) = ch
@@ -110,19 +109,25 @@ def slid_complex(rng, pairs, free):
         if grading[x] == grading[z]:
             col[x] ^= col[z]
             col = [c ^ ((c >> x & 1) << z) for c in col]
-    return complex_of(dict(enumerate(grading)),
-                      {x: {y for y in range(n) if col[x] >> y & 1}
+    return complex_of({str(x): g for x, g in enumerate(grading)},
+                      {str(x): {str(y) for y in range(n) if col[x] >> y & 1}
                        for x in range(n)})
+
+
+def slid_complexes():
+    """100 seeded slid complexes, each with its numbers of pairs and of free
+    generators in each grading."""
+    rng = random.Random(26)
+    for _ in range(100):
+        pairs, free = rng.randint(0, 3), (rng.randint(0, 2), rng.randint(0, 2))
+        yield slid_complex(rng, pairs, free), pairs, free
 
 
 def test_homology_of_slid_complexes():
     # the slides keep the rank of d at the number of pairs, so the homology
     # is the free generators
-    rng = random.Random(26)
-    for _ in range(100):
-        pairs, free = rng.randint(0, 3), (rng.randint(0, 2), rng.randint(0, 2))
-        cx = slid_complex(rng, pairs, free)
-        rows = [sum(1 << y for _, y in terms) for terms in cx.ops.values()]
+    for cx, pairs, free in slid_complexes():
+        rows = [sum(1 << int(y) for _, y in terms) for terms in cx.ops.values()]
         assert f2_rank_by_span(rows) == pairs
         assert cx.homology_dimensions() == {0: free[0], 1: free[1]}
 
@@ -135,11 +140,30 @@ def test_complex_validation_errors():
 
 
 def test_complex_json():
-    cx = complex_of({"x*a": 0, "y*b": 1}, {"x*a": {"y*b"}})
-    obj = cx.to_json()
-    assert obj["generators"][0]["name"] == "x*a"
-    back = complex_from_json(obj)
-    assert back.homology_dimensions() == cx.homology_dimensions()
+    # the file of a complex gives back its generators, in order, and its
+    # ops: on the slid complexes, on one with an empty targets entry, and on
+    # A (x) D products, one of whose ops comes from the implicit unit
+    unit = strands.StrandsBasisElement.make(Z1, [(1, 1)])
+    unit_output_d = TypeDStructure(Z1, None, [
+        ModuleGenerator("a", frozenset({1}), None, 0),
+        ModuleGenerator("b", frozenset({1}), None, 1)],
+        {("a", ()): {(unit, "b")}})
+    solid_tori = box_tensor(bundled_module("module_solid_torus_a.json"),
+                            bundled_module("module_solid_torus_d.json"))
+    complexes = [cx for cx, _, _ in slid_complexes()] + [
+        complex_of({"b": 1, "a": 0}, {"a": set(), "b": {"a"}}), solid_tori,
+        box_tensor(elementary_a(Z1, {1}, 0, name="x"), unit_output_d)]
+    for cx in complexes:
+        obj = json.loads(json.dumps(cx.to_json()))
+        back = F2ChainComplex.from_json(obj)
+        assert list(back.generators.values()) == list(cx.generators.values())
+        assert back.ops == cx.ops
+        assert back.homology_dimensions() == cx.homology_dimensions()
+    assert solid_tori.to_json() == {
+        "generators": [{"name": "x*a", "grading": 1},
+                       {"name": "y*b", "grading": 0}],
+        "differential": [{"source": "x*a", "targets": ["y*b"]}]}
     with pytest.raises(SchemaViolation):
-        complex_from_json({"generators": [{"name": "a", "grading": 0}],
-                           "differential": [{"source": "a", "targets": ["z"]}]})
+        F2ChainComplex.from_json({
+            "generators": [{"name": "a", "grading": 0}],
+            "differential": [{"source": "a", "targets": ["z"]}]})

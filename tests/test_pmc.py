@@ -1,4 +1,6 @@
+import importlib.resources as resources
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -131,6 +133,12 @@ def test_connected_sum_shapes():
 def test_json_roundtrip():
     for z in (pmc.genus1(), pmc.trefoil_pmc()):
         assert pmc.PointedMatchedCircle.from_json(z.to_json()) == z
+    files = sorted(resources.files("borderedfloer").joinpath("data").glob(
+        "pmc_*.json"))
+    assert len(files) == 3
+    for path in files:
+        assert pmc.PointedMatchedCircle.from_file(path) == \
+            pmc.PointedMatchedCircle.from_json(json.loads(path.read_text()))
     with pytest.raises(SchemaViolation):
         pmc.PointedMatchedCircle.from_json({"points": 4, "matching": [1, 2]})
 
