@@ -123,6 +123,13 @@ MUTANTS = [
      '            unique(raw["targets"], f"{where}.targets")\n', "", None),
     ("structures", "F2ChainComplex.to_json: keep the key \"ops\"",
      '"differential": obj["ops"]', '"ops": obj["ops"]', None),
+    ("structures", "_read: leave a repeated generator name to the constructor",
+     '    unique(names, "generators")\n', "", None),
+    ("heegaard", "structure: take the occupied left arcs, not their complement",
+     "frozenset(g.sigma.d_block) - left", "left", None),
+    ("heegaard", "structure: keep the generators in enumeration order",
+     "sorted(enumerate_generators(diagram), key=lambda g: g.name)",
+     "enumerate_generators(diagram)", None),
     ("cli", "hh euler: drop the check that the module is DA",
      '    if st.flavor != "DA":\n'
      '        raise SchemaViolation("hh euler expects a DA module")\n', "",

@@ -13,6 +13,7 @@ middle, right arcs the A block.  A generator picks one point per beta, no
 two on one alpha, and covers every alpha circle (Lipshitz-Ozsvath-Thurston,
 arXiv:0810.0687); it stores the injection into the slots as a bordered
 partial permutation, whose sign plus the local signs give the Z/2 grading.
+`structure` is the one place that turns the generators into a module.
 """
 
 from __future__ import annotations
@@ -146,20 +147,6 @@ class DiagramGenerator(Record):
     def grading(self):
         return (self.sigma.sgn() + sum(p.sign for p in self.points)) % 2
 
-    @property
-    def idempotent_left(self):
-        """D side: the classes of the unoccupied left arcs."""
-        if self.sigma.k_l is None:
-            return None
-        return frozenset(self.sigma.d_block) - self.sigma.occupied()[0]
-
-    @property
-    def idempotent_right(self):
-        """A side: the classes of the occupied right arcs."""
-        if self.sigma.k_r is None:
-            return None
-        return self.sigma.occupied()[1]
-
     def to_json(self):
         return {"name": self.name,
                 "points": [p.name for p in self.points],
@@ -180,6 +167,23 @@ def enumerate_generators(diagram):
     return [DiagramGenerator(diagram, points, BorderedPartialPermutation(
                 diagram.genus, diagram.k_l, diagram.k_r, used))
             for points, used in picks if circles.issubset(used)]
+
+
+def structure(diagram):
+    """The diagram's module at the generator level: one ModuleGenerator per
+    generator, in name order, with its grading, and no ops.  A D side's
+    idempotent is the classes of the unoccupied left arcs, an A side's those
+    of the occupied right arcs; a closed diagram gives an F2ChainComplex."""
+    from . import structures
+    gens = []
+    for g in sorted(enumerate_generators(diagram), key=lambda g: g.name):
+        left, right = g.sigma.occupied()
+        gens.append(structures.ModuleGenerator(
+            g.name,
+            None if diagram.k_l is None else frozenset(g.sigma.d_block) - left,
+            None if diagram.k_r is None else right, g.grading))
+    cls = structures._CLASSES.get(diagram.flavor, structures.F2ChainComplex)
+    return cls(diagram.pmc_left, diagram.pmc_right, gens, name=diagram.name)
 
 
 def glued_grading(left_gen, right_gen):

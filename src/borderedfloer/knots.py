@@ -117,17 +117,12 @@ def knot_from_plucker(point, omega):
 
 
 def run_knot(diagram):
-    """The knot pipeline on a type D diagram of a knot complement, whose
-    boundary Z # -Z gives the split into a DD structure and the intersection
-    form omega of Z; returns the report."""
+    """The report of the knot pipeline on a type D diagram of a knot
+    complement: ``induct_dd(structure(diagram))`` splits its module along the
+    boundary Z # -Z into a DD structure, and Z gives the intersection form."""
     from . import heegaard, structures
     start = time.monotonic()
-    gens = sorted(heegaard.enumerate_generators(diagram), key=lambda g: g.name)
-    d_struct = structures.TypeDStructure(
-        diagram.pmc_left, None,
-        [structures.ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
-         for g in gens], name=diagram.name)
-    dd = structures.induct_dd(d_struct, diagram.pmc_left.k // 2)
+    dd = structures.induct_dd(heegaard.structure(diagram))
     gamma = decat.psi_K0(dd)
     matrix = decat.upsilon(gamma)
     omega = intersection_from_pmc(dd.pmc_left)

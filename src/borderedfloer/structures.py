@@ -368,12 +368,12 @@ def _f2_rank(rows):
     return rank
 
 
-def induct_dd(d, k1):
-    """Read a type D over a connected-sum algebra as a DD over the factors.
-
-    Classes <= 2*k1 belong to the left factor; the rest shift down.
-    """
+def induct_dd(d):
+    """Read a type D over a connected-sum algebra as a DD over the factors,
+    split at k1, half the circle's genus: classes <= 2*k1 belong to the left
+    factor; the rest shift down."""
     pmc = d.pmc_left
+    k1 = pmc.k // 2
     left = PointedMatchedCircle(pmc.matching[:4 * k1], pmc.orientation[:4 * k1])
     right = PointedMatchedCircle(
         tuple(c - 2 * k1 for c in pmc.matching[4 * k1:]),
@@ -464,7 +464,6 @@ def box_tensor(left, right):
     pairs = {(x.name, y.name): (x, y) for x in left.generators.values()
              for y in right.generators.values() if x.idem_right == y.idem_left}
     names = {p: "*".join(p) for p in pairs}
-    unique(names.values(), "generators")
     depth = max(left.max_arity - 1, 1)
     ops = {}
     for xn, yn in pairs:
@@ -554,6 +553,7 @@ def _read(cls, circles, generators, ops_json, at, name):
                                          for k in ("idem_left", "idem_right")),
                             g["grading"]) for g in generators]
     names = OneOf(g.name for g in gens)
+    unique(names, "generators")
     op = {"source": names, **({"inputs": [dict]} if cls.right == "A" else {}),
           **({"output": dict, "target": names} if cls.left == "D"
              else {"targets": [names]})}

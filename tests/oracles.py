@@ -186,7 +186,7 @@ def kernel_rows_by_constraints(p):
 
 
 def generators_by_product(diagram):
-    """(name, sigma, grading, idempotent_left, idempotent_right) of each
+    """(name, sigma, grading, D idempotent, A idempotent) of each
     generator of a diagram, by brute force: every pick of one point per
     beta (betas in order, each beta's points in file order), kept when the
     BorderedPartialPermutation constructor accepts its alpha slots.  The

@@ -16,7 +16,8 @@ from borderedfloer.gradings import (BorderedPartialPermutation as BPP,
                                     inv_seq, sum_permutations,
                                     verify_grading_equivalence)
 from borderedfloer.heegaard import (BorderedDiagram, enumerate_generators,
-                                    glued_grading, identity_aa_diagram)
+                                    glued_grading, identity_aa_diagram,
+                                    structure)
 from borderedfloer.hochschild import graded_euler, hochschild_generators
 from borderedfloer.knots import (Presentation, alexander_from_seifert,
                                  diff_golden, intersection_from_algebra,
@@ -293,9 +294,9 @@ def test_criterion_9_pairing_gradings():
         module = {g.idem_right: g.grading
                   for g in identity_aa(z).generators.values()}
         shifts = set()
-        for g in enumerate_generators(identity_aa_diagram(z)):
+        for g in structure(identity_aa_diagram(z)).generators.values():
             s = frozenset(a - z.num_classes
-                          for a in g.idempotent_right
+                          for a in g.idem_right
                           if a > z.num_classes)
             shifts.add((g.grading - module[s]) % 2)
         assert len(shifts) == 1

@@ -716,9 +716,14 @@ def test_an_op_output_term_listed_twice_cancels(capsys, tmp_path, times, want):
      'differential[0].targets[0]: expected one of ["x*a", "y*b"], got "x*b"'),
     ("hh homology", "complex",
      _append("differential", lambda c: {"source": "x*a", "targets": []}),
-     'differential[1]: repeats ["x*a", []]')],
+     'differential[1]: repeats ["x*a", []]'),
+    ("hh homology", "complex",
+     lambda c: (_append_copy(c["generators"]),
+                c["differential"][0].update(targets=["q"])),
+     'generators[2]: repeats "x*a"')],
     ids=["a-source", "a-targets", "a-file-order", "d-source", "d-target", "da-target",
-         "complex-source", "complex-targets", "complex-repeated-source"])
+         "complex-source", "complex-targets", "complex-repeated-source",
+         "complex-repeated-name"])
 def test_unknown_generator_name_is_an_input_error(capsys, tmp_path, command,
                                                   file, mutate_input, error):
     obj = source(file)

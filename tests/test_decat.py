@@ -163,7 +163,7 @@ def test_psi_k0_of_induced_dd_splits_monomials():
     d = TypeDStructure(zt, None, [
         ModuleGenerator("m", frozenset({1, 3}), None, 0),
         ModuleGenerator("n", frozenset({2, 4}), None, 1)])
-    two = psi_K0(induct_dd(d, 1))
+    two = psi_K0(induct_dd(d))
     assert two.factors == 2 and two.dims == (2, 2)
     assert two.terms == {((1,), (1,)): 1, ((2,), (2,)): -1}
     one = psi_K0(d)

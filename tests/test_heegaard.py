@@ -5,10 +5,12 @@ import re
 import pytest
 
 from borderedfloer import cli, heegaard, pmc as pmc_mod
+from borderedfloer.decat import k0_functional, psi_K0
 from borderedfloer.errors import SchemaViolation
 from borderedfloer.heegaard import (BorderedDiagram, IntersectionPoint,
-                                    enumerate_generators, glued_grading)
-from borderedfloer.structures import (ModuleGenerator, TypeDStructure,
+                                    enumerate_generators, glued_grading,
+                                    structure)
+from borderedfloer.structures import (TypeAStructure, TypeDStructure,
                                       identity_aa, induct_dd, theta)
 
 from knot_diagrams import boundary_sum, trefoil
@@ -27,24 +29,28 @@ def by_name(diagram):
 
 
 def test_solid_torus_a_generators():
-    gens = by_name(bundled("solid_torus_a"))
+    m = structure(bundled("solid_torus_a"))
+    assert (type(m), m.name, m.ops) == (TypeAStructure, "solid_torus_a", {})
+    gens = m.generators
     assert set(gens) == {"x", "y"}
     assert gens["x"].grading == 0
     assert gens["y"].grading == 1
-    assert gens["x"].idempotent_right == frozenset({2})
-    assert gens["y"].idempotent_right == frozenset({1})
-    assert gens["x"].idempotent_left is None
+    assert gens["x"].idem_right == frozenset({2})
+    assert gens["y"].idem_right == frozenset({1})
+    assert gens["x"].idem_left is None
 
 
 def test_solid_torus_d_generators():
-    gens = by_name(bundled("solid_torus_d"))
+    m = structure(bundled("solid_torus_d"))
+    assert type(m) is TypeDStructure
+    gens = m.generators
     assert set(gens) == {"a", "b"}
     assert gens["a"].grading == 1
     assert gens["b"].grading == 1
     # D-side idempotent is the complement of the occupied arcs
-    assert gens["a"].idempotent_left == frozenset({2})
-    assert gens["b"].idempotent_left == frozenset({1})
-    assert gens["a"].idempotent_right is None
+    assert gens["a"].idem_left == frozenset({2})
+    assert gens["b"].idem_left == frozenset({1})
+    assert gens["a"].idem_right is None
 
 
 def test_glued_solid_tori_gradings():
@@ -61,10 +67,7 @@ def test_trefoil_generator_table():
     diagram = bundled("trefoil")
     gens = by_name(diagram)
     assert set(gens) == set(TREFOIL_TABLE)
-    dd = induct_dd(TypeDStructure(
-        diagram.pmc_left, None,
-        [ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
-         for g in gens.values()]), 1)
+    dd = induct_dd(structure(diagram))
     for name, (grading, lo, hi) in TREFOIL_TABLE.items():
         assert gens[name].grading == grading, name
         split = dd.generators[name]
@@ -75,22 +78,22 @@ def test_trefoil_generator_table():
 def test_identity_aa_diagram_gradings_are_theta():
     for z in (pmc_mod.genus1(), pmc_mod.genus2_split()):
         diagram = heegaard.identity_aa_diagram(z)
-        gens = enumerate_generators(diagram)
+        gens = structure(diagram).generators.values()
         assert len(gens) == 2 ** z.num_classes
         n2k = z.num_classes
         for g in gens:
-            s = frozenset(a - n2k for a in g.idempotent_right if a > n2k)
+            s = frozenset(a - n2k for a in g.idem_right if a > n2k)
             assert g.grading == theta(s, z)
 
 
 def test_identity_aa_bimodule_matches_diagram():
     z = pmc_mod.genus1()
-    diagram_gens = enumerate_generators(heegaard.identity_aa_diagram(z))
+    diagram_gens = structure(heegaard.identity_aa_diagram(z)).generators
     module = identity_aa(z)
     diag = {}
-    for g in diagram_gens:
+    for g in diagram_gens.values():
         s = frozenset(a - z.num_classes
-                      for a in g.idempotent_right if a > z.num_classes)
+                      for a in g.idem_right if a > z.num_classes)
         diag[s] = g.grading
     mod = {gen.idem_right: gen.grading for gen in module.generators.values()}
     assert diag == mod
@@ -166,9 +169,12 @@ def test_a_generator_covers_every_alpha_circle():
     assert (gen.name, gen.sigma.sigma, gen.grading) == ("bc", (2, 1), 0)
 
 
-def generator_data(gens):
-    return [(g.name, g.sigma, g.grading, g.idempotent_left, g.idempotent_right)
-            for g in gens]
+def generator_data(d, module):
+    """Name, sigma and grading of each generator of d, in enumeration order,
+    with its idempotents in module, the structure of d."""
+    return [(g.name, g.sigma, g.grading, module.generators[g.name].idem_left,
+             module.generators[g.name].idem_right)
+            for g in enumerate_generators(d)]
 
 
 def random_diagram(rng, circles):
@@ -178,15 +184,22 @@ def random_diagram(rng, circles):
     flavor = rng.choice(("A", "D", "DA", "closed"))
     left = rng.choice(circles) if flavor in ("D", "DA") else None
     right = rng.choice(circles) if flavor in ("A", "DA") else None
+    return diagram_on(rng, left, right, rng.randint(0, 3), (0,) + (1, 2, 3) * 3)
+
+
+def diagram_on(rng, left, right, extra, counts):
+    """A diagram on boundary circles left and right (None when absent) with
+    extra alpha circles; each beta meets rng.choice(counts) points on random
+    alphas, with random signs."""
     kl, kr = (left.k if left else 0), (right.k if right else 0)
-    genus = kl + kr + rng.randint(0, 3)
-    arcs = ("arc_left", "arc_right") if flavor == "DA" else ("arc", "arc")
+    genus = kl + kr + extra
+    arcs = ("arc_left", "arc_right") if left and right else ("arc", "arc")
     alphas = [("circle", i) for i in range(1, genus - kl - kr + 1)] \
         + [(arcs[0], i) for i in range(1, 2 * kl + 1)] \
         + [(arcs[1], i) for i in range(1, 2 * kr + 1)]
     points = []
     for beta in range(1, genus + 1):
-        for _ in range(rng.choice((0,) + (1, 2, 3) * 3)):
+        for _ in range(rng.choice(counts)):
             kind, index = rng.choice(alphas)
             points.append(IntersectionPoint(f"p{len(points)}", beta, kind,
                                             index, rng.randint(0, 1)))
@@ -202,5 +215,28 @@ def test_generators_match_the_product_oracle():
     circles = (pmc_mod.genus1(), pmc_mod.genus2_split())
     diagrams += [random_diagram(rng, circles) for _ in range(1200)]
     for d in diagrams:
-        assert generator_data(enumerate_generators(d)) == \
-            generators_by_product(d), d
+        module = structure(d)
+        assert list(module.generators) == sorted(module.generators), d
+        assert generator_data(d, module) == generators_by_product(d), d
+
+
+def test_euler_of_a_union_d_is_the_signed_pairing():
+    """On seeded random A and D diagrams over one circle, chi of A u D (the
+    sum of (-1)^gr over the pairs of generators that glue) is
+    sum_s (-1)^|s| k0_functional(structure(A))_s psi_K0(structure(D))_s;
+    the plain pairing, without (-1)^|s|, misses on some pairs."""
+    rng = random.Random(33)
+    missed = 0
+    for z in (pmc_mod.genus1(), pmc_mod.genus2_split()):
+        for _ in range(230):
+            a = diagram_on(rng, None, z, rng.randint(0, 2), (1, 2, 3))
+            d = diagram_on(rng, z, None, rng.randint(0, 2), (1, 2, 3))
+            chi = sum((-1) ** gr for x in enumerate_generators(a)
+                      for y in enumerate_generators(d)
+                      if (gr := glued_grading(x, y)) is not None)
+            psi = psi_K0(structure(d)).terms
+            terms = [(len(s), c * psi.get(s, 0))
+                     for s, c in k0_functional(structure(a)).terms.items()]
+            assert chi == sum((-1) ** n * t for n, t in terms), (a, d)
+            missed += chi != sum(t for _, t in terms)
+    assert missed

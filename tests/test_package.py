@@ -116,8 +116,13 @@ SLOW_IMPORTS = {"dataclasses", "inspect", "argparse", "gettext"}
      {"borderedfloer", "borderedfloer.cli", "borderedfloer.errors",
       "borderedfloer.pmc", "borderedfloer.strands", "borderedfloer.structures"},
      {"importlib.resources", *SLOW_IMPORTS}),
+    (["diagrams", "generators", "{data}/diagram_trefoil.json"],
+     {"borderedfloer", "borderedfloer.cli", "borderedfloer.errors",
+      "borderedfloer.pmc", "borderedfloer.strands", "borderedfloer.gradings",
+      "borderedfloer.heegaard"},
+     {"borderedfloer.structures", "importlib.resources", *SLOW_IMPORTS}),
 ], ids=["pmc-validate", "knot-seifert", "alg-check-gradings", "trefoil",
-        "mod-box"])
+        "mod-box", "diagrams-generators"])
 def test_cli_call_loads_only_what_it_uses(tmp_path, argv, loaded, absent):
     for name, obj in KNOT_FILES.items():
         (tmp_path / name).write_text(json.dumps(obj))

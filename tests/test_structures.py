@@ -499,7 +499,7 @@ def test_box_tensor_bimodules_aa_dd_shapes():
     ident = identity_aa(Z1)
     dd = induct_dd(TypeDStructure(
         pmc_mod.trefoil_pmc(), None,
-        [ModuleGenerator("m", frozenset({1, 3}), None, 0)]), 1)
+        [ModuleGenerator("m", frozenset({1, 3}), None, 0)]))
     da = box_tensor(ident, dd)
     assert da.flavor == "DA"
     for g in da.generators.values():
@@ -508,10 +508,7 @@ def test_box_tensor_bimodules_aa_dd_shapes():
 
 def diagram_dd(diagram):
     """The DD structure run_knot reads off a type D diagram on Z # -Z."""
-    d = TypeDStructure(diagram.pmc_left, None, [
-        ModuleGenerator(g.name, g.idempotent_left, None, g.grading)
-        for g in heegaard.enumerate_generators(diagram)])
-    return induct_dd(d, diagram.pmc_left.k // 2)
+    return induct_dd(heegaard.structure(diagram))
 
 
 def transpose(e):
@@ -552,7 +549,7 @@ def test_induct_dd_splits_idempotents():
     zt = pmc_mod.trefoil_pmc()
     d = TypeDStructure(zt, None,
                        [ModuleGenerator("m", frozenset({2, 3}), None, 1)])
-    dd = induct_dd(d, 1)
+    dd = induct_dd(d)
     g = dd.generators["m"]
     assert g.idem_left == frozenset({2})
     assert g.idem_right == frozenset({1})
@@ -616,7 +613,7 @@ def trefoil_dd():
     return induct_dd(TypeDStructure(
         pmc_mod.trefoil_pmc(), None,
         [ModuleGenerator("m", frozenset({1, 3}), None, 0),
-         ModuleGenerator("n", frozenset({2, 4}), None, 1)]), 1)
+         ModuleGenerator("n", frozenset({2, 4}), None, 1)]))
 
 
 FLAVORS = {"D": solid_torus_d, "A": solid_torus_a, "DA": dehn_twist_da,
