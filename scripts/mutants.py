@@ -158,6 +158,16 @@ MUTANTS = [
      None),
     ("laurent", "__hash__: hash a constant as its coefficient map",
      "if self.coeffs.keys() <= {0}:", "if False:", None),
+    ("decat", "ExteriorElement.__init__: keep zero coefficients",
+     "self.terms = {k: c for k, c in (terms or {}).items() if c}",
+     "self.terms = dict(terms or {})", None),
+    ("gradings", "GradingGroupElement.__mul__: drop the check of the circles",
+     "        if len(self.eta) != len(other.eta):\n"
+     '            raise SizeMismatch("different circles")\n', "", None),
+    ("heegaard", "enumerate_generators: accept two generators of one name",
+     "        if a == b:\n"
+     '            raise SchemaViolation(f"two generators are named {show(a)}", '
+     '"points")\n', "", None),
 ]
 
 

@@ -42,23 +42,15 @@ class ExteriorElement:
     Lambda*(Z^{n0}) (x) Lambda*(Z^{n1}).
 
     dims: the tuple (n,) or (n0, n1), one dimension per factor.  terms:
-    sorted index tuple -> coefficient (single factor), or a pair of sorted
-    tuples -> coefficient (two factors).  Indices are 1-based.
+    index tuple -> coefficient (single factor), or a pair of index tuples
+    -> coefficient (two factors); a key is kept as given, so each tuple must
+    list 1-based indices ascending, none repeated.  Zeros are dropped.
     """
 
     def __init__(self, dims, terms=None):
         self.dims = tuple(dims)
         self.factors = len(self.dims)
-        self.terms = {}
-        for key, c in (terms or {}).items():
-            if not c:
-                continue
-            if self.factors == 1:
-                key = tuple(sorted(key))
-            else:
-                key = (tuple(sorted(key[0])), tuple(sorted(key[1])))
-            self.terms[key] = self.terms.get(key, 0) + c
-        self.terms = {k: c for k, c in self.terms.items() if c}
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
 
     @classmethod
     def single(cls, n, terms=None):

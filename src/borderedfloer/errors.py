@@ -23,9 +23,6 @@ def show(value):
     return text if len(text) <= 60 else text[:57] + "..."
 
 
-NATURAL = range(1 << 63)  # a spec: a count or dimension
-
-
 class OneOf(tuple):
     """A spec of allowed values, as a tuple is, whose "in" is one hash lookup
     rather than a scan: for long lists such as a file's generator names."""
@@ -41,8 +38,7 @@ class OneOf(tuple):
 
 def _describe(spec):
     if isinstance(spec, range):
-        return "a natural number" if spec == NATURAL else \
-            f"an integer in {spec.start}..{spec.stop - 1}"
+        return f"an integer in {spec.start}..{spec.stop - 1}"
     if isinstance(spec, tuple):
         return "one of " + show(list(spec))
     if isinstance(spec, list) and len(spec) > 1:

@@ -123,35 +123,31 @@ def sum_permutations(left, right):
 class GradingGroupElement(Record):
     """(j, eta) with j a half-integer (stored doubled) and eta a multiplicity
     vector over the 4k-1 intervals between consecutive marked points."""
-    __slots__ = _fields = ("num_points", "j2", "eta")
+    __slots__ = _fields = ("j2", "eta")
 
-    def __init__(self, num_points, j2, eta):
-        if len(eta) != num_points - 1:
-            raise SizeMismatch("eta must have 4k-1 entries")
+    def __init__(self, j2, eta):
         pc = _parity_changes(eta)
         if (2 * j2 - pc) % 4 != 0:
             raise SizeMismatch(f"j = {j2}/2 incompatible with {pc} parity changes")
-        Record.__init__(self, num_points, j2, eta)
+        Record.__init__(self, j2, eta)
 
     def __mul__(self, other):
-        if self.num_points != other.num_points:
+        if len(self.eta) != len(other.eta):
             raise SizeMismatch("different circles")
         eta = tuple(a + b for a, b in zip(self.eta, other.eta))
         j2 = self.j2 + other.j2 + L2(self.eta, other.eta)
-        return GradingGroupElement(self.num_points, j2, eta)
+        return GradingGroupElement(j2, eta)
 
     def inverse(self):
-        return GradingGroupElement(
-            self.num_points,
-            -self.j2 + L2(self.eta, self.eta),
-            tuple(-x for x in self.eta))
+        return GradingGroupElement(-self.j2 + L2(self.eta, self.eta),
+                                   tuple(-x for x in self.eta))
 
     @classmethod
-    def identity(cls, num_points):
-        return cls(num_points, 0, (0,) * (num_points - 1))
+    def identity(cls, n):
+        return cls(0, (0,) * (n - 1))
 
     def power_of_central(self, c):
-        return GradingGroupElement(self.num_points, self.j2 + 2 * c, self.eta)
+        return GradingGroupElement(self.j2 + 2 * c, self.eta)
 
 
 def _boundary(eta):
@@ -198,7 +194,7 @@ def g_prime(pmc, elt):
     pairs = elt.pairs
     eta = strand_eta(pmc, pairs)
     iota2 = 2 * inv_seq([t for _, t in pairs]) - sum(m2(eta, s) for s, _ in pairs)
-    return GradingGroupElement(pmc.n, iota2, eta)
+    return GradingGroupElement(iota2, eta)
 
 
 def chord_decomposition(pmc, eta):
@@ -218,13 +214,13 @@ def chord_decomposition(pmc, eta):
 
 
 class RefinementData(Record):
-    """What the grading map of strands grading ``t`` reads: ``base`` is the
+    """What the grading map of one strands grading reads: ``base`` is the
     base idempotent s_0 (ascending class indices), ``psi`` maps a frozenset
     of classes to a GradingGroupElement, ``psi_inv`` holds the inverses of
     psi, and ``linking`` is the doubled intersection form, as 0-based
     triples (a, b, 2 omega_ab) for a < b with omega_ab nonzero: the doubled
     linking L2 of chords a and b, as chord a has boundary hi_a - lo_a."""
-    __slots__ = _fields = ("pmc", "t", "base", "psi", "psi_inv", "linking")
+    __slots__ = _fields = ("pmc", "base", "psi", "psi_inv", "linking")
 
 
 def refinement(pmc, t):
@@ -247,7 +243,7 @@ def refinement(pmc, t):
     linking = tuple((a, b, 2 * w)
                     for a, row in enumerate(intersection_from_pmc(pmc))
                     for b, w in enumerate(row) if a < b and w)
-    return RefinementData(pmc, t, s0, psi, psi_inv, linking)
+    return RefinementData(pmc, s0, psi, psi_inv, linking)
 
 
 def refined_grading_element(ref, elt):

@@ -19,7 +19,7 @@ partial permutation, whose sign plus the local signs give the Z/2 grading.
 from __future__ import annotations
 
 from . import pmc as pmc_mod
-from .errors import Record, SchemaViolation, check, sided
+from .errors import Record, SchemaViolation, check, show, sided
 from .gradings import (FLAVORS, BorderedPartialPermutation, blocks,
                        sum_permutations)
 
@@ -135,9 +135,9 @@ class BorderedDiagram(Record):
 
 
 class DiagramGenerator(Record):
-    """One IntersectionPoint of ``diagram`` per beta, ordered by beta, and
-    ``sigma``, the BorderedPartialPermutation of their alpha slots."""
-    __slots__ = _fields = ("diagram", "points", "sigma")
+    """One IntersectionPoint per beta, ordered by beta, and ``sigma``, the
+    BorderedPartialPermutation of their alpha slots."""
+    __slots__ = _fields = ("points", "sigma")
 
     @property
     def name(self):
@@ -156,7 +156,8 @@ class DiagramGenerator(Record):
 def enumerate_generators(diagram):
     """All generators: one point per beta, no two on one alpha, every alpha
     circle covered.  Picks grow one beta at a time, taking each beta's
-    points in file order; only a kept pick builds its permutation."""
+    points in file order; only a kept pick builds its permutation.  Two
+    generators of one name ("a" + "bb" and "ab" + "b") raise SchemaViolation."""
     picks = [((), ())]  # (points, their alpha slots)
     for beta in range(1, diagram.genus + 1):
         on_beta = [(p, diagram.alpha_slot(p)) for p in diagram.points
@@ -164,9 +165,14 @@ def enumerate_generators(diagram):
         picks = [(points + (p,), used + (slot,)) for points, used in picks
                  for p, slot in on_beta if slot not in used]
     circles = set(diagram.slots["circle"])
-    return [DiagramGenerator(diagram, points, BorderedPartialPermutation(
+    gens = [DiagramGenerator(points, BorderedPartialPermutation(
                 diagram.genus, diagram.k_l, diagram.k_r, used))
             for points, used in picks if circles.issubset(used)]
+    names = sorted(g.name for g in gens)
+    for a, b in zip(names, names[1:]):
+        if a == b:
+            raise SchemaViolation(f"two generators are named {show(a)}", "points")
+    return gens
 
 
 def structure(diagram):

@@ -12,9 +12,9 @@ from .structures import F2ChainComplex  # noqa: F401 (see the docstring)
 
 
 class HochschildGenerator(Record):
-    """``idem`` is the common left/right idempotent class set, ``grading``
-    is gr_DA(x) + i and ``strands_grading`` is i = |s| - k."""
-    __slots__ = _fields = ("name", "idem", "grading", "strands_grading")
+    """A DA generator x whose left and right idempotents are one set s:
+    ``grading`` is gr_DA(x) + i and ``strands_grading`` is i = |s| - k."""
+    __slots__ = _fields = ("name", "grading", "strands_grading")
 
 
 def hochschild_generators(n):
@@ -29,8 +29,7 @@ def hochschild_generators(n):
         if g.idem_left != g.idem_right:
             continue
         i = len(g.idem_right) - k
-        gens.append(HochschildGenerator(
-            g.name, g.idem_right, (g.grading + i) % 2, i))
+        gens.append(HochschildGenerator(g.name, (g.grading + i) % 2, i))
     return tuple(gens)
 
 

@@ -128,10 +128,7 @@ def run_knot(diagram):
     omega = intersection_from_pmc(dd.pmc_left)
     content, rows, seifert, delta_pres = knot_from_plucker(gamma, omega)
     return {
-        "table": [{"name": g.name, "grading": g.grading,
-                   "idem_left": sorted(g.idem_left),
-                   "idem_right": sorted(g.idem_right)}
-                  for g in dd.generators.values()],
+        "table": [g.to_json() for g in dd.generators.values()],
         "plucker": gamma.to_json(),
         "matrix": matrix.to_json(),
         "alexander": symmetrized_or_raw(decat.graded_trace(matrix)).to_json(),

@@ -29,7 +29,7 @@ class PointedMatchedCircle(Record):
     """
     _fields = ("matching", "orientation")
     __slots__ = _fields + ("n", "cls_table", "partner_table", "low_table",
-                           "_points", "_hash", "algebra")
+                           "_points", "algebra")
 
     def __init__(self, matching, orientation):
         points = {}
@@ -46,11 +46,7 @@ class PointedMatchedCircle(Record):
             for p, c in enumerate(matching, start=1)))
         set_(self, "low_table", (None,) + tuple(points[c][0] for c in matching))
         set_(self, "_points", points)
-        set_(self, "_hash", hash((matching, orientation)))
         set_(self, "algebra", None)
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def k(self):

@@ -185,6 +185,18 @@ def kernel_rows_by_constraints(p):
     return content, tuple(tuple(row) for row in rows)
 
 
+def apply_endomorphism(e, v):
+    """e(v) for a GradedEndomorphism e and a one-factor ExteriorElement v:
+    block j maps the lex-ordered degree-j monomials, columns to rows."""
+    out = {}
+    for key, c in v.terms.items():
+        subsets = list(itertools.combinations(range(1, e.n + 1), len(key)))
+        col = subsets.index(key)
+        for row, s in enumerate(subsets):
+            out[s] = out.get(s, 0) + e.blocks[len(key)][row][col] * c
+    return ExteriorElement.single(e.n, out)
+
+
 def generators_by_product(diagram):
     """(name, sigma, grading, D idempotent, A idempotent) of each
     generator of a diagram, by brute force: every pick of one point per
@@ -211,7 +223,7 @@ def generators_by_product(diagram):
                 tuple(offset[p.alpha_kind] + p.alpha for p in combo))
         except FlavorViolation:
             continue
-        gen = DiagramGenerator(diagram, combo, sigma)
+        gen = DiagramGenerator(combo, sigma)
         arcs = [frozenset(p.alpha for p in combo if p.alpha_kind == kind)
                 for kind in (left, right)]
         out.append((gen.name, sigma, gen.grading,

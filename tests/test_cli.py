@@ -314,6 +314,24 @@ def test_bad_diagram_file(capsys, tmp_path, file, mutate, err):
         (2, "", f"input error: {err}\n")
 
 
+def test_diagram_generators_sharing_a_name_are_an_input_error(capsys,
+                                                             tmp_path):
+    # "a" + "bb" and "ab" + "b" both name a generator "abb"
+    with open(data("diagram_solid_torus_a.json")) as fh:
+        diagram = json.load(fh)
+    diagram["genus"] = 2
+    diagram["points"] = [
+        {"name": name, "beta": beta, "alpha": {"kind": kind, "index": index},
+         "sign": 0}
+        for name, beta, kind, index in [
+            ("a", 1, "circle", 1), ("ab", 1, "arc", 1),
+            ("bb", 2, "arc", 2), ("b", 2, "circle", 1)]]
+    f = tmp_path / "names.json"
+    f.write_text(json.dumps(diagram))
+    assert run(capsys, "diagrams", "generators", str(f)) == \
+        (2, "", 'input error: points: two generators are named "abb"\n')
+
+
 def test_hh_euler(capsys):
     code, payload, _ = run_json(capsys, "hh", "euler",
                                 data("module_dehn_twist_da.json"))

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from borderedfloer import cli, heegaard, pmc as pmc_mod
-from borderedfloer.decat import k0_functional, psi_K0
+from borderedfloer.decat import (ExteriorElement, k0_functional, k0_of_da,
+                                 psi_K0)
 from borderedfloer.errors import SchemaViolation
 from borderedfloer.heegaard import (BorderedDiagram, IntersectionPoint,
                                     enumerate_generators, glued_grading,
@@ -15,7 +16,7 @@ from borderedfloer.structures import (TypeAStructure, TypeDStructure,
 
 from knot_diagrams import boundary_sum, trefoil
 from oracle_constants import TREFOIL_TABLE
-from oracles import generators_by_product
+from oracles import apply_endomorphism, generators_by_product
 
 
 def bundled(name):
@@ -104,6 +105,21 @@ def test_empty_beta_yields_no_generators():
     pts = (IntersectionPoint("x", 1, "arc", 1, 0),)
     d = BorderedDiagram(2, None, z, pts)  # beta 2 meets nothing
     assert enumerate_generators(d) == []
+
+
+def test_generators_sharing_a_name_are_rejected():
+    """A generator's name runs its points' names together, so "a" + "bb"
+    and "ab" + "b" are both "abb"."""
+    d = BorderedDiagram(2, None, pmc_mod.genus1(), (
+        IntersectionPoint("a", 1, "circle", 1, 0),
+        IntersectionPoint("ab", 1, "arc", 1, 0),
+        IntersectionPoint("bb", 2, "arc", 2, 0),
+        IntersectionPoint("b", 2, "circle", 1, 1)))
+    message = '^points: two generators are named "abb"$'
+    with pytest.raises(SchemaViolation, match=message):
+        enumerate_generators(d)
+    with pytest.raises(SchemaViolation, match=message):
+        structure(d)
 
 
 def point(**fields):
@@ -239,4 +255,33 @@ def test_euler_of_a_union_d_is_the_signed_pairing():
                      for s, c in k0_functional(structure(a)).terms.items()]
             assert chi == sum((-1) ** n * t for n, t in terms), (a, d)
             missed += chi != sum(t for _, t in terms)
+    assert missed
+
+
+def test_class_of_da_union_d_is_k0_of_da_applied_to_psi():
+    """On seeded random DA diagrams M, with one circle Z on both sides, and
+    D diagrams N over Z, the class of M u N (the sum of (-1)^gr e_s over the
+    pairs of generators that glue, s the D idempotent of M's generator) is
+    (-1)^(k c) k0_of_da(structure(M)) psi_K0(structure(N)), for k the genus
+    of Z and c the number of alpha circles of M.  glued_grading adds no
+    gluing constant, so the law states it: the plain law misses on some
+    pairs."""
+    rng = random.Random(34)
+    missed = 0
+    for z in (pmc_mod.genus1(), pmc_mod.genus2_split()):
+        for _ in range(200):
+            m = diagram_on(rng, z, z, rng.randint(0, 2), (1, 2, 3))
+            n = diagram_on(rng, z, None, rng.randint(0, 2), (1, 2, 3))
+            da, ys = structure(m), enumerate_generators(n)
+            glued = {}
+            for x in enumerate_generators(m):
+                s = tuple(sorted(da.generators[x.name].idem_left))
+                for y in ys:
+                    if (gr := glued_grading(x, y)) is not None:
+                        glued[s] = glued.get(s, 0) + (-1) ** gr
+            glued = ExteriorElement.single(z.num_classes, glued)
+            plain = apply_endomorphism(k0_of_da(da), psi_K0(structure(n)))
+            assert glued == (-1) ** (z.k * len(m.slots["circle"])) * plain, \
+                (m, n)
+            missed += glued != plain
     assert missed

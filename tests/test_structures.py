@@ -21,7 +21,8 @@ from borderedfloer.structures import (F2ChainComplex, ModuleGenerator,
                                       structure_from_json, theta)
 
 from knot_diagrams import boundary_sum, trefoil
-from oracles import all_basis, box_tensor_ops_by_every_chain
+from oracles import (all_basis, apply_endomorphism,
+                     box_tensor_ops_by_every_chain)
 
 import importlib.resources as resources
 
@@ -380,18 +381,6 @@ def test_dehn_twist_box_chain_d_feeds_both_inputs():
     [(b, target)] = product.ops[("x*a", ())]
     assert target == "y*c" and b.pairs == ((3, 4),)
     assert product.validate()["ok"]
-
-
-def apply_endomorphism(e, v):
-    """e(v) for a GradedEndomorphism e and a one-factor ExteriorElement v:
-    block j maps the lex-ordered degree-j monomials, columns to rows."""
-    out = {}
-    for key, c in v.terms.items():
-        subsets = list(itertools.combinations(range(1, e.n + 1), len(key)))
-        col = subsets.index(key)
-        for row, s in enumerate(subsets):
-            out[s] = out.get(s, 0) + e.blocks[len(key)][row][col] * c
-    return ExteriorElement.single(e.n, out)
 
 
 @pytest.mark.parametrize("da, image", [
