@@ -13,9 +13,10 @@ marked equivalent gives the same results as the code on every input the
 library can build, so its survival is expected.
 
 Exit status 1 when a mutant that is not marked equivalent survives, or one
-no longer applies; 2 when the unmutated suite fails in the copy; 0
-otherwise.  Not a tier-1 step: each mutant costs a run of the test files
-that import its module.
+no longer applies; 2 when the unmutated suite fails in the copy; 143 when
+stopped by SIGTERM, after it has stopped its pytest run and removed the
+copy; 0 otherwise.  Not a tier-1 step: each mutant costs a run of the test
+files that import its module.
 
 Run from the repo root: python scripts/mutants.py
 """
@@ -23,6 +24,7 @@ Run from the repo root: python scripts/mutants.py
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -168,6 +170,15 @@ MUTANTS = [
      "        if a == b:\n"
      '            raise SchemaViolation(f"two generators are named {show(a)}", '
      '"points")\n', "", None),
+    ("structures", "_check_relation: walk words of at most 3 letters",
+     "depth = max(2 * (arity - 1), arity)", "depth = min(arity, 3)", None),
+    ("structures", "induct_dd: split a circle whatever its first classes",
+     "if k1 < 1 or set(pmc.matching[:4 * k1]) != set(range(1, 2 * k1 + 1)):",
+     "if k1 < 1:", None),
+    ("hochschild", "hochschild_generators: drop the check of the flavor",
+     '    if n.flavor != "DA":\n'
+     '        raise BasisMismatch("Hochschild chains need a DA structure")\n',
+     "", None),
 ]
 
 
@@ -226,6 +237,9 @@ def run(work, module, original, mutated):
 
 
 def main():
+    # stopped by SIGTERM, unwind as on Ctrl-C: subprocess.run kills its
+    # pytest child, run() restores the module and the copy is removed
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         work = os.path.join(tmp, "repo")

@@ -161,7 +161,7 @@ def cmd_hh_euler(args):
     st = structures.structure_from_json(load_json(args.file))
     if st.flavor != "DA":
         raise SchemaViolation("hh euler expects a DA module")
-    poly = hochschild.graded_euler(hochschild.hochschild_generators(st))
+    poly = hochschild.graded_euler(st)
     emit(args, {"euler": poly.to_json()}, str(poly))
     return 0
 

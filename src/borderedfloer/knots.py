@@ -239,8 +239,9 @@ def kernel_basis_from_plucker(p):
     is +-q_{I - i_j + i}.  When q is decomposable these rows lie in W, and on
     the columns of I they are +-q_I times the identity, so they have rank r
     and span W over Q.  The annihilator of their annihilator saturates them
-    to W, and Hermite normal form makes the rows canonical.  Their wedge is
-    +-q exactly when q is decomposable.
+    to W, in canonical rows: `left_kernel` returns the bottom rows of the
+    Hermite form of [rows | I], which are in Hermite form themselves.  Their
+    wedge is +-q exactly when q is decomposable.
     """
     if p.factors != 1:
         raise SchemaViolation("expected a single-factor element")
@@ -264,8 +265,7 @@ def kernel_basis_from_plucker(p):
             * q.get(tuple(sorted(rest + (i,))), 0) for i in range(1, m + 1)])
     annihilator = left_kernel([[row[i] for row in contractions]
                                for i in range(m)])
-    rows = _hnf(left_kernel([[row[i] for row in annihilator]
-                             for i in range(m)]))
+    rows = left_kernel([[row[i] for row in annihilator] for i in range(m)])
     check = decat.wedge_rows(rows, m)
     target = ExteriorElement.single(m, q)
     if check != target and check != -target:

@@ -65,19 +65,17 @@ class LaurentPolynomial:
     def symmetrized(self):
         """A representative +-t^-m * p with a_i = a_{-i}, or None.
 
-        Deterministic: smallest shift m, then the sign making the top
-        coefficient positive.
+        Only m = (lo + hi)/2, lo and hi the least and greatest exponents,
+        centres p; the sign makes the top coefficient positive.
         """
         if not self.coeffs:
             return self
-        exps = sorted(self.coeffs)
-        for m in range(exps[0], exps[-1] + 1):
-            cand = LaurentPolynomial({e - m: c for e, c in self.coeffs.items()})
-            if cand.is_symmetric():
-                if cand.coeffs[max(cand.coeffs)] < 0:
-                    cand = -cand
-                return cand
-        return None
+        lo, hi = min(self.coeffs), max(self.coeffs)
+        m = (lo + hi) // 2  # for odd lo + hi, t^-m p is not symmetric
+        cand = LaurentPolynomial({e - m: c for e, c in self.coeffs.items()})
+        if not cand.is_symmetric():
+            return None
+        return -cand if cand.coeffs[hi - m] < 0 else cand
 
     def __str__(self):
         if not self.coeffs:

@@ -198,16 +198,18 @@ class Structure:
     def _check_relation(self):
         """The DA structure relation (Lipshitz-Ozsvath-Thurston,
         arXiv:1003.0598, 2.2) at each generator x and every composable word
-        of at most min(max_arity, 3) basis elements of the right algebra,
-        over GF(2): the first letter starts at x's right idempotent and each
-        later one where the one before it ends.  A word that does not
-        compose contributes nothing, since the inputs of a valid op compose
-        and d and mu_2 keep the class sets.  With no A side the one word is
-        empty and this is d^2 = 0 of type D; with no D-side output it is the
-        A-infinity relation of type A.  A failure names the word's strand
-        maps."""
+        of at most max(2 (max_arity - 1), max_arity) basis elements of the
+        right algebra, the most that two chained ops or one op on a product
+        of two letters take, over GF(2): the first letter starts at x's
+        right idempotent and each later one where the one before it ends.
+        A word that does not compose contributes nothing, since the inputs
+        of a valid op compose and d and mu_2 keep the class sets.  With no A
+        side the one word is empty and this is d^2 = 0 of type D; with no
+        D-side output it is the A-infinity relation of type A.  A failure
+        names the word's strand maps."""
         errors = []
-        depth = min(self.max_arity, 3) if self.right == "A" else 0
+        arity = self.max_arity
+        depth = max(2 * (arity - 1), arity) if self.right == "A" else 0
         letters = {}  # strands grading -> {source classes: basis elements}
 
         for x, g in self.generators.items():
@@ -371,9 +373,14 @@ def _f2_rank(rows):
 def induct_dd(d):
     """Read a type D over a connected-sum algebra as a DD over the factors,
     split at k1, half the circle's genus: classes <= 2*k1 belong to the left
-    factor; the rest shift down."""
+    factor; the rest shift down.  AlgebraMismatch unless d is type D, k1 >= 1
+    and the first 4*k1 points carry exactly the classes 1..2*k1."""
+    if d.flavor != "D":
+        raise AlgebraMismatch("induct_dd needs a type D structure")
     pmc = d.pmc_left
     k1 = pmc.k // 2
+    if k1 < 1 or set(pmc.matching[:4 * k1]) != set(range(1, 2 * k1 + 1)):
+        raise AlgebraMismatch("the circle does not split at half its genus")
     left = PointedMatchedCircle(pmc.matching[:4 * k1], pmc.orientation[:4 * k1])
     right = PointedMatchedCircle(
         tuple(c - 2 * k1 for c in pmc.matching[4 * k1:]),

@@ -1,7 +1,6 @@
 import pytest
 
-from borderedfloer import (gradings, heegaard, hochschild, knots, pmc, strands,
-                           structures)
+from borderedfloer import gradings, heegaard, knots, pmc, strands, structures
 from borderedfloer.errors import OneOf, Record, SchemaViolation, check, unique
 
 
@@ -86,7 +85,6 @@ RECORDS = {
         lambda: [(_point(),),
                  gradings.BorderedPartialPermutation(1, None, 1, (1,))],
         gradings.BorderedPartialPermutation(1, None, 1, (2,))),
-    hochschild.HochschildGenerator: (lambda: ["x", 0, 0], 1),
     knots.Presentation: (lambda: [((1,),), ((0,),)], ((1,),)),
     structures.ModuleGenerator: (lambda: ["x", frozenset({1}), None, 0], 1),
 }

@@ -4,14 +4,15 @@ import random
 import pytest
 
 from borderedfloer import pmc as pmc_mod, strands
-from borderedfloer.errors import (BoundaryMismatch, NotAComplex,
-                                  SchemaViolation)
+from borderedfloer.errors import (BasisMismatch, BoundaryMismatch,
+                                  NotAComplex, SchemaViolation)
 from borderedfloer.hochschild import graded_euler, hochschild_generators
 from borderedfloer.laurent import LaurentPolynomial
 from borderedfloer.structures import (F2ChainComplex, ModuleGenerator,
                                       TypeDStructure, _f2_rank, box_tensor,
-                                      direct_sum, elementary_a, elementary_da,
-                                      shift, structure_from_json)
+                                      direct_sum, elementary_a, elementary_d,
+                                      elementary_da, identity_aa, shift,
+                                      structure_from_json)
 
 from oracles import f2_rank_by_span
 
@@ -27,42 +28,43 @@ def bundled_module(name):
 
 
 def test_hochschild_keeps_diagonal_idempotents():
-    ch = hochschild_generators(bundled_module("module_dehn_twist_da.json"))
-    names = {g.name for g in ch}
-    assert names == {"y"}  # x has idempotents ({2}, {1}) and is dropped
-    (g,) = ch
-    assert g.strands_grading == 0
-    assert g.grading == 1  # gr 1 shifted by i = 0
-    assert graded_euler(ch) == LaurentPolynomial({0: -1})
+    m = bundled_module("module_dehn_twist_da.json")
+    # x has idempotents ({2}, {1}) and is dropped
+    assert hochschild_generators(m) == (m.generators["y"],)
+    assert graded_euler(m) == LaurentPolynomial({0: -1})  # gr 1 at i = 0
 
 
 def test_hochschild_strands_grading_shift():
-    m = elementary_da(RZ1, Z1, frozenset(), frozenset(), 0, name="lo")
-    ch = hochschild_generators(m)
-    (g,) = ch
-    assert g.strands_grading == -1
-    assert g.grading == (0 + -1) % 2 == 1
-    assert graded_euler(ch) == LaurentPolynomial({-1: -1})
-    full = elementary_da(RZ1, Z1, frozenset({1, 2}), frozenset({1, 2}), 0)
-    assert graded_euler(hochschild_generators(full)) == \
-        LaurentPolynomial({1: -1})
+    # one chain in idempotent s sits at i = |s| - k with sign (-1)^(gr + i)
+    for s, gr, euler in ((set(), 0, {-1: -1}), ({1}, 1, {0: -1}),
+                         ({1, 2}, 0, {1: -1}), ({1, 2}, 1, {1: 1})):
+        m = elementary_da(RZ1, Z1, s, s, gr, name="lo")
+        assert graded_euler(m) == LaurentPolynomial(euler), (s, gr)
+    assert graded_euler(elementary_da(RZ1, Z1, {1}, {2}, 0)) == 0
 
 
 def test_hochschild_euler_additive_over_sums_and_shifts():
     a = elementary_da(RZ1, Z1, frozenset({1}), frozenset({1}), 0, name="p")
     b = elementary_da(RZ1, Z1, frozenset({2}), frozenset({2}), 1, name="q")
-    total = direct_sum(a, b)
-    assert graded_euler(hochschild_generators(total)) == \
-        graded_euler(hochschild_generators(a)) + \
-        graded_euler(hochschild_generators(b))
-    assert graded_euler(hochschild_generators(shift(a))) == \
-        -graded_euler(hochschild_generators(a))
+    assert graded_euler(direct_sum(a, b)) == graded_euler(a) + graded_euler(b)
+    assert graded_euler(shift(a)) == -graded_euler(a)
 
 
 def test_hochschild_boundary_mismatch():
     with pytest.raises(BoundaryMismatch):
         hochschild_generators(
             elementary_da(Z1, Z1, frozenset({1}), frozenset({1}), 0))
+
+
+def test_hochschild_chains_need_a_da_structure():
+    # an AA structure over (-Z, Z) has diagonal idempotents too, but no
+    # Hochschild chains here
+    for st in (elementary_d(Z1, {1}, 0), elementary_a(Z1, {1}, 0),
+               identity_aa(Z1)):
+        with pytest.raises(BasisMismatch, match="need a DA structure"):
+            hochschild_generators(st)
+        with pytest.raises(BasisMismatch):
+            graded_euler(st)
 
 
 def complex_of(grading, differential):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 from sympy import Matrix, Poly, symbols
 from sympy.polys.matrices import DomainMatrix
 
@@ -141,6 +142,15 @@ def test_left_kernel():
     v = basis[0]
     assert [v[0] * rows[0][j] + v[1] * rows[1][j] + v[2] * rows[2][j]
             for j in range(2)] == [0, 0]
+
+
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.integers(-6, 6), min_size=width, max_size=width),
+    min_size=1, max_size=6)))
+def test_left_kernel_rows_are_in_hermite_form(rows):
+    # kernel_basis_from_plucker takes left_kernel's rows as canonical
+    kernel = left_kernel(rows)
+    assert _hnf(kernel) == kernel
 
 
 def test_kernel_basis_from_plucker_trefoil():

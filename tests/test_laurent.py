@@ -54,9 +54,30 @@ def test_ring_laws(p, q, r):
     assert (p * q).reversed() == p.reversed() * q.reversed()
 
 
-@given(polys)
+def symmetrized_by_every_shift(p):
+    """The first shift m in lo..hi whose t^-m p is symmetric, made positive
+    at the top, or None."""
+    if not p:
+        return p
+    for m in range(min(p.coeffs), max(p.coeffs) + 1):
+        cand = poly({e - m: c for e, c in p.coeffs.items()})
+        if cand.is_symmetric():
+            return -cand if cand.coeffs[max(cand.coeffs)] < 0 else cand
+    return None
+
+
+# palindromes, shifted and signed, so that about half the draws are symmetric
+palindromes = st.builds(
+    lambda half, mid, shift, sign: poly(
+        {shift + i: sign * c for i, c in enumerate(half + [mid] + half[::-1])}),
+    st.lists(st.integers(-5, 5), max_size=3), st.integers(-5, 5),
+    st.integers(-4, 4), st.sampled_from((1, -1)))
+
+
+@given(st.one_of(polys, palindromes))
 def test_symmetrized_is_symmetric(p):
     s = p.symmetrized()
+    assert s == symmetrized_by_every_shift(p)
     if s is not None:
         assert s.is_symmetric()
         if s:

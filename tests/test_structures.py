@@ -145,7 +145,10 @@ def relation_errors(m):
     """The structure relation at every word of at most min(max_arity, 3)
     basis elements of the right algebra, composable or not, counted term by
     term over GF(2), with validate's messages: the reference for validate,
-    which walks only the composable words."""
+    which walks only the composable words.  validate walks words up to
+    max(2 (max_arity - 1), max_arity) letters; this walk stays at 3, as
+    every word of 4 letters made its Dehn-twist case take 2 s, and
+    `test_validate_reaches_two_chained_ops` covers a 4-letter failure."""
     letters = all_basis(m.pmc_right) if m.right == "A" else []
     errors = []
     for x in m.generators:
@@ -192,6 +195,19 @@ def test_validate_matches_the_relation_on_every_word(make):
     errors = relation_errors(m)
     assert m.validate()["errors"] == errors
     assert bool(errors) == isinstance(make, functools.partial)
+
+
+def test_validate_reaches_two_chained_ops():
+    # m_3(m_3(x; rho_12, rho_23); rho_12, rho_23) = z is the one term at the
+    # 4-letter word, one letter past max_arity
+    r12 = strands.StrandsBasisElement.make(Z1, [(1, 2)])
+    r23 = strands.StrandsBasisElement.make(Z1, [(2, 3)])
+    gens = [ModuleGenerator(x, None, frozenset({1}), 0) for x in "xyz"]
+    chained = TypeAStructure(None, Z1, gens, {("x", (r12, r23)): {(None, "y")},
+                                              ("y", (r12, r23)): {(None, "z")}})
+    assert chained.validate()["errors"] == [
+        "structure relation (d^2 = 0) fails at x, 4 inputs: "
+        "[(1, 2)] [(2, 3)] [(1, 2)] [(2, 3)]"]
 
 
 def test_da_zero_input_ops_that_compose_fail_d_squared():
@@ -544,6 +560,19 @@ def test_induct_dd_splits_idempotents():
     assert g.idem_right == frozenset({1})
     assert dd.pmc_left == pmc_mod.genus1()
     assert dd.pmc_right == pmc_mod.reverse(pmc_mod.genus1())
+
+
+@pytest.mark.parametrize("st, message", [
+    (elementary_da(Z1, Z1, {1}, {1}, 0), "needs a type D structure"),
+    (elementary_a(Z1, {1}, 0), "needs a type D structure"),
+    (elementary_d(Z1, {1}, 0), "does not split"),
+    (elementary_d(Z2_ANTIPODAL, {1, 2}, 0), "does not split")],
+    ids=["DA", "A", "genus1-D", "antipodal-D"])
+def test_induct_dd_refuses_what_it_cannot_split(st, message):
+    # the trefoil ladder, which it splits, runs through run_knot in
+    # test_knots.test_knot_pipeline_on_boundary_sums
+    with pytest.raises(AlgebraMismatch, match=message):
+        induct_dd(st)
 
 
 def test_shift_flips_gradings():
