@@ -60,11 +60,21 @@ MUTANTS = [
      "if top < t2 < t1:", "if s1 < t2 < t1:", None),
     ("strands", "_differential: resolve at one point of a horizontal class",
      "for h in (m, partner[m]):", "for h in (m,):", None),
-    ("strands", "_product: keep a double crossing",
+    ("strands", "multiply_basis: keep a double crossing",
      "# crosses in a and in b\n                return None",
      "# crosses in a and in b\n                pass", None),
-    ("strands", "_product: skip the re-sort after a horizontal strand moves",
-     "                moved = True", "                moved = False", None),
+    ("strands", "multiply_basis: skip the re-sort after a horizontal strand "
+     "moves", "                moved = True", "                moved = False",
+     None),
+    ("strands", "_basis: end the last strand in a class already used",
+     "if not tgt_used & b:  # a new target class",
+     "if True:  # a new target class", None),
+    ("strands", "differential_basis: return the zero when d has one term",
+     "    d = differential_terms(x)\n    if d:",
+     "    d = differential_terms(x)\n    if len(d) > 1:", None),
+    ("pmc", "cls: drop the lower bound of the point guard",
+     "if 0 < p <= self.n:\n            return self.cls_table[p]",
+     "if p <= self.n:\n            return self.cls_table[p]", None),
     ("knots", "_hnf: drop the pivot-sign normalization",
      "if rows[pivot_row][col] < 0:", "if False:", None),
     ("knots", "recover_seifert: drop the negation of V",

@@ -81,10 +81,20 @@ def cmd_pmc_consum(args):
 
 
 # alg ----------------------------------------------------------------------
-def cmd_alg_basis(args):
+def load_algebra_pmc(path):
+    """The circle of --pmc, refused above the genus the alg commands enumerate."""
     from . import pmc, strands
+    z = pmc.load(load_json(path))
+    if z.k not in strands.GENUS:
+        raise SchemaViolation(f"genus {z.k} is above {strands.GENUS[-1]}, the "
+                              "largest the alg commands enumerate", "--pmc")
+    return z
+
+
+def cmd_alg_basis(args):
+    from . import strands
     from .errors import StrandsGradingOutOfRange
-    z = pmc.load(load_json(args.pmc))
+    z = load_algebra_pmc(args.pmc)
     try:
         elts = strands.basis(z, args.strands)
     except StrandsGradingOutOfRange as exc:
@@ -100,8 +110,8 @@ def cmd_alg_basis(args):
 
 
 def cmd_alg_check_gradings(args):
-    from . import gradings, pmc
-    report = gradings.verify_grading_equivalence(pmc.load(load_json(args.pmc)))
+    from . import gradings
+    report = gradings.verify_grading_equivalence(load_algebra_pmc(args.pmc))
     counts = {str(t): c for t, c in sorted(report["per_grading"].items())}
     emit(args, {"ok": report["ok"], "per_grading": counts,
                 "counterexample": report["counterexample"]},

@@ -56,23 +56,29 @@ class PointedMatchedCircle(Record):
     def num_classes(self):
         return self.n // 2
 
-    # a point p < 1 would index a table from its end, and p > n runs off it
-    def _point(self, p):
-        if 0 < p <= self.n:
-            return p
-        raise SchemaViolation(f"point {p} outside 1..{self.n}")
+    # a point p < 1 would index a table from its end, and p > n runs off it;
+    # each lookup tests 0 < p <= n itself, without a call, as callers look
+    # points up in tight loops
+    def _outside(self, p):
+        return SchemaViolation(f"point {p} outside 1..{self.n}")
 
     def cls(self, p):
-        return self.cls_table[self._point(p)]
+        if 0 < p <= self.n:
+            return self.cls_table[p]
+        raise self._outside(p)
 
     def o(self, p):
-        return self.orientation[self._point(p) - 1]
+        if 0 < p <= self.n:
+            return self.orientation[p - 1]
+        raise self._outside(p)
 
     def class_points(self, j):
         return self._points.get(j, ())
 
     def partner(self, p):
-        return self.partner_table[self._point(p)]
+        if 0 < p <= self.n:
+            return self.partner_table[p]
+        raise self._outside(p)
 
     def class_min(self, j):
         return self._points[j][0]

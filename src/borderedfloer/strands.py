@@ -15,16 +15,22 @@ memoises its own ``gr`` and its d, as the tuple of its interned terms (``()``
 when d = 0), so reading d looks nothing up.  Its ``source_classes`` and
 ``target_classes``, the classes its strands start and end in, are read off
 the class table on each call; x = I(source) x I(target), and every
-idempotent check outside this module reads these two.  A structure relation
+idempotent check outside this module reads these two.  A d that is 0, from
+``differential_basis`` or ``differential``, is the circle's one shared zero
+element, which is safe as elements are immutable.  A structure relation
 check reads each d dozens of times but asks for each product about twice, so
 products are computed on every call and never stored: a product table would
 grow with the pairs asked, not with the algebra.  The kernels loop over
 canonical pairs tuples and the circle's per-point tables (class, partner,
-class minimum): d resolves a crossing by swapping two targets, which keeps
-the source order, and re-sorts only after resolving a horizontal strand; a
-product stops at the first two strands that cross in both factors; ``gr``
-counts class inversions unsorted.  ``multiply_basis_raw`` expands every
-representative in the big strands algebra and stays as an independent
+class minimum): the basis backtracks over each source's precomputed moves
+and interns each element as its last strand is placed; d resolves a crossing
+by swapping two targets, which keeps the source order, and re-sorts only
+after resolving a horizontal strand; ``multiply_basis`` is the product
+kernel, one call per product, and stops at the first two strands that cross
+in both factors; ``gr`` counts class inversions unsorted.  Elements are
+built through their slots' setters, not ``object.__setattr__``.
+``multiply_basis_raw`` expands every representative in the big strands
+algebra, pairs those whose points meet, and stays as an independent
 cross-check of ``multiply_basis``.
 """
 
@@ -38,6 +44,11 @@ from .errors import (AlgebraMismatch, InconsistentChordSet, Record,
                      SchemaViolation, StrandsGradingOutOfRange, check)
 
 # a strand diagram is a tuple of (source, target) pairs sorted by source
+
+# a spec: the genus of a circle whose algebra the alg commands enumerate.  The
+# genus-4 connected sum's 948,390 basis elements at i = 0 fit in 1.5 GB, and
+# the genus-8 one runs out of 1 GB before it prints a line.
+GENUS = range(1, 5)
 
 
 def inv_seq(seq):
@@ -97,7 +108,7 @@ class _Table(dict):
 class _Algebra:
     """The tables of one circle's algebra; they live on the circle itself."""
 
-    __slots__ = ("pmc", "strand", "elements", "bases")
+    __slots__ = ("pmc", "strand", "elements", "bases", "zero")
 
     def __init__(self, pmc):
         points = range(pmc.n + 1)
@@ -106,6 +117,7 @@ class _Algebra:
         self.strand = tuple(tuple((s, t) for t in points) for s in points)
         self.elements = _Table(pmc, StrandsBasisElement)  # pairs -> element
         self.bases = _Table(self, _basis)  # strands grading -> basis elements
+        self.zero = StrandsElement(pmc, frozenset())  # what a d of 0 returns
 
 
 def _algebra(pmc):
@@ -121,11 +133,10 @@ class StrandsBasisElement(Record):
     __slots__ = _fields + ("_gr", "_d")  # gr and d's terms, memoised
 
     def __init__(self, pmc, pairs):
-        set_ = object.__setattr__
-        set_(self, "pmc", pmc)
-        set_(self, "pairs", pairs)
-        set_(self, "_gr", None)
-        set_(self, "_d", None)
+        _set_pmc(self, pmc)
+        _set_pairs(self, pairs)
+        _set_gr(self, None)
+        _set_d(self, None)
 
     def __eq__(self, other):
         if other.__class__ is not StrandsBasisElement:
@@ -182,8 +193,8 @@ class StrandsElement(Record):
     __slots__ = _fields = ("pmc", "terms")  # terms: a frozenset of basis elements
 
     def __init__(self, pmc, terms):
-        object.__setattr__(self, "pmc", pmc)
-        object.__setattr__(self, "terms", terms)
+        _set_element_pmc(self, pmc)
+        _set_terms(self, terms)
 
     @classmethod
     def zero(cls, pmc):
@@ -206,6 +217,12 @@ class StrandsElement(Record):
 
     def to_json(self):
         return {"terms": [e.to_json() for e in self.basis_terms()]}
+
+
+# the slots' own setters: they pass Record's guard without a lookup by name
+_set_pmc, _set_pairs, _set_gr, _set_d, _set_element_pmc, _set_terms = (
+    cls.__dict__[name].__set__ for cls in (StrandsBasisElement, StrandsElement)
+    for name in cls.__slots__)
 
 
 def json_basis_terms(pmc, obj, path=""):
@@ -256,31 +273,40 @@ def _basis(alg, i):
 
     Backtracks over sources in increasing order, giving each a target no lower
     than it: the sources lie in distinct classes, so do the targets, and a
-    horizontal strand sits only at the minimum of its class.
+    horizontal strand sits only at the minimum of its class.  The last strand
+    is placed in a loop, which interns each element it completes.
     """
-    pmc, strand, elements = alg.pmc, alg.strand, alg.elements
+    pmc, elements = alg.pmc, alg.elements
     n, low, size = pmc.n, pmc.low_table, pmc.k + i
+    if not size:
+        return (elements[()],)
     bit = [0] + [1 << c for c in pmc.matching]
-    out = []
-    prefix = []
+    moves = [()]  # moves[s]: (class bit of t, strand s -> t) for each target t
+    for s in range(1, n + 1):
+        row = alg.strand[s]
+        moves.append(tuple((bit[t], row[t])
+                           for t in range(s if low[s] == s else s + 1, n + 1)))
+    get, out = elements.get, []
 
-    def extend(first, src_used, tgt_used):
-        left = size - len(prefix)
-        if not left:
-            out.append(elements[tuple(prefix)])
+    def extend(first, prefix, src_used, tgt_used):
+        if len(prefix) + 1 == size:
+            for s in range(first, n + 1):
+                if not src_used & bit[s]:
+                    for b, st in moves[s]:
+                        if not tgt_used & b:  # a new target class
+                            pairs = prefix + (st,)
+                            x = get(pairs)
+                            if x is None:
+                                x = elements[pairs] = StrandsBasisElement(pmc, pairs)
+                            out.append(x)
             return
-        for s in range(first, n + 2 - left):
-            if src_used & bit[s]:
-                continue
-            row = strand[s]
-            for t in range(s if low[s] == s else s + 1, n + 1):
-                if tgt_used & bit[t]:
-                    continue
-                prefix.append(row[t])
-                extend(s + 1, src_used | bit[s], tgt_used | bit[t])
-                prefix.pop()
+        for s in range(first, n + 2 - size + len(prefix)):
+            if not src_used & bit[s]:
+                for b, st in moves[s]:
+                    if not tgt_used & b:
+                        extend(s + 1, prefix + (st,), src_used | bit[s], tgt_used | b)
 
-    extend(1, 0, 0)
+    extend(1, (), 0, 0)
     return tuple(out)
 
 
@@ -300,9 +326,8 @@ def idempotent(pmc, s):
 
 # multiplication ---------------------------------------------------------
 def _raw_multiply(pa, pb):
-    """Product in the big strands algebra; None when zero."""
-    if targets(pa) != tuple(sorted(sources(pb))):
-        return None
+    """Product in the big strands algebra of diagrams where pa's targets are
+    pb's sources; None when zero."""
     lookup = dict(pb)
     composed = tuple(sorted((s, lookup[t]) for s, t in pa))
     inv = [inv_seq([t for _, t in p]) for p in (composed, pa, pb)]
@@ -311,8 +336,9 @@ def _raw_multiply(pa, pb):
     return composed
 
 
-def _product(alg, a, b):
-    """The interned product of the basis elements with pairs a, b; None for 0.
+def multiply_basis(x, y):
+    """Product of two basis elements, with pairs a and b: the interned basis
+    element, or None for 0.
 
     Picks the one pair of raw representatives that compose: each strand x -> y
     of a meets the strand of b leaving y.  A horizontal strand of b moves to
@@ -323,9 +349,13 @@ def _product(alg, a, b):
     once (the strands of a meet strands of b in distinct classes, so equal
     counts suffice) and no two strands cross in both factors.
     """
+    pmc, a, b = x.pmc, x.pairs, y.pairs
+    if pmc is not y.pmc and pmc != y.pmc:
+        raise AlgebraMismatch("different ambient circles")
     if len(a) != len(b):
         return None
-    partner, strand = alg.pmc.partner_table, alg.strand
+    alg = pmc.algebra or _algebra(pmc)
+    partner, strand = pmc.partner_table, alg.strand
     leave_b = dict(b)  # start of a strand of b -> its end
     paths = []  # (x, y, z): a runs x -> y, then b runs y -> z
     moved = False  # whether a horizontal strand of a moved to its partner
@@ -349,24 +379,22 @@ def _product(alg, a, b):
     return alg.elements[tuple(sorted(out) if moved else out)]
 
 
-def multiply_basis(x, y):
-    """Product of two basis elements: a basis element or None."""
-    if x.pmc is not y.pmc and x.pmc != y.pmc:
-        raise AlgebraMismatch("different ambient circles")
-    return _product(_algebra(x.pmc), x.pairs, y.pairs)
-
-
 def multiply_basis_raw(x, y):
-    """Slow reference product via full representative expansion.
+    """Slow reference product via full representative expansion: each
+    representative of x meets the representatives of y that start where it
+    ends.
 
     Used as an independent cross-check of multiply_basis in the test suite.
     """
     if x.pmc != y.pmc:
         raise AlgebraMismatch("different ambient circles")
     pmc = x.pmc
+    leaving = {}  # the representatives of y by their sources
+    for rb in raw_expand(pmc, y.pairs):
+        leaving.setdefault(sources(rb), []).append(rb)
     counts = {}
     for ra in raw_expand(pmc, x.pairs):
-        for rb in raw_expand(pmc, y.pairs):
+        for rb in leaving.get(targets(ra), ()):
             c = _raw_multiply(ra, rb)
             if c is not None:
                 counts[c] = counts.get(c, 0) + 1
@@ -385,11 +413,10 @@ def multiply(x, y):
     """Bilinear product of StrandsElements."""
     if x.pmc is not y.pmc and x.pmc != y.pmc:
         raise AlgebraMismatch("different ambient circles")
-    alg = _algebra(x.pmc)
     acc = set()
     for a in x.terms:
         for b in y.terms:
-            p = _product(alg, a.pairs, b.pairs)
+            p = multiply_basis(a, b)
             if p is not None:
                 acc ^= {p}
     return StrandsElement(x.pmc, frozenset(acc))
@@ -451,14 +478,19 @@ def differential_terms(x):
 
 
 def differential_basis(x):
-    return StrandsElement(x.pmc, frozenset(differential_terms(x)))
+    d = differential_terms(x)
+    if d:
+        return StrandsElement(x.pmc, frozenset(d))
+    return (x.pmc.algebra or _algebra(x.pmc)).zero
 
 
 def differential(x):
     acc = set()
     for b in x.terms:
         acc.symmetric_difference_update(differential_terms(b))
-    return StrandsElement(x.pmc, frozenset(acc))
+    if acc:
+        return StrandsElement(x.pmc, frozenset(acc))
+    return (x.pmc.algebra or _algebra(x.pmc)).zero
 
 
 # Reeb chords ------------------------------------------------------------

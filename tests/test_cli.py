@@ -92,6 +92,21 @@ def test_alg_basis_grading_out_of_range_is_an_input_error(capsys):
         "input error: --strands: strands grading 5 outside [-1,1]"]
 
 
+@pytest.mark.parametrize("command", ["alg basis --strands 0", "alg check-gradings"])
+def test_alg_commands_refuse_a_circle_above_their_genus(capsys, tmp_path, command):
+    z = pmc.genus1()
+    for _ in range(7):  # the genus-8 sum of eight genus-1 circles
+        z = pmc.connected_sum(z, pmc.genus1())
+    f = tmp_path / "genus8.json"
+    f.write_text(json.dumps(z.to_json()))
+    code, out, err = run(capsys, *command.split(), "--pmc", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "input error: --pmc: genus 8 is above 4, the largest the alg commands "
+        "enumerate"]
+
+
 def test_alg_check_gradings(capsys):
     code, payload, _ = run_json(capsys, "alg", "check-gradings",
                                 "--pmc", data("pmc_genus1.json"))

@@ -224,6 +224,8 @@ def test_mismatched_circles():
             (lambda: strands.multiply_basis_raw(x, y),
              "different ambient circles"),
             (lambda: strands.multiply(ex, ey), "different ambient circles"),
+            (lambda: strands.multiply(strands.StrandsElement.zero(Z1), ey),
+             "different ambient circles"),
             (lambda: ex + ey, "elements of different algebras")):
         with pytest.raises(AlgebraMismatch, match=f"^{message}$"):
             operation()
@@ -373,17 +375,30 @@ def test_differential_terms_agree_with_differential_basis(z):
             strands.differential_basis(x).basis_terms()), x.pairs
 
 
+@pytest.mark.parametrize("z", [Z1, Z2], ids=["genus1", "genus2_split"])
+def test_every_zero_d_is_the_circles_one_zero(z):
+    """d of a cycle and d of every d is the one zero element of the circle,
+    and it compares and hashes like any other zero."""
+    zero = strands.StrandsElement.zero(z)
+    shared = strands._algebra(z).zero
+    for x in all_basis(z):
+        dx = strands.differential_basis(x)
+        for d in ([] if dx else [dx]) + [strands.differential(dx)]:
+            assert d is shared and not d, x.pairs
+            assert d == zero and hash(d) == hash(zero), x.pairs
+
+
 def test_tables_are_bounded_by_the_algebra():
     """Products are computed, not stored: after the genus-2 split identity
     DA's relation check (10,572 products asked, of 5,286 distinct pairs), no
     table on the circle holds more entries than the circle has basis
-    elements."""
+    elements; the circle's shared zero is one element, not a table."""
     z = pmc_mod.genus2_split()
     assert identity_da(z).validate()["ok"]
     alg = strands._algebra(z)
     size = len(all_basis(z))
     for name in strands._Algebra.__slots__:
-        if name != "pmc":
+        if name not in ("pmc", "zero"):
             assert len(getattr(alg, name)) <= size, name
     x, y = (strands.StrandsBasisElement.make(z, [(1, 2)]),
             strands.StrandsBasisElement.make(z, [(2, 3)]))
